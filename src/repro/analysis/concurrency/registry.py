@@ -137,28 +137,6 @@ GUARDS: tuple[GuardSpec, ...] = (
         ("_stats", "_slo"),
         note="loop-side bookkeeping vs status probes from other threads",
     ),
-    # -- repro.serve.cluster -------------------------------------------------
-    GuardSpec(
-        "repro.serve.cluster.shm",
-        "SlabRing",
-        "_lock",
-        ("_free", "_tags", "_next_tag", "_closed"),
-        note=(
-            "slot free-list + lease-tag table; router event loop leases "
-            "while witness threads probe — data copies stay outside the lock"
-        ),
-    ),
-    GuardSpec(
-        "repro.serve.cluster.membership",
-        "Membership",
-        "_lock",
-        ("_workers",),
-        note=(
-            "worker state table: event-loop transitions vs stats/test "
-            "probes from other threads (router request state itself is "
-            "event-loop confined and deliberately lock-free)"
-        ),
-    ),
     # -- repro.obs -----------------------------------------------------------
     GuardSpec(
         "repro.obs.tracer",

@@ -56,22 +56,6 @@ Suites
     committed ``BENCH_telemetry_gate.json`` pins only the
     machine-independent floors, so the CI gate reads "telemetry changes
     no bits and costs bounded throughput".
-``cluster-smoke``
-    *Measured* multi-process scaling: the ``--workers`` sweep
-    (:func:`repro.serve.loadgen.workers_sweep`) drives the serve-smoke
-    request set against a fresh :class:`~repro.serve.cluster.ClusterRouter`
-    at 1, 2 and 4 workers, recording throughput per point, the speedup
-    curve, ``bit_identical`` (every clustered response equals the
-    single-process service's output for the same deterministic payload —
-    across the shared-memory slab handoff and worker-process boundary) and
-    ``pickle_free`` (the largest control-pipe frame stays below one
-    activation row: tensors only ever travel through shared memory).  The
-    committed ``BENCH_cluster_gate.json`` pins machine-independent floors:
-    ``scaling.efficiency_4`` — the 4-worker speedup divided by the
-    *achievable* parallelism ``min(4, cores)`` — at >= 0.5, which reads
-    "4 workers at least double throughput" on any >= 4-core CI runner and
-    degrades gracefully on smaller boxes, plus ``bit_identical`` == 1 and
-    ``pickle_free`` == 1 exactly.
 ``tune-smoke``
     *Measured* tuned-vs-default dispatch on the wallclock-smoke Fig 8
     shapes: the per-signature autotuner (:mod:`repro.runtime.autotune`)
@@ -599,110 +583,6 @@ def _telemetry_metrics() -> dict[str, float]:
     return out
 
 
-#: Worker counts of the cluster-smoke scaling sweep.
-CLUSTER_SMOKE_WORKERS = (1, 2, 4)
-
-
-def _cluster_metrics() -> dict[str, float]:
-    """Measured multi-process cluster scaling on resnet18 (w=0.125).
-
-    One fresh spawned cluster per worker count, each driving the same
-    deterministic serve-smoke request set through the shared-memory slab
-    path, plus a single-process reference run of the *same* payloads:
-
-    * per-point throughput and p99, the sweep ``speedup`` per count, and
-      ``scaling.efficiency_4`` = speedup_4 / min(4, cores) — the
-      machine-independent form of "4 workers >= 2x one worker";
-    * ``bit_identical`` — every clustered response (all worker counts)
-      equals the single-process output exactly;
-    * ``pickle_free`` — the largest control frame any pipe carried stays
-      below one activation row (tensors travel only through shared
-      memory), with the observed worst frame recorded in bytes.
-    """
-    import asyncio
-
-    import numpy as np
-
-    from ..serve import (
-        BatchPolicy,
-        InferenceService,
-        SchedulerConfig,
-        closed_loop,
-        workers_sweep,
-    )
-    from ..serve.cluster import ClusterConfig, ModelSpec
-
-    spec = ModelSpec(name="resnet18", arch="resnet18", width_mult=0.125)
-
-    async def reference():
-        service = InferenceService(
-            config=SchedulerConfig(
-                policy=BatchPolicy(
-                    max_batch_size=SERVE_SMOKE_MAX_BATCH, max_queue_delay_ms=2.0
-                ),
-                default_timeout_ms=None,
-            )
-        )
-        service.registry.register("resnet18", width_mult=0.125)
-        async with service:
-            return await closed_loop(
-                service,
-                "resnet18",
-                requests=SERVE_SMOKE_REQUESTS,
-                concurrency=SERVE_SMOKE_CONCURRENCY,
-                collect_outputs=True,
-            )
-
-    ref = asyncio.run(reference())
-    sweep = asyncio.run(
-        workers_sweep(
-            spec,
-            worker_counts=CLUSTER_SMOKE_WORKERS,
-            requests=SERVE_SMOKE_REQUESTS,
-            concurrency=SERVE_SMOKE_CONCURRENCY,
-            cluster_config=ClusterConfig(
-                max_batch_size=SERVE_SMOKE_MAX_BATCH,
-                max_queue_delay_ms=2.0,
-                default_timeout_ms=60_000.0,
-            ),
-            collect_outputs=True,
-        )
-    )
-    errors = {n: r.errors for n, r in sweep.runs.items() if r.errors}
-    if ref.errors or errors:
-        raise RuntimeError(
-            f"cluster-smoke runs must complete cleanly, got errors "
-            f"reference={ref.errors} cluster={errors}"
-        )
-    bit_identical = float(
-        all(
-            run.outputs.keys() == ref.outputs.keys()
-            and all(
-                np.array_equal(run.outputs[rid], ref.outputs[rid])
-                for rid in run.outputs
-            )
-            for run in sweep.runs.values()
-        )
-    )
-    out: dict[str, float] = {}
-    for n in sweep.worker_counts:
-        run = sweep.runs[n]
-        prefix = f"cluster/resnet18/workers{n}"
-        out[f"{prefix}.requests_per_sec"] = run.requests_per_sec
-        out[f"{prefix}.p99.time_ms"] = run.latency_ms(99)
-        if n > 1:
-            out[f"{prefix}.speedup"] = sweep.speedup(n)
-    top = max(sweep.worker_counts)
-    out[f"cluster/resnet18/scaling.efficiency_{top}"] = sweep.efficiency(top)
-    out["cluster/resnet18/cores"] = float(sweep.cores)
-    out["cluster/resnet18/bit_identical"] = bit_identical
-    out["cluster/resnet18/pickle_free"] = float(sweep.pickle_free)
-    out["cluster/resnet18/control.max_frame_bytes"] = float(
-        sweep.max_control_frame_bytes
-    )
-    return out
-
-
 #: Repetitions per calib-smoke shape measurement (median recorded).
 CALIB_SMOKE_REPS = 3
 
@@ -827,7 +707,6 @@ SUITES = {
     "wallclock": _wallclock_metrics,
     "wallclock-smoke": lambda: _wallclock_metrics(WALLCLOCK_SMOKE_INDICES),
     "serve-smoke": _serve_metrics,
-    "cluster-smoke": _cluster_metrics,
     "telemetry-smoke": _telemetry_metrics,
     "calib-smoke": _calib_metrics,
     "tune-smoke": _tune_metrics,

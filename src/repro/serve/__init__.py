@@ -29,13 +29,6 @@ Sixty-second tour::
 ``python -m repro.serve loadgen`` runs an in-process open/closed-loop
 benchmark with p50/p95/p99 latency and the batch-size histogram.
 
-One tier up, :mod:`repro.serve.cluster` fans the same stack out across
-worker *processes*: consistent-hash sharding by model, shared-memory slab
-handoff (the control pipe never carries tensor bytes), heartbeat health
-checks with crash → restart → re-warm, and a router HTTP face aggregating
-``/metrics`` and ``/v1/stats`` across workers.  ``http --workers N``
-serves through it; ``loadgen --workers 1,2,4`` sweeps the scaling curve.
-
 Robustness contract (asserted in ``tests/test_serve_scheduler.py``): a
 full queue rejects (`QueueFull`, HTTP 429), deadlines fail loudly
 (`DeadlineExceeded`, 504), and a failing compiled executable degrades the
@@ -61,20 +54,14 @@ from .errors import (
     QueueFull,
     ServeError,
     ServiceStopped,
-    WorkerCrashed,
 )
 from .httpfront import JsonHttpServer
 from .loadgen import (
     LoadgenResult,
-    WorkersSweepResult,
-    available_cores,
     closed_loop,
-    cluster_closed_loop,
-    cluster_input_fn,
     open_loop,
     percentile,
     seeded_input_fn,
-    workers_sweep,
 )
 from .registry import MIN_EXECUTE_ROWS, MODEL_BUILDERS, ModelRegistry, RegisteredModel
 from .scheduler import Scheduler, SchedulerConfig, SchedulerStats
@@ -105,14 +92,8 @@ __all__ = [
     "SchedulerStats",
     "ServeError",
     "ServiceStopped",
-    "WorkerCrashed",
-    "WorkersSweepResult",
-    "available_cores",
     "closed_loop",
-    "cluster_closed_loop",
-    "cluster_input_fn",
     "open_loop",
     "percentile",
     "seeded_input_fn",
-    "workers_sweep",
 ]

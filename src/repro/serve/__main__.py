@@ -13,23 +13,10 @@
     In-process benchmark (no sockets in the measured path): registers the
     model, runs an open- or closed-loop load against the dynamic batcher
     and prints throughput, p50/p95/p99 latency and the batch-size
-    histogram — with ``--serial`` as the ``max_batch_size=1`` comparison::
+    histogram — ``--compare-serial`` adds the ``max_batch_size=1`` run::
 
         python -m repro.serve loadgen --model resnet18 --width-mult 0.125 \\
             --requests 64 --concurrency 16 --max-batch 8 --compare-serial
-
-    With ``--workers N[,N...]`` it becomes the **cluster sweep**: one
-    fresh multi-process cluster per worker count, same deterministic
-    closed-loop workload, printing the throughput-vs-worker-count scaling
-    curve plus the pickle-free control-plane verdict::
-
-        python -m repro.serve loadgen --model resnet18 --width-mult 0.125 \\
-            --requests 48 --concurrency 16 --workers 1,2,4
-
-Both commands accept ``--workers`` — ``http --workers 4`` serves through a
-:class:`~repro.serve.cluster.ClusterRouter` (sharded multi-process backend,
-aggregated ``/metrics`` and ``/v1/stats``) instead of a single in-process
-service.
 """
 
 from __future__ import annotations
@@ -38,7 +25,6 @@ import argparse
 import asyncio
 import json
 import sys
-from dataclasses import replace
 
 from .. import obs
 from ..obs.slo import SLOConfig
@@ -128,76 +114,7 @@ def _build_service(args: argparse.Namespace) -> InferenceService:
     return service
 
 
-def _cluster_pieces(args: argparse.Namespace):
-    """Model specs + cluster config from the shared CLI arguments."""
-    from .cluster import ClusterConfig
-    from .cluster.worker import ModelSpec
-
-    if args.telemetry:
-        # The config below turns telemetry on inside each worker process;
-        # the router process needs its own switch flipped too, or the
-        # front end drops the client's traceparent on the floor.
-        obs.enable()
-        obs.telemetry.enable()
-        obs.get_tracer().set_root_limit(4096)
-    specs = []
-    for spec_str in args.model or ["resnet18"]:
-        arch, _, name = spec_str.partition(":")
-        specs.append(
-            ModelSpec(
-                name=name or arch, arch=arch, image=args.image,
-                classes=args.classes, width_mult=args.width_mult,
-            )
-        )
-    cfg = ClusterConfig(
-        max_batch_size=args.max_batch,
-        max_queue_delay_ms=args.max_delay_ms,
-        default_timeout_ms=args.timeout_ms,
-        telemetry=args.telemetry,
-        obs=args.telemetry,
-    )
-    return specs, cfg
-
-
-async def _run_sweep(args: argparse.Namespace) -> int:
-    from .loadgen import workers_sweep
-
-    counts = tuple(sorted({int(tok) for tok in args.workers.split(",") if tok.strip()}))
-    if not counts:
-        raise SystemExit("--workers needs at least one count, e.g. --workers 1,2,4")
-    specs, cfg = _cluster_pieces(args)
-    result = await workers_sweep(
-        specs,
-        worker_counts=counts,
-        requests=args.requests,
-        concurrency=args.concurrency,
-        cluster_config=cfg,
-    )
-    print(json.dumps(result.as_dict(), indent=2) if args.json else result.report())
-    return 0
-
-
-async def _run_cluster_http(args: argparse.Namespace) -> int:
-    from .cluster import ClusterRouter
-
-    specs, cfg = _cluster_pieces(args)
-    cfg = replace(cfg, workers=int(args.workers))
-    router = ClusterRouter(specs, cfg)
-    async with router:
-        host, port = await router.serve_http(args.host, args.port)
-        print(f"[serve] cluster of {cfg.workers} workers listening on "
-              f"http://{host}:{port} (/healthz, /metrics, /v1/models, "
-              f"/v1/stats, POST /v1/infer)")
-        try:
-            await asyncio.Event().wait()  # serve until interrupted
-        except asyncio.CancelledError:
-            pass
-    return 0
-
-
 async def _run_http(args: argparse.Namespace) -> int:
-    if args.workers:
-        return await _run_cluster_http(args)
     service = _build_service(args)
     async with service:
         host, port = await service.serve_http(args.host, args.port)
@@ -211,8 +128,6 @@ async def _run_http(args: argparse.Namespace) -> int:
 
 
 async def _run_loadgen(args: argparse.Namespace) -> int:
-    if args.workers:
-        return await _run_sweep(args)
     service = _build_service(args)
     model = (args.model or ["resnet18"])[0].partition(":")[0]
     results = {}
@@ -267,8 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     _add_policy_args(http)
     http.add_argument("--host", default="127.0.0.1")
     http.add_argument("--port", type=int, default=8707)
-    http.add_argument("--workers", default=None, metavar="N",
-                      help="serve through a multi-process cluster of N workers")
 
     lg = sub.add_parser("loadgen", help="run an in-process load benchmark")
     _add_model_args(lg)
@@ -279,10 +192,6 @@ def main(argv: list[str] | None = None) -> int:
     lg.add_argument("--rate", type=float, default=200.0, help="open-loop arrivals/sec")
     lg.add_argument("--compare-serial", action="store_true",
                     help="also run max_batch_size=1 and print the speedup")
-    lg.add_argument("--workers", default=None, metavar="N[,N...]",
-                    help="cluster sweep mode: run the closed loop against a fresh "
-                         "multi-process cluster per worker count (e.g. 1,2,4) and "
-                         "print the scaling curve")
     lg.add_argument("--json", action="store_true", help="machine-readable output")
 
     args = parser.parse_args(argv)

@@ -15,7 +15,6 @@ __all__ = [
     "QueueFull",
     "DeadlineExceeded",
     "ServiceStopped",
-    "WorkerCrashed",
 ]
 
 
@@ -56,17 +55,5 @@ class DeadlineExceeded(ServeError, TimeoutError):
 
 class ServiceStopped(ServeError):
     """The scheduler was stopped while the request was pending."""
-
-    http_status = 503
-
-
-class WorkerCrashed(ServeError):
-    """A cluster worker died while holding this request.
-
-    The router fails the in-flight requests of a crashed worker
-    immediately (the client can retry against the restarted shard) rather
-    than replaying them itself — replay without request idempotency
-    metadata would risk double execution.
-    """
 
     http_status = 503

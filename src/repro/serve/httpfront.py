@@ -1,11 +1,9 @@
-"""Shared JSON-over-HTTP front end for the serving tier.
+"""JSON-over-HTTP front end for the serving tier.
 
-One dependency-free HTTP/1.1 server (``asyncio.start_server``) used by
-both faces of the serving layer — :class:`~repro.serve.service.InferenceService`
-(single process) and :class:`~repro.serve.cluster.ClusterRouter` (the
-multi-worker tier) — so wire behaviour (keep-alive handling, header
-parsing, error statuses, body limits) is one implementation with one test
-surface, not two drifting copies.
+One dependency-free HTTP/1.1 server (``asyncio.start_server``) behind
+:class:`~repro.serve.service.InferenceService`: keep-alive handling,
+header parsing, error statuses and body limits live here, apart from the
+routing.
 
 The server owns connections only; routing is delegated to an async
 ``dispatch(method, path, headers, body)`` callable returning
@@ -13,11 +11,10 @@ The server owns connections only; routing is delegated to an async
 JSON, a ``str`` verbatim with the content type named in the extra headers
 (the Prometheus exposition route).
 
-:func:`handle_infer_request` is the shared ``POST /v1/infer`` body:
-traceparent continuation, payload validation and the typed-error → HTTP
-status mapping around any ``infer(model, x, timeout_ms=..., trace=...)``
-coroutine — the single-process scheduler and the cluster router plug in
-their own.
+:func:`handle_infer_request` is the ``POST /v1/infer`` body: traceparent
+continuation, payload validation and the typed-error → HTTP status
+mapping around an ``infer(model, x, timeout_ms=..., trace=...)``
+coroutine.
 """
 
 from __future__ import annotations
@@ -40,6 +37,7 @@ REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
+    413: "Content Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
     503: "Service Unavailable",
@@ -52,6 +50,15 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 
 DispatchResult = tuple[int, "dict[str, object] | str", dict[str, str]]
 Dispatch = Callable[[str, str, dict[str, str], bytes], Awaitable[DispatchResult]]
+
+
+class _FramingError(Exception):
+    """A request whose body cannot be delimited: answer ``status``, then
+    close, since the rest of the stream no longer parses as requests."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 class _InferFn(Protocol):
@@ -100,28 +107,20 @@ class JsonHttpServer:
             task.add_done_callback(self._conns.discard)
         try:
             while True:
-                request = await self.read_request(reader)
+                try:
+                    request = await self.read_request(reader)
+                except _FramingError as exc:
+                    await self._respond(
+                        writer, exc.status, {"error": str(exc)}, {}, keep_alive=False
+                    )
+                    break
                 if request is None:
                     break
                 method, path, headers, body = request
                 status, payload, extra = await self._dispatch(
                     method, path, headers, body
                 )
-                if isinstance(payload, str):
-                    data = payload.encode()
-                    ctype = extra.pop("content-type", "text/plain; charset=utf-8")
-                else:
-                    data = (json.dumps(payload) + "\n").encode()
-                    ctype = "application/json"
-                head = [
-                    f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
-                    f"Content-Type: {ctype}",
-                    f"Content-Length: {len(data)}",
-                    "Connection: keep-alive",
-                ]
-                head.extend(f"{k}: {v}" for k, v in extra.items())
-                writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + data)
-                await writer.drain()
+                await self._respond(writer, status, payload, extra)
         except (ConnectionError, asyncio.IncompleteReadError, asyncio.LimitOverrunError):
             pass
         except asyncio.CancelledError:
@@ -132,6 +131,31 @@ class JsonHttpServer:
                 await writer.wait_closed()
             except (ConnectionError, asyncio.CancelledError):
                 pass
+
+    @staticmethod
+    async def _respond(
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: "dict[str, object] | str",
+        extra: dict[str, str],
+        *,
+        keep_alive: bool = True,
+    ) -> None:
+        if isinstance(payload, str):
+            data = payload.encode()
+            ctype = extra.pop("content-type", "text/plain; charset=utf-8")
+        else:
+            data = (json.dumps(payload) + "\n").encode()
+            ctype = "application/json"
+        head = [
+            f"HTTP/1.1 {status} {REASONS.get(status, 'OK')}",
+            f"Content-Type: {ctype}",
+            f"Content-Length: {len(data)}",
+            f"Connection: {'keep-alive' if keep_alive else 'close'}",
+        ]
+        head.extend(f"{k}: {v}" for k, v in extra.items())
+        writer.write(("\r\n".join(head) + "\r\n\r\n").encode() + data)
+        await writer.drain()
 
     @staticmethod
     async def read_request(
@@ -151,10 +175,16 @@ class JsonHttpServer:
                 break
             name, _, value = header.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        try:
-            length = min(int(headers.get("content-length", "0")), MAX_BODY_BYTES)
-        except ValueError:
-            length = 0
+        # Content-Length is 1*DIGIT: a sign, blank or non-ASCII digit leaves
+        # the body's end unknown.  An oversized body is refused unread.
+        raw = headers.get("content-length", "0")
+        if not (raw.isascii() and raw.isdigit()):
+            raise _FramingError(400, f"malformed Content-Length {raw!r}")
+        length = int(raw)
+        if length > MAX_BODY_BYTES:
+            raise _FramingError(
+                413, f"body of {length} bytes exceeds the {MAX_BODY_BYTES}-byte cap"
+            )
         body = await reader.readexactly(length) if length else b""
         return method.upper(), path, headers, body
 

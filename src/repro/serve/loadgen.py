@@ -29,8 +29,8 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Awaitable, Callable
+from dataclasses import dataclass, field
+from typing import Awaitable, Callable
 
 import numpy as np
 
@@ -40,21 +40,12 @@ from .registry import RegisteredModel
 from .scheduler import SchedulerStats
 from .service import InferenceService
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (cluster -> service)
-    from .cluster import ClusterConfig, ClusterRouter
-    from .cluster.worker import ModelSpec
-
 __all__ = [
     "LoadgenResult",
-    "WorkersSweepResult",
-    "available_cores",
     "closed_loop",
-    "cluster_closed_loop",
-    "cluster_input_fn",
     "open_loop",
     "percentile",
     "seeded_input_fn",
-    "workers_sweep",
 ]
 
 
@@ -198,16 +189,6 @@ class LoadgenResult:
         return "\n".join(lines)
 
 
-def available_cores() -> int:
-    """CPU cores available to this process (affinity-aware, >= 1)."""
-    import os
-
-    try:
-        return max(1, len(os.sched_getaffinity(0)))
-    except (AttributeError, OSError):  # pragma: no cover - non-Linux fallback
-        return max(1, os.cpu_count() or 1)
-
-
 def _error_key(exc: BaseException) -> str:
     if isinstance(exc, QueueFull):
         return "rejected"
@@ -219,7 +200,7 @@ def _error_key(exc: BaseException) -> str:
 
 
 async def _issue(
-    service: "InferenceService | Any",  # anything with service.infer(...)
+    service: InferenceService,
     model: str,
     rid: int,
     input_fn: Callable[[int], np.ndarray],
@@ -381,242 +362,3 @@ def _finish(
         execute_ms=split.get("execute_ms", []),
     )
 
-
-# -- cluster load generation -------------------------------------------------
-
-
-def cluster_input_fn(spec: "ModelSpec", *, seed: int = 0) -> Callable[[int], np.ndarray]:
-    """Deterministic payloads built from a cluster :class:`ModelSpec`.
-
-    Bit-for-bit identical to :func:`seeded_input_fn` over the registry
-    entry each worker builds from the same spec — which is what lets the
-    cluster tests assert cross-process responses equal single-process ones.
-    """
-    shape = (spec.image, spec.image, spec.in_channels)
-
-    def make(rid: int) -> np.ndarray:
-        rng = np.random.default_rng((seed, rid))
-        return rng.standard_normal(shape).astype(np.float32)
-
-    return make
-
-
-def _cluster_batch_histogram(stats: dict[str, Any]) -> dict[int, int]:
-    """Sum the per-worker scheduler batch-size histograms in a router
-    ``stats()`` dict (JSON string keys back to ints)."""
-    out: dict[int, int] = {}
-    for wstats in stats.get("workers", {}).values():
-        if not isinstance(wstats, dict):
-            continue
-        sched = wstats.get("scheduler", {})
-        if not isinstance(sched, dict):
-            continue
-        for k, v in sched.get("batch_size_histogram", {}).items():
-            out[int(k)] = out.get(int(k), 0) + int(v)
-    return out
-
-
-def _max_control_frame_bytes(stats: dict[str, Any]) -> int:
-    """Largest control frame either side of any worker pipe has carried."""
-    worst = 0
-    for ctl in stats.get("control", {}).values():
-        if not isinstance(ctl, dict):
-            continue
-        worst = max(worst, int(ctl.get("max_frame_bytes", 0) or 0))
-        router_side = ctl.get("router_side", {})
-        if isinstance(router_side, dict):
-            worst = max(worst, int(router_side.get("max_frame_bytes", 0) or 0))
-    return worst
-
-
-async def cluster_closed_loop(
-    router: "ClusterRouter",
-    model: str,
-    *,
-    requests: int,
-    concurrency: int = 8,
-    input_fn: Callable[[int], np.ndarray] | None = None,
-    timeout_ms: float | None | object = "default",
-    seed: int = 0,
-    collect_outputs: bool = False,
-) -> LoadgenResult:
-    """Closed-loop drive of a :class:`ClusterRouter` (same contract as
-    :func:`closed_loop`; batch histogram aggregated across workers)."""
-    if requests < 1 or concurrency < 1:
-        raise ValueError("requests and concurrency must be >= 1")
-    if input_fn is None:
-        spec = next((s for s in router.models if s.name == model), None)
-        if spec is None:
-            raise ValueError(f"model {model!r} is not served by this cluster")
-        input_fn = cluster_input_fn(spec, seed=seed)
-    fn = input_fn
-    before = _cluster_batch_histogram(await router.stats())
-    latencies: list[float] = []
-    errors: dict[str, int] = {}
-    outputs: dict[int, np.ndarray] | None = {} if collect_outputs else None
-    trace_ids: list[str] = []
-    pending = iter(range(requests))
-
-    async def worker() -> None:
-        for rid in pending:
-            await _issue(
-                router, model, rid, fn, timeout_ms, latencies, errors, outputs, trace_ids
-            )
-
-    t0 = time.perf_counter()
-    await asyncio.gather(*(worker() for _ in range(min(concurrency, requests))))
-    duration = time.perf_counter() - t0
-    after = _cluster_batch_histogram(await router.stats())
-    delta = {
-        size: count - before.get(size, 0)
-        for size, count in after.items()
-        if count - before.get(size, 0) > 0
-    }
-    split = telemetry.queue_execute_split(trace_ids) if trace_ids else {}
-    return LoadgenResult(
-        mode="cluster-closed",
-        model=model,
-        requests=requests,
-        completed=len(latencies),
-        errors=errors,
-        duration_s=duration,
-        latencies_ms=latencies,
-        batch_size_histogram=delta,
-        outputs=outputs or {},
-        trace_ids=trace_ids,
-        queued_ms=split.get("queued_ms", []),
-        execute_ms=split.get("execute_ms", []),
-    )
-
-
-@dataclass
-class WorkersSweepResult:
-    """Throughput-vs-worker-count scaling curve from :func:`workers_sweep`.
-
-    ``efficiency(n)`` normalises the measured speedup by the *achievable*
-    parallelism ``min(n, cores)`` — on a 4+-core box it is the raw
-    ``T_n / T_1`` speedup over ``n``, on a 1-core container it degrades to
-    ~1.0 instead of demanding physically impossible scaling, which is what
-    makes the bench gate machine-independent.
-    """
-
-    model: str
-    requests: int
-    concurrency: int
-    cores: int
-    runs: dict[int, LoadgenResult] = field(repr=False)
-    #: Largest JSON control frame observed on any pipe, either direction.
-    max_control_frame_bytes: int = 0
-    #: One activation row in bytes — the smallest tensor the slab path
-    #: carries; any control frame must stay (far) below it.
-    row_bytes: int = 0
-
-    @property
-    def worker_counts(self) -> list[int]:
-        return sorted(self.runs)
-
-    def throughput(self, n: int) -> float:
-        return self.runs[n].requests_per_sec
-
-    def speedup(self, n: int) -> float:
-        base = self.throughput(self.worker_counts[0])
-        return self.throughput(n) / base if base > 0 else 0.0
-
-    def efficiency(self, n: int) -> float:
-        """Speedup over achievable parallelism (``min(n, cores)``)."""
-        achievable = max(1, min(n, self.cores))
-        return self.speedup(n) / achievable
-
-    @property
-    def pickle_free(self) -> bool:
-        """True when no control frame came close to carrying a tensor: the
-        largest frame is smaller than a single activation row."""
-        return 0 < self.max_control_frame_bytes < self.row_bytes
-
-    def as_dict(self) -> dict[str, object]:
-        return {
-            "model": self.model,
-            "requests": self.requests,
-            "concurrency": self.concurrency,
-            "cores": self.cores,
-            "worker_counts": self.worker_counts,
-            "throughput_rps": {str(n): self.throughput(n) for n in self.worker_counts},
-            "speedup": {str(n): self.speedup(n) for n in self.worker_counts},
-            "efficiency": {str(n): self.efficiency(n) for n in self.worker_counts},
-            "max_control_frame_bytes": self.max_control_frame_bytes,
-            "row_bytes": self.row_bytes,
-            "pickle_free": self.pickle_free,
-            "runs": {str(n): r.as_dict() for n, r in self.runs.items()},
-        }
-
-    def report(self) -> str:
-        lines = [
-            f"[sweep] {self.model}: {self.requests} reqs x concurrency "
-            f"{self.concurrency} on {self.cores} core(s)"
-        ]
-        for n in self.worker_counts:
-            r = self.runs[n]
-            lines.append(
-                f"  workers={n}: {r.requests_per_sec:.1f} req/s  "
-                f"speedup={self.speedup(n):.2f}x  "
-                f"efficiency={self.efficiency(n):.2f}  "
-                f"p99={r.latency_ms(99):.2f}ms  errors={r.errors or '-'}"
-            )
-        lines.append(
-            f"  control plane: max frame {self.max_control_frame_bytes} B "
-            f"vs row {self.row_bytes} B -> pickle_free={self.pickle_free}"
-        )
-        return "\n".join(lines)
-
-
-async def workers_sweep(
-    models: "ModelSpec | list[ModelSpec] | tuple[ModelSpec, ...]",
-    *,
-    model: str | None = None,
-    worker_counts: tuple[int, ...] = (1, 2, 4),
-    requests: int = 48,
-    concurrency: int = 16,
-    cluster_config: "ClusterConfig | None" = None,
-    seed: int = 0,
-    collect_outputs: bool = False,
-) -> WorkersSweepResult:
-    """Throughput-vs-worker-count sweep: a fresh cluster per point.
-
-    Each worker count spawns its own :class:`ClusterRouter` (spawn + warm +
-    drain per point, so no point inherits a predecessor's warm caches),
-    drives the same deterministic closed-loop workload, and tears down
-    before the next point starts.
-    """
-    from .cluster import ClusterConfig, ClusterRouter
-
-    specs = list(models) if isinstance(models, (list, tuple)) else [models]
-    if not specs:
-        raise ValueError("workers_sweep needs at least one ModelSpec")
-    name = model if model is not None else specs[0].name
-    cfg = cluster_config if cluster_config is not None else ClusterConfig()
-    row_bytes = min(s.image * s.image * s.in_channels * 4 for s in specs)
-    runs: dict[int, LoadgenResult] = {}
-    max_frame = 0
-    for n in sorted(set(worker_counts)):
-        if n < 1:
-            raise ValueError("worker counts must be >= 1")
-        router = ClusterRouter(specs, replace(cfg, workers=n))
-        async with router:
-            runs[n] = await cluster_closed_loop(
-                router,
-                name,
-                requests=requests,
-                concurrency=concurrency,
-                seed=seed,
-                collect_outputs=collect_outputs,
-            )
-            max_frame = max(max_frame, _max_control_frame_bytes(await router.stats()))
-    return WorkersSweepResult(
-        model=name,
-        requests=requests,
-        concurrency=concurrency,
-        cores=available_cores(),
-        runs=runs,
-        max_control_frame_bytes=max_frame,
-        row_bytes=row_bytes,
-    )

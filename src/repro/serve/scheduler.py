@@ -200,9 +200,9 @@ class Scheduler:
         """Stop the flush loop; drain (default) or fail queued requests.
 
         **Single-flight idempotent**: the first stop owns the teardown;
-        any stop arriving while it is still flushing (the cluster router's
-        drain racing an outer teardown layer, a test's ``finally`` racing
-        a crash path) *awaits that same teardown* instead of returning
+        any stop arriving while it is still flushing (an explicit stop
+        racing an outer teardown layer, a test's ``finally`` racing a
+        failure path) *awaits that same teardown* instead of returning
         early — returning early would let its caller proceed to tear down
         the pool and runtime config out from under the in-flight drain
         batches the first stop is still completing.  The first caller's

@@ -7,8 +7,7 @@ to a :class:`~repro.serve.scheduler.Scheduler` and exposes:
   generator and tests drive; zero serialisation overhead);
 * ``service.stats()`` — scheduler counters + per-model registry state;
 * ``await service.serve_http(host, port)`` — a dependency-free HTTP/1.1
-  endpoint (the shared :class:`~repro.serve.httpfront.JsonHttpServer`,
-  which the cluster router's front end also uses):
+  endpoint (:class:`~repro.serve.httpfront.JsonHttpServer`):
 
   ====================  =====================================================
   ``GET /healthz``      liveness: ``{"status": "ok"}``; with an SLO
@@ -31,7 +30,7 @@ binary format would only move the needle once the conv itself stops
 dominating.
 
 Shutdown is **single-flight idempotent**: however many callers race into
-:meth:`stop` (outer teardown layers, the cluster router's drain, a test's
+:meth:`stop` (outer teardown layers, ``async with`` exit, a test's
 ``finally``), exactly one teardown runs and every caller awaits that same
 teardown — so a drain arriving during an in-flight flush can never tear
 resources out from under the batches the first stop is still flushing.

@@ -129,7 +129,7 @@ class TestSuites:
     def test_registry_names(self):
         assert set(SUITES) == {
             "smoke", "fig8", "fig9", "table2",
-            "wallclock", "wallclock-smoke", "serve-smoke", "cluster-smoke",
+            "wallclock", "wallclock-smoke", "serve-smoke",
             "telemetry-smoke", "calib-smoke", "tune-smoke", "full",
         }
 

@@ -32,6 +32,7 @@ from repro.serve import (
     percentile,
     seeded_input_fn,
 )
+from repro.serve.httpfront import MAX_BODY_BYTES
 
 ARCH = "resnet18"
 WIDTH = 0.125
@@ -118,6 +119,28 @@ class TestAdmissionControl:
             await service.scheduler.stop(drain=False)
             with pytest.raises(ServiceStopped):
                 await fut
+
+        asyncio.run(scenario())
+
+    def test_single_process_service_stop_is_idempotent(self):
+        """Concurrent InferenceService stops during an in-flight flush share
+        one teardown, and every admitted request still gets its answer."""
+
+        async def scenario():
+            service = _service(policy=BatchPolicy(max_batch_size=4))
+            fn = seeded_input_fn(service.registry.get("net"))
+            async with service:
+                pending = [
+                    asyncio.ensure_future(service.infer("net", fn(rid)))
+                    for rid in range(6)
+                ]
+                await asyncio.sleep(0)
+                await asyncio.gather(service.stop(), service.stop(), service.stop())
+                results = await asyncio.gather(*pending, return_exceptions=True)
+                # drain=True: every admitted request still gets its answer.
+                assert all(isinstance(r, np.ndarray) for r in results)
+            # __aexit__ was stop number four; a fifth is still fine.
+            await service.stop()
 
         asyncio.run(scenario())
 
@@ -321,6 +344,44 @@ class TestHttpEndpoint:
             )
 
         asyncio.run(scenario())
+
+    def _raw_exchange(self, data: bytes) -> bytes:
+        """Send ``data`` on one connection and read until the server closes."""
+
+        async def scenario():
+            service = _service(default_timeout_ms=30_000.0)
+            async with service:
+                host, port = await service.serve_http("127.0.0.1", 0)
+                reader, writer = await asyncio.open_connection(host, port)
+                writer.write(data)
+                await writer.drain()
+                reply = await asyncio.wait_for(reader.read(), timeout=30.0)
+                writer.close()
+            return reply
+
+        return asyncio.run(scenario())
+
+    @pytest.mark.parametrize("length", ["-5", "abc", "+5", ""])
+    def test_malformed_content_length_is_400_and_closes(self, length):
+        reply = self._raw_exchange(
+            f"POST /v1/infer HTTP/1.1\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        assert b"Content-Length" in json.loads(body)["error"].encode()
+
+    def test_oversized_content_length_is_413_and_closes(self):
+        # The bytes after the head would have been parsed as a second
+        # request had the server cut the body to the cap and kept going.
+        smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
+        reply = self._raw_exchange(
+            f"POST /v1/infer HTTP/1.1\r\nContent-Length: {MAX_BODY_BYTES + 1}"
+            "\r\n\r\n".encode() + smuggled
+        )
+        assert reply.startswith(b"HTTP/1.1 413 Content Too Large\r\n")
+        assert b"Connection: close" in reply
+        assert reply.count(b"HTTP/1.1 ") == 1
 
 
 class TestLoadgen:
