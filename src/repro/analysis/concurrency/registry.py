@@ -102,7 +102,7 @@ GUARDS: tuple[GuardSpec, ...] = (
         "ConvExecutable",
         "_flock",
         ("_filters",),
-        note="weight-version-keyed filter-transform LRU",
+        note="filter-transform LRU; lookups compare on a snapshot outside the lock",
     ),
     GuardSpec(
         "repro.runtime.tuningcache",

@@ -13,11 +13,13 @@ does when it freezes a model.
   operand for the tail),
 * then applies the convolution to any batch of matching ifms.
 
-Execution is delegated to the compiled-plan runtime
-(:mod:`repro.runtime`): the per-``(IH, IW)`` executables come from the
-shared process-wide cache, and the frozen filter operands are passed as a
-pre-resolved :class:`~repro.runtime.executable.FilterBundle`, so repeated
-inference never re-hashes or re-transforms the weights.
+Execution goes through :func:`repro.runtime.convolve` with the frozen
+operands passed as a pre-resolved
+:class:`~repro.runtime.executable.FilterBundle`: the per-``(IH, IW)``
+executables come from the shared process-wide cache, repeated inference
+never compares or re-transforms the weights, and tuned dispatch and
+:func:`~repro.runtime.force_legacy` apply as to any other call.  A frozen
+:class:`repro.dlframe.layers.Conv2D` holds its bundles the same way.
 
 Numerics are identical to :func:`repro.core.fused.conv2d_im2col_winograd`
 (same transforms, same accumulation order) — asserted in the test suite.
@@ -78,7 +80,9 @@ class PlannedConv2D:
 
         if w.ndim != 4:
             raise ValueError(f"expected 4D filters, got ndim {w.ndim}")
-        self.w = np.asarray(w, dtype=dtype)
+        # A real copy: the bundle and the legacy path (force_legacy) must
+        # both keep seeing the filters as they were at construction.
+        self.w = np.array(w, dtype=dtype)
         oc, fh, fw, ic = self.w.shape
         self.ph = fh // 2 if ph is None else ph
         self.pw = fw // 2 if pw is None else pw
@@ -104,9 +108,7 @@ class PlannedConv2D:
             for seg in self.segments
             if not seg.is_gemm
         ]
-        self._bundle: "FilterBundle" = build_filter_bundle(
-            self.w, schemes, np.dtype(self.w.dtype), token=("planned", id(self))
-        )
+        self._bundle: "FilterBundle" = build_filter_bundle(self.w, schemes, self.w.dtype)
         self._u = self._bundle.u
 
     @property
@@ -116,21 +118,18 @@ class PlannedConv2D:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         """Convolve a batch ``(N, IH, iw, IC)`` with the frozen filters."""
-        from ..runtime import ConvSignature, get_executable  # lazy: import cycle
+        from ..runtime import convolve  # lazy: import cycle
 
-        oc, fh, fw, ic = self.w.shape
+        ic = self.w.shape[3]
         if x.ndim != 4:
             raise ValueError(f"expected 4D input, got ndim {x.ndim}")
         if x.shape[2] != self.iw:
             raise ValueError(f"input width {x.shape[2]} != planned width {self.iw}")
         if x.shape[3] != ic:
             raise ValueError(f"channel mismatch: input {x.shape[3]}, filter {ic}")
-        x = np.asarray(x, dtype=self.w.dtype)
         # Heights are free: only the width is baked into the plan.  Each
         # distinct IH resolves to its own executable in the shared cache.
-        sig = ConvSignature.resolve(
-            ih=x.shape[1], iw=self.iw, ic=ic, oc=oc, fh=fh, fw=fw,
-            ph=self.ph, pw=self.pw, alpha=self.alpha, variant=self.variant,
-            dtype=self.w.dtype,
+        return convolve(
+            x, self.w, ph=self.ph, pw=self.pw, alpha=self.alpha, variant=self.variant,
+            dtype=self.w.dtype, block_ic=self.block_ic, bundle=self._bundle,
         )
-        return get_executable(sig)(x, bundle=self._bundle, block_ic=self.block_ic)

@@ -21,6 +21,7 @@ import numpy as np
 from ..baselines.gemm import conv2d_gemm
 from ..core.gradients import conv2d_filter_grad, conv2d_input_grad
 from ..obs import span
+from ..runtime import ConvSignature, FilterBundle, get_executable
 from ..runtime import convolve as runtime_convolve
 from .autograd import Tensor, make_op
 from .initializers import kaiming_uniform
@@ -180,17 +181,19 @@ class Conv2D(Module):
         )
         self.bias = Parameter(np.zeros(oc, dtype=np.float32), name="conv.bias") if bias else None
         self._frozen = False
-        self._planned_cache: dict[int, object] = {}
+        # Frozen filter operands per input width (the plan depends on OW).
+        self._bundles: dict[int, FilterBundle] = {}
 
-    def _frozen_forward(self, xd: np.ndarray) -> np.ndarray:
-        from ..core.inference import PlannedConv2D  # local: keeps import cheap
-
-        iw = xd.shape[2]
-        planned = self._planned_cache.get(iw)
-        if planned is None:
-            planned = PlannedConv2D(self.weight.data, iw=iw, ph=self.padding, pw=self.padding)
-            self._planned_cache[iw] = planned
-        return planned(xd)
+    def _frozen_forward(self, xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
+        ph = pw = self.padding
+        # Captured once: a concurrent re-freeze swaps in a new dict, so a
+        # bundle built here from the old weights never lands in it.
+        bundles = self._bundles
+        bundle = bundles.get(xd.shape[2])
+        if bundle is None:
+            sig = ConvSignature.for_operands(xd, wd, ph=ph, pw=pw)
+            bundle = bundles[xd.shape[2]] = get_executable(sig).build_bundle(wd)
+        return runtime_convolve(xd, wd, ph=ph, pw=pw, bundle=bundle)
 
     @property
     def effective_engine(self) -> str:
@@ -199,17 +202,19 @@ class Conv2D(Module):
 
     def freeze(self) -> "Conv2D":
         """Enter frozen-inference mode (§6.1.2's pre-transposition, here:
-        pre-transformed filters).  The filter transform and boundary plan
-        are computed once per input width at first use; any ``train()``
-        discards them (weights are assumed fixed while frozen)."""
+        pre-transformed filters).  The filter transform is computed once per
+        input width at first use, from the weights at that time; freezing
+        again or any ``train()`` discards it (weights are assumed fixed
+        while frozen)."""
         self.eval()
         self._frozen = True
+        self._bundles = {}
         return self
 
     def train(self, mode: bool = True) -> "Conv2D":
         if mode:
             self._frozen = False
-            self._planned_cache.clear()
+            self._bundles = {}
         return super().train(mode)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -223,12 +228,15 @@ class Conv2D(Module):
             kernel=self.kernel, stride=stride, frozen=getattr(self, "_frozen", False),
         ):
             if engine == "winograd" and getattr(self, "_frozen", False):
-                y = self._frozen_forward(xd)
+                # Frozen: the layer holds U per input width and hands it to
+                # the runtime, so a call does no filter work at all.
+                y = self._frozen_forward(xd, wd)
             elif engine == "winograd":
                 # Compiled-plan runtime: the (shape, dtype) signature hits
-                # the executable cache after the first step, and the
-                # content-hashed filter cache recomputes U exactly once per
-                # optimizer update (weights mutate in place).
+                # the executable cache after the first step, and the filter
+                # cache, matching weights by an exact bit compare against
+                # its copy, recomputes U once per optimizer update (weights
+                # mutate in place).
                 y = runtime_convolve(xd, wd, ph=ph, pw=pw)
             else:
                 y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)

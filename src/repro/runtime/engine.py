@@ -214,8 +214,8 @@ def convolve(
     ``block_ic=None`` accumulates the full channel depth in one fh-fused
     contraction (the fastest setting, identical to ``block_ic >= IC``).
     ``version`` optionally names the weight version to key the
-    filter-transform cache without content hashing, and ``bundle`` supplies
-    pre-resolved filter operands (frozen inference).
+    filter-transform cache by instead of comparing the weights, and
+    ``bundle`` supplies pre-resolved filter operands (frozen inference).
 
     Inside a :func:`force_legacy` scope the call bypasses the compiled
     executable and runs the interpreted reference path instead (same bits,

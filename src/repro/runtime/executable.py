@@ -15,9 +15,12 @@ re-derives on each call:
   region is interior (pure zero-copy view) or needs one zero-filled edge
   buffer,
 * memoized einsum contraction paths,
-* a weight-version-keyed cache of the §6.1.2 filter transforms ``U = G w``
-  (layout ``(alpha, FH, IC, OC)``, ready for the fh-fused batched matmul)
-  and of the folded GEMM-tail operand.
+* a small LRU of the §6.1.2 filter transforms ``U = G w`` (layout
+  ``(alpha, FH, IC, OC)``, ready for the fh-fused batched matmul) and of
+  the folded GEMM-tail operand, matched by caller-named weight version or
+  else by an exact bit compare against a private copy of the source
+  weights.  Frozen callers skip the cache and pass their own
+  :class:`FilterBundle`.
 
 Execution gathers all ``FH`` filter rows as one strided view and runs the
 input transform as one tensordot per segment.  The transform-domain
@@ -40,10 +43,8 @@ arithmetic, so threaded results stay bit-identical to serial ones.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -69,11 +70,16 @@ __all__ = ["ConvExecutable", "FilterBundle", "build_filter_bundle"]
 
 SchemeKey = tuple[int, int]  # (n, r)
 
-#: Filter-transform cache entries kept per executable.  Inference holds one
-#: frozen entry; training alternates between at most a couple of weight
-#: versions per step (forward + recomputed backward filters), so a handful
-#: of slots bounds memory without thrashing.
+#: Filter-transform cache entries kept per executable.  Frozen inference
+#: holds its bundles in the layers and never touches this cache; training
+#: alternates between at most a couple of weight versions per step (forward
+#: + recomputed backward filters), so a handful of slots bounds memory
+#: without thrashing.
 FILTER_CACHE_SLOTS = 4
+
+#: Evenly spaced elements an unversioned lookup compares before the full
+#: bit compare, so a slot holding other weights is rejected cheaply.
+_SAMPLE_POINTS = 64
 
 
 @dataclass(frozen=True)
@@ -86,7 +92,6 @@ class FilterBundle:
     ``(FH*FW*IC, OC)`` matrix of the §5.5 GEMM tail.
     """
 
-    token: object
     u: dict[SchemeKey, np.ndarray]
     gemm_operand: np.ndarray
 
@@ -97,17 +102,16 @@ class FilterBundle:
 
 
 def build_filter_bundle(
-    w: np.ndarray,
-    schemes: Iterable[SchemeKey],
-    dtype: np.dtype,
-    *,
-    token: object = None,
+    w: np.ndarray, schemes: Iterable[SchemeKey], dtype: np.dtype
 ) -> FilterBundle:
     """Compute the :class:`FilterBundle` of ``w`` for the given schemes.
 
-    Shared by :class:`ConvExecutable` and the frozen-inference wrapper so
-    the filter-transform arithmetic has exactly one definition.
+    Shared by :class:`ConvExecutable` and the frozen-inference callers so
+    the filter-transform arithmetic has exactly one definition.  Every
+    build counts one ``runtime.filter_cache.misses``; every call that runs
+    on a cached or caller-held bundle counts a hit.
     """
+    counter_add("runtime.filter_cache.misses")
     w = np.asarray(w, dtype=dtype)
     oc, fh, fw, ic = w.shape
     u: dict[SchemeKey, np.ndarray] = {}
@@ -121,7 +125,30 @@ def build_filter_bundle(
         # slices feed np.matmul's batch dims directly.
         u[key] = np.ascontiguousarray(np.einsum("kp,ofpi->kfio", mats.G, w, optimize=True))
     operand = np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))
-    return FilterBundle(token=token, u=u, gemm_operand=operand)
+    return FilterBundle(u=u, gemm_operand=operand)
+
+
+def _flat_bits(w: np.ndarray) -> np.ndarray:
+    """``w`` as a flat unsigned-integer view of its bit patterns.
+
+    Comparing these instead of the floats makes equality exact: ``-0.0``
+    and ``+0.0`` differ, and a NaN equals only the same NaN payload.
+    """
+    return w.view(np.dtype(f"u{w.dtype.itemsize}")).reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class _FilterSlot:
+    """One filter-cache entry: a bundle and what it was built from.
+
+    A versioned slot matches its caller-named ``version``; an unversioned
+    slot (``version is None``) matches weights whose bits equal ``bits``,
+    its private copy of the source weights.
+    """
+
+    version: object
+    bits: np.ndarray | None
+    bundle: FilterBundle
 
 
 @dataclass(frozen=True)
@@ -230,54 +257,79 @@ class ConvExecutable:
                 )
             )
         self._schemes: tuple[SchemeKey, ...] = tuple(self.mats)
-        self._filters: OrderedDict[object, FilterBundle] = OrderedDict()
+        # Filter-cache slots, least recently used first.
+        self._filters: list[_FilterSlot] = []
         self._flock = threading.Lock()
+        size = sig.oc * sig.fh * sig.fw * sig.ic
+        self._sample = np.linspace(0, size - 1, min(size, _SAMPLE_POINTS), dtype=np.intp)
         self._epaths: dict[tuple[str, tuple[tuple[int, ...], ...]], Any] = {}
         # (calibration generation, constant ns, per-row ns) — see predicted_ns.
         self._pred_cache: tuple[int, float, float] | None = None
 
-    # -- filter-transform cache (weight-version keyed) ---------------------
+    # -- filter-transform cache ---------------------------------------------
 
-    def weight_token(self, w: np.ndarray) -> object:
-        """Content token of ``w``: exact, cheap relative to the transform.
-
-        A real digest (not Python's salted, truncated ``hash``): collisions
-        here would silently serve a stale filter transform, and the token
-        must be stable across processes so it can be persisted or compared
-        between runs.
-        """
-        w = np.asarray(w, dtype=self.dtype)
-        return ("h", w.shape, hashlib.sha1(w.tobytes()).digest())
-
-    def filter_bundle(self, w: np.ndarray, *, version: object = None) -> FilterBundle:
-        """Pre-transformed operands for ``w``, cached by weight version.
-
-        ``version`` short-circuits the content hash for callers that track
-        weight identity themselves (frozen inference); by default the token
-        is an exact content hash, so in-place optimizer updates miss once
-        per step and repeated calls on unchanged weights hit.
-        """
+    def _check_filters(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=self.dtype)
         if w.shape != (self.sig.oc, self.sig.fh, self.sig.fw, self.sig.ic):
             raise ValueError(
                 f"filter shape {w.shape} does not match signature "
                 f"{(self.sig.oc, self.sig.fh, self.sig.fw, self.sig.ic)}"
             )
-        token = ("v", version) if version is not None else self.weight_token(w)
+        return w
+
+    def build_bundle(self, w: np.ndarray) -> FilterBundle:
+        """Transform ``w`` for this plan's schemes, bypassing the cache.
+
+        For callers that hold the bundle themselves (frozen layers): the
+        result is passed back as ``bundle=`` on every call.
+        """
+        return build_filter_bundle(self._check_filters(w), self._schemes, self.dtype)
+
+    def filter_bundle(self, w: np.ndarray, *, version: object = None) -> FilterBundle:
+        """Pre-transformed operands for ``w``, from a small LRU cache.
+
+        ``version`` names the weights for callers that track their identity
+        themselves.  Without it the weights are matched by content: each
+        slot keeps a copy of its source weights and ``w`` hits only a slot
+        it equals bit for bit, so in-place optimizer updates miss once per
+        step and repeated calls on unchanged weights hit.  A cheap sampled
+        compare rejects non-matching slots first; the full compare runs on
+        a snapshot outside the lock.
+        """
+        w = self._check_filters(w)
         with self._flock:
-            bundle = self._filters.get(token)
-            if bundle is not None:
-                self._filters.move_to_end(token)
-                counter_add("runtime.filter_cache.hits")
-                return bundle
-        counter_add("runtime.filter_cache.misses")
-        bundle = build_filter_bundle(w, self._schemes, self.dtype, token=token)
+            slots = tuple(self._filters)
+        # Most recently used first.
+        if version is not None:
+            bits = None
+            found = next((s for s in reversed(slots) if s.version == version), None)
+        else:
+            bits = _flat_bits(w)
+            found = next(
+                (s for s in reversed(slots) if s.bits is not None and self._same(s.bits, bits)),
+                None,
+            )
+        if found is not None:
+            with self._flock:
+                if found in self._filters:
+                    self._filters.remove(found)
+                    self._filters.append(found)
+            counter_add("runtime.filter_cache.hits")
+            return found.bundle
+        bundle = build_filter_bundle(w, self._schemes, self.dtype)
+        slot = _FilterSlot(
+            version=version, bits=None if bits is None else bits.copy(), bundle=bundle
+        )
         with self._flock:
-            self._filters[token] = bundle
+            self._filters.append(slot)
             while len(self._filters) > FILTER_CACHE_SLOTS:
-                self._filters.popitem(last=False)
+                del self._filters[0]
                 counter_add("runtime.filter_cache.evictions")
         return bundle
+
+    def _same(self, stored: np.ndarray, bits: np.ndarray) -> bool:
+        sample = self._sample
+        return np.array_equal(stored[sample], bits[sample]) and np.array_equal(stored, bits)
 
     @property
     def cached_filter_versions(self) -> int:
@@ -334,8 +386,8 @@ class ConvExecutable:
     ) -> np.ndarray:
         """Run the compiled convolution on ``x`` (any batch size).
 
-        Either ``w`` (filters, resolved through the weight-version cache) or
-        a pre-resolved ``bundle`` must be provided.  ``block_ic`` is the
+        Either ``w`` (filters, resolved through the filter-transform cache)
+        or a pre-resolved ``bundle`` must be provided.  ``block_ic`` is the
         channel block depth of the transform-domain accumulation, honoured
         bit-for-bit as in the interpreted path (``None`` accumulates the
         full depth in one fh-fused contraction, the fastest setting).
@@ -359,6 +411,7 @@ class ConvExecutable:
                 raise ValueError("either w or a FilterBundle is required")
             resolved: list[FilterBundle] = []
         else:
+            counter_add("runtime.filter_cache.hits")
             resolved = [bundle]
         batch = x.shape[0]
         y = np.empty((batch, self.oh, self.ow, sig.oc), dtype=self.dtype)

@@ -3,21 +3,23 @@
 Registration does everything expensive exactly once, before the first
 request arrives:
 
-* builds (or adopts) a :mod:`repro.dlframe` model and pins it in ``eval``
-  mode — serving must be a pure function of the weights, so BatchNorm uses
-  running statistics and nothing mutates per request;
+* builds (or adopts) a :mod:`repro.dlframe` model and **freezes** it —
+  serving must be a pure function of the weights, so BatchNorm uses
+  running statistics and nothing mutates per request, and each Winograd
+  ``Conv2D`` holds its §6.1.2 filter transforms itself instead of having
+  the runtime find them again on every call;
 * **warms** the model through the compiled-plan runtime: one forward pass
   resolves every unit-stride convolution to its cached
   :class:`~repro.runtime.executable.ConvExecutable` (plan + transform
-  matrices + gather descriptors + einsum paths) and pays the §6.1.2
-  filter-transform miss, so the first real request hits everywhere;
+  matrices + gather descriptors + einsum paths) and builds each frozen
+  conv's filter transforms, so the first real request does no set-up work;
 * measures the model's **per-row workspace** from the executables the
   warmup resolved (:meth:`~repro.runtime.executable.ConvExecutable.per_row_workspace_bytes`),
   which the dynamic batcher's workspace-budget flush trigger consumes;
 * tracks a **weight version** per model, bumped by
-  :meth:`ModelRegistry.load_weights` — the serving twin of the runtime's
-  content-hashed filter-transform tokens: reloading weights invalidates the
-  cached filter transforms exactly once per conv, then hits again.
+  :meth:`ModelRegistry.load_weights`, which re-freezes the model: each
+  conv transforms the new weights exactly once (on the reload's warmup or
+  the first request after it), then reuses them.
 
 Batch-row execution floor
 -------------------------
@@ -279,7 +281,7 @@ class ModelRegistry:
                 seed=seed,
                 **({"image": image} if arch.startswith("vgg") else {}),
             )
-        model.eval()
+        model.freeze()
         convs = [m for m in _iter_modules(model) if isinstance(m, Conv2D)]
         entry = RegisteredModel(
             name=name,
@@ -307,10 +309,10 @@ class ModelRegistry:
         """Pre-resolve every conv through the runtime executable cache.
 
         One forward per registered input shape: the executable cache takes
-        the plan/transform/einsum misses, the filter-transform cache takes
-        its one content-hash miss per conv, and the executables the pass
-        resolved yield the measured per-row workspace the batcher budgets
-        with.
+        the plan/transform/einsum misses, each frozen conv builds its filter
+        transforms (one ``runtime.filter_cache.misses`` per conv and input
+        width), and the executables the pass resolved yield the measured
+        per-row workspace the batcher budgets with.
         """
         before = {id(e) for e in runtime.global_cache().executables()}
         t0 = time.perf_counter()
@@ -391,15 +393,16 @@ class ModelRegistry:
     ) -> RegisteredModel:
         """Swap ``name``'s weights in place from a ``save_weights`` file.
 
-        Bumps the model's weight version; the runtime's content-hashed
-        filter-transform cache then misses exactly once per conv (the new
-        weights hash differently) and hits thereafter.  ``warmup=True``
-        pays those misses here rather than on the first post-reload request.
+        Bumps the model's weight version and re-freezes the model, which
+        drops every conv's frozen filter transforms: each conv then builds
+        them from the new weights exactly once (one filter-cache miss) and
+        reuses them thereafter.  ``warmup=True`` pays those misses here
+        rather than on the first post-reload request.
         """
         entry = self.get(name)
         with entry._lock:
             _load_weights(entry.model, path)  # type: ignore[arg-type]
-            entry.model.eval()
+            entry.model.freeze()
             entry.weight_version += 1
         counter_add("serve.weights.reloaded", model=name)
         if warmup:

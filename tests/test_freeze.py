@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro import obs, runtime
+from repro.core import conv2d_im2col_winograd
 from repro.dlframe import Adam, Tensor, Trainer, synthetic_cifar10
 from repro.dlframe.layers import Conv2D
 from repro.dlframe.models import resnet18, vgg16
@@ -21,14 +23,14 @@ class TestConvFreeze:
         conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
         for iw in (8, 12, 8, 16):
             conv(Tensor(rng.standard_normal((1, 6, iw, 2)).astype(np.float32)))
-        assert set(conv._planned_cache) == {8, 12, 16}
+        assert set(conv._bundles) == {8, 12, 16}
 
     def test_train_invalidates(self, rng):
         conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
         conv(Tensor(rng.standard_normal((1, 6, 8, 2)).astype(np.float32)))
-        assert conv._planned_cache
+        assert conv._bundles
         conv.train()
-        assert not conv._planned_cache and not conv._frozen
+        assert not conv._bundles and not conv._frozen
 
     def test_weight_update_after_unfreeze_takes_effect(self, rng):
         conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
@@ -40,11 +42,45 @@ class TestConvFreeze:
         y_new = conv(Tensor(x)).data
         assert not np.allclose(y_old, y_new)
 
+    def test_frozen_conv_honours_force_legacy(self, rng):
+        """Frozen convs go through ``runtime.convolve``, so degradation applies."""
+        conv = Conv2D(3, 4, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
+        x = rng.standard_normal((2, 9, 11, 3)).astype(np.float32)
+        conv(Tensor(x))  # build the frozen operands first
+        want = conv2d_im2col_winograd(x, conv.weight.data, legacy=True) + conv.bias.data
+        with obs.capture():
+            with runtime.force_legacy():
+                got = conv(Tensor(x)).data
+            degraded = obs.get_registry().counter("runtime.degraded.calls").total()
+        assert degraded == 1
+        np.testing.assert_array_equal(got, want)
+
+    def test_frozen_calls_hit_the_layer_held_bundle(self, rng):
+        conv = Conv2D(3, 4, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
+        x = rng.standard_normal((2, 9, 11, 3)).astype(np.float32)
+        with obs.capture():
+            for _ in range(3):
+                conv(Tensor(x))
+            reg = obs.get_registry()
+            assert reg.counter("runtime.filter_cache.misses").total() == 1
+            assert reg.counter("runtime.filter_cache.hits").total() == 3
+
+    def test_refreeze_picks_up_new_weights(self, rng):
+        """Weights copied in place (as ``load_state_dict`` does) take effect
+        on the next freeze, which drops the old operands."""
+        conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
+        x = rng.standard_normal((1, 6, 8, 2)).astype(np.float32)
+        conv(Tensor(x))
+        conv.weight.data[...] = rng.standard_normal(conv.weight.data.shape)
+        conv.freeze()
+        want = conv2d_im2col_winograd(x, conv.weight.data, legacy=True) + conv.bias.data
+        np.testing.assert_array_equal(conv(Tensor(x)).data, want)
+
     def test_gemm_engine_ignores_freeze(self, rng):
         conv = Conv2D(2, 2, 3, engine="gemm", rng=np.random.default_rng(0)).freeze()
         x = rng.standard_normal((1, 6, 8, 2)).astype(np.float32)
         conv(Tensor(x))
-        assert not conv._planned_cache  # gemm path never builds plans
+        assert not conv._bundles  # gemm path never transforms filters
 
 
 class TestModelFreeze:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import obs, runtime
 from repro.core import PlannedConv2D, conv2d_im2col_winograd
 from repro.gpusim import RTX3060TI, RTX4090, autotune_conv, clear_autotune_cache
 from repro.nhwc import ConvShape
@@ -56,6 +57,29 @@ class TestPlannedConv2D:
         assert len(planned._u) == 2
         x = rng.standard_normal((1, 6, 10, 3)).astype(np.float32)
         np.testing.assert_array_equal(planned(x), conv2d_im2col_winograd(x, w))
+
+    def test_honours_force_legacy(self, rng):
+        w = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
+        x = rng.standard_normal((2, 7, 13, 5)).astype(np.float32)
+        planned = PlannedConv2D(w, iw=13)
+        with obs.capture():
+            with runtime.force_legacy():
+                got = planned(x)
+            degraded = obs.get_registry().counter("runtime.degraded.calls").total()
+        assert degraded == 1
+        np.testing.assert_array_equal(got, conv2d_im2col_winograd(x, w, legacy=True))
+
+    def test_filters_are_copied_at_construction(self, rng):
+        """Mutating the caller's filters afterwards changes neither path."""
+        w = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
+        x = rng.standard_normal((2, 7, 13, 5)).astype(np.float32)
+        want = conv2d_im2col_winograd(x, w, legacy=True)
+        planned = PlannedConv2D(w, iw=13)
+        assert not np.shares_memory(planned.w, w)
+        w *= 2.0
+        np.testing.assert_array_equal(planned(x), want)
+        with runtime.force_legacy():
+            np.testing.assert_array_equal(planned(x), want)
 
     def test_validation(self, rng):
         with pytest.raises(ValueError, match="4D"):

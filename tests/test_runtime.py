@@ -5,9 +5,10 @@ outputs to the legacy interpreted path (``conv2d_im2col_winograd`` with
 ``legacy=True``) at the same channel blocking — including the shared
 default ``block_ic``, so the default path's bits never changed across the
 runtime switch — cuDNN-style plan-cache behaviour (hit on repeat, miss on
-new signature, bounded eviction), a content-keyed filter-transform cache
-that notices in-place weight mutation, and arithmetic-neutral dispatch
-knobs (threads / workspace chunking change scheduling, never bits).
+new signature, bounded eviction), a filter-transform cache that matches
+weights bit for bit and so notices in-place weight mutation, and
+arithmetic-neutral dispatch knobs (threads / workspace chunking change
+scheduling, never bits).
 """
 
 from __future__ import annotations
@@ -226,7 +227,7 @@ class TestFilterCache:
         assert exe.cached_filter_versions == 1
 
     def test_inplace_mutation_is_a_miss(self, rng):
-        """Content hashing notices optimizers mutating ``w.data`` in place."""
+        """The exact compare notices optimizers mutating ``w.data`` in place."""
         x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         exe = self._exe(x, w)
@@ -253,20 +254,122 @@ class TestFilterCache:
             exe(x, w, version=step)
         assert exe.cached_filter_versions <= FILTER_CACHE_SLOTS
 
-    def test_weight_token_is_a_real_digest(self, rng):
-        """Content tokens are collision-resistant and process-stable (sha1),
-        not Python's salted/truncated ``hash`` — a collision would silently
-        serve a stale filter transform."""
-        import hashlib
+    def test_one_ulp_flip_anywhere_is_a_miss(self, rng):
+        """Lookups compare every bit, not just the sampled elements."""
+        x = rng.standard_normal((1, 5, 13, 8)).astype(np.float32)
+        w = rng.standard_normal((8, 3, 3, 8)).astype(np.float32)
+        exe = self._exe(x, w)
+        bundle = exe.filter_bundle(w)
+        for i in range(w.size):  # 576 elements, well past the sample
+            flipped = w.copy()
+            flipped.view(np.uint32).reshape(-1)[i] ^= 1
+            assert exe.filter_bundle(flipped) is not bundle
 
+    def test_signed_zero_is_a_miss(self, rng):
+        x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        w[1, 2, 0, 1] = 0.0
+        exe = self._exe(x, w)
+        bundle = exe.filter_bundle(w)
+        negative = w.copy()
+        negative[1, 2, 0, 1] = -0.0
+        assert np.array_equal(negative, w)  # equal as floats ...
+        assert exe.filter_bundle(negative) is not bundle  # ... not as bits
+
+    def test_nan_payloads_are_compared_as_bits(self, rng):
+        x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        w.view(np.uint32)[0, 0, 0, 0] = 0x7FC00001
+        exe = self._exe(x, w)
+        bundle = exe.filter_bundle(w)
+        assert exe.filter_bundle(w.copy()) is bundle  # NaN != NaN, bits equal
+        other = w.copy()
+        other.view(np.uint32)[0, 0, 0, 0] = 0x7FC00002
+        assert exe.filter_bundle(other) is not bundle
+
+    def test_equal_copy_at_another_address_is_a_hit(self, rng):
         x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         exe = self._exe(x, w)
-        token = exe.weight_token(w)
-        assert token == exe.weight_token(w.copy())
-        assert token != exe.weight_token(w * 0.5)
-        # Reproducible from the bytes alone, independent of PYTHONHASHSEED.
-        assert token[-1] == hashlib.sha1(w.tobytes()).digest()
+        bundle = exe.filter_bundle(w)
+        assert exe.filter_bundle(w.copy()) is bundle
+        # A non-contiguous view of equal contents matches as well.
+        transposed = np.ascontiguousarray(w.transpose(3, 1, 2, 0)).transpose(3, 1, 2, 0)
+        assert exe.filter_bundle(transposed) is bundle
+        assert exe.cached_filter_versions == 1
+
+    def test_inplace_optimizer_update_misses_once(self, rng):
+        x = rng.standard_normal((2, 5, 13, 3)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        grad = rng.standard_normal(w.shape).astype(np.float32)
+        exe = self._exe(x, w)
+        with obs.capture():
+            exe(x, w)
+            w -= 0.01 * grad  # an SGD step: same array object, new contents
+            got = exe(x, w)
+            exe(x, w)
+            reg = obs.get_registry()
+            assert reg.counter("runtime.filter_cache.misses").total() == 2
+            assert reg.counter("runtime.filter_cache.hits").total() == 1
+        np.testing.assert_array_equal(got, legacy_exact(x, w))
+
+    def test_cached_source_is_a_private_copy(self, rng):
+        """Mutating the caller's array cannot rewrite a slot's reference bits."""
+        x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        exe = self._exe(x, w)
+        old = exe.filter_bundle(w)
+        w *= 0.5
+        assert exe.filter_bundle(w) is not old
+
+    def test_caller_held_bundle_counts_a_hit(self, rng):
+        x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
+        exe = self._exe(x, w)
+        with obs.capture():
+            bundle = exe.build_bundle(w)
+            y = exe(x, w, bundle=bundle)
+            exe(x, w, bundle=bundle)
+            reg = obs.get_registry()
+            assert reg.counter("runtime.filter_cache.misses").total() == 1
+            assert reg.counter("runtime.filter_cache.hits").total() == 2
+        assert exe.cached_filter_versions == 0  # the caller holds it
+        np.testing.assert_array_equal(y, legacy_exact(x, w))
+
+    def test_concurrent_lookups_return_their_own_weights(self, rng):
+        """Threads sharing one executable never get another weight's bundle.
+
+        More workers than cores and a short switch interval interleave the
+        lock-free compares with inserts and evictions from other threads.
+        """
+        import sys
+        import threading
+
+        x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
+        weights = [rng.standard_normal((2, 3, 3, 3)).astype(np.float32) for _ in range(6)]
+        exe = self._exe(x, weights[0])
+        errors: list[str] = []
+
+        def worker(k: int) -> None:
+            for i in range(60):
+                w = weights[(i + k) % len(weights)]
+                got = exe.filter_bundle(w).gemm_operand
+                if not np.array_equal(got, w.transpose(1, 2, 3, 0).reshape(-1, 2)):
+                    errors.append(f"worker {k} step {i}")
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert exe.cached_filter_versions <= FILTER_CACHE_SLOTS
 
 
 class TestDispatchNeutrality:

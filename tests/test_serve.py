@@ -6,9 +6,9 @@ The two contracts everything else leans on:
   request, the exact bits batch-1 serial execution would have produced
   (the ``MIN_EXECUTE_ROWS`` padding keeps every dispatch on BLAS's gemm
   path, so row arithmetic is independent of batch-mates).
-* **Weight-reload invalidation** — swapping a served model's weights makes
-  the runtime's content-hashed filter-transform cache miss exactly once
-  per compiled conv, then hit again, and the served outputs change.
+* **Weight-reload invalidation** — swapping a served model's weights
+  re-freezes it: each frozen conv transforms the new weights exactly once
+  (one filter-cache miss), then hits again, and the served outputs change.
 
 Plus unit coverage of the registry (validation, registration lifecycle)
 and the pure batcher data structure (flush triggers, stack/split).
@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro import obs, runtime
+from repro.dlframe.autograd import Tensor, no_grad
 from repro.dlframe.serialization import save_weights
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
@@ -37,6 +38,7 @@ from repro.serve import (
     PendingRequest,
     SchedulerConfig,
 )
+from repro.serve.registry import MODEL_BUILDERS
 
 
 @pytest.fixture(autouse=True)
@@ -128,7 +130,7 @@ class TestWeightReload:
         with obs.capture():
             reg = ModelRegistry()
             entry = reg.register("r18", arch="resnet18", width_mult=0.125, seed=0)
-            # Warmup paid exactly one content-hash miss per compiled conv.
+            # Warmup built exactly one filter transform per frozen conv.
             assert _counter_total("runtime.filter_cache.misses") == entry.winograd_convs
 
             x = rng.standard_normal((MIN_EXECUTE_ROWS, 32, 32, 3)).astype(np.float32)
@@ -149,7 +151,7 @@ class TestWeightReload:
 
             misses1 = _counter_total("runtime.filter_cache.misses")
             after_y = entry.infer_rows(x)
-            # Exactly one new miss per conv: new content hash, same plans.
+            # Exactly one new miss per conv: new weights, same plans.
             assert (
                 _counter_total("runtime.filter_cache.misses") - misses1
                 == entry.winograd_convs
@@ -173,6 +175,44 @@ class TestWeightReload:
             misses = _counter_total("runtime.filter_cache.misses")
             entry.infer_rows(np.zeros((2, 32, 32, 3), np.float32))
             assert _counter_total("runtime.filter_cache.misses") == misses
+
+
+class TestFrozenServing:
+    """Registered models are frozen: per-call filter work is gone, bits are not."""
+
+    @pytest.mark.parametrize("arch", ["resnet18", "resnet34", "vgg16"])
+    def test_bit_identical_to_eval_including_after_reload(self, rng, tmp_path, arch):
+        width = 0.125
+        x = rng.standard_normal((3, 32, 32, 3)).astype(np.float32)
+        reg = ModelRegistry()
+        entry = reg.register(arch, arch=arch, width_mult=width, seed=0)
+        donor = ModelRegistry().register(
+            "donor", arch=arch, width_mult=width, seed=1, warmup=False
+        )
+        path = str(tmp_path / "w.npz")
+        save_weights(donor.model, path)
+        for seed in (0, 1):
+            if seed == 1:
+                reg.load_weights(arch, path)
+            # The unfrozen twin convolves through the filter cache instead.
+            twin = MODEL_BUILDERS[arch](classes=10, width_mult=width, seed=seed).eval()
+            with no_grad():
+                want = twin(Tensor(x)).data
+            np.testing.assert_array_equal(entry.infer_rows(x), want)
+
+    def test_served_resnet34_rebuilds_no_filter_transforms(self, rng):
+        """11 same-signature convs in layer3 once thrashed the 4-slot filter
+        cache; frozen layers hold their own transforms instead."""
+        reg = ModelRegistry()
+        entry = reg.register("r34", arch="resnet34", width_mult=0.125)
+        x = rng.standard_normal((MIN_EXECUTE_ROWS, 32, 32, 3)).astype(np.float32)
+        entry.infer_rows(x)
+        with obs.capture():
+            entry.infer_rows(x)
+            misses = _counter_total("runtime.filter_cache.misses")
+            hits = _counter_total("runtime.filter_cache.hits")
+        assert misses == 0
+        assert hits == entry.winograd_convs
 
 
 # ---------------------------------------------------------------------------
