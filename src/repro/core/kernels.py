@@ -20,6 +20,7 @@ for every Gamma_16.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .variants import Variant, VariantSpec, ruse_profitable, variant_spec
 
@@ -75,15 +76,9 @@ def _ruse_available(alpha: int, r: int) -> bool:
     return ruse_profitable(alpha, r)
 
 
-def registered_kernels(include_extended: bool = False) -> list[KernelId]:
-    """All registry entries, base variants first within each (alpha, r).
-
-    Parameters
-    ----------
-    include_extended:
-        Also return the Gamma_16 widths beyond the shipped 2-9 range
-        (10..15), which §4.2 argues are expressible.
-    """
+@cache
+def _registry(include_extended: bool) -> tuple[KernelId, ...]:
+    """The registry entries, built once per ``include_extended``."""
     max_r = MAX_WIDTH if include_extended else max(SHIPPED_WIDTHS)
     out: list[KernelId] = []
     for alpha in ALPHAS:
@@ -96,7 +91,25 @@ def registered_kernels(include_extended: bool = False) -> list[KernelId]:
                 out.append(KernelId(alpha, n, r, "ruse"))
             if alpha == 16:
                 out.append(KernelId(alpha, n, r, "c64"))
-    return out
+    return tuple(out)
+
+
+@cache
+def _by_key() -> dict[tuple[int, int, Variant], KernelId]:
+    """``(alpha, r, variant) -> KernelId`` over the extended registry."""
+    return {(k.alpha, k.r, k.variant): k for k in _registry(True)}
+
+
+def registered_kernels(include_extended: bool = False) -> list[KernelId]:
+    """All registry entries, base variants first within each (alpha, r).
+
+    Parameters
+    ----------
+    include_extended:
+        Also return the Gamma_16 widths beyond the shipped 2-9 range
+        (10..15), which §4.2 argues are expressible.
+    """
+    return list(_registry(include_extended))
 
 
 def kernels_for_width(r: int, include_extended: bool = False) -> list[KernelId]:
@@ -107,7 +120,7 @@ def kernels_for_width(r: int, include_extended: bool = False) -> list[KernelId]:
     ValueError
         If no kernel supports width ``r``.
     """
-    matches = [k for k in registered_kernels(include_extended) if k.r == r]
+    matches = [k for k in _registry(include_extended) if k.r == r]
     if not matches:
         limit = MAX_WIDTH if include_extended else max(SHIPPED_WIDTHS)
         raise ValueError(f"no Gamma kernel for filter width {r} (supported: 2-{limit})")
@@ -116,15 +129,15 @@ def kernels_for_width(r: int, include_extended: bool = False) -> list[KernelId]:
 
 def get_kernel(alpha: int, r: int, variant: Variant = "base") -> KernelId:
     """Look up ``Gamma_alpha^{variant}(., r)``; raises ValueError if absent."""
-    for k in registered_kernels(include_extended=True):
-        if k.alpha == alpha and k.r == r and k.variant == variant:
-            return k
-    raise ValueError(f"Gamma_{alpha}^{variant} with r={r} is not registered")
+    k = _by_key().get((alpha, r, variant))
+    if k is None:
+        raise ValueError(f"Gamma_{alpha}^{variant} with r={r} is not registered")
+    return k
 
 
 def supported_filter_widths(include_extended: bool = False) -> list[int]:
     """Filter widths with at least one registered kernel."""
-    return sorted({k.r for k in registered_kernels(include_extended)})
+    return sorted({k.r for k in _registry(include_extended)})
 
 
 def default_alpha_for_width(r: int) -> int:

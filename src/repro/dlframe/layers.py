@@ -241,7 +241,7 @@ class Conv2D(Module):
             else:
                 y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
         if self.bias is not None:
-            y = y + self.bias.data
+            y += self.bias.data  # y is this call's fresh conv output
 
         in_shape = xd.shape
         fh = fw = self.kernel
@@ -343,9 +343,12 @@ class BatchNorm2D(Module):
         else:
             mean, var = self.running_mean, self.running_var
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = (xd - mean) * inv_std
-        y = xhat * self.gamma.data + self.beta.data
-        m = xd.shape[0] * xd.shape[1] * xd.shape[2]
+        # The same float ops as ``(xd - mean) * inv_std * gamma + beta``, run
+        # in place on the two arrays this call allocates.
+        xhat = xd - mean
+        xhat *= inv_std
+        y = xhat * self.gamma.data
+        y += self.beta.data
         training = self.training
         gamma = self.gamma.data
 
@@ -361,25 +364,34 @@ class BatchNorm2D(Module):
                 dx = g * gamma * inv_std
             return dx.astype(xd.dtype), dgamma, dbeta
 
-        return make_op(y.astype(xd.dtype), (x, self.gamma, self.beta), backward_fn)
+        return make_op(y.astype(xd.dtype, copy=False), (x, self.gamma, self.beta), backward_fn)
 
 
 class LeakyReLU(Module):
-    """LeakyReLU activation (§6.3.1: 'Activation functions are LeakyRelu')."""
+    """LeakyReLU activation (§6.3.1: 'Activation functions are LeakyRelu').
+
+    The forward is ``max(x, slope * x)``: for ``0 < slope <= 1`` that is the
+    select ``x if x > 0 else slope * x`` bit for bit, including ±0, ±inf,
+    NaN and subnormals, without a branch per element.  Slopes outside that
+    range break the identity (at 0, ``0 * inf`` would turn +inf into NaN),
+    so they are rejected.
+    """
 
     def __init__(self, negative_slope: float = 0.01) -> None:
         super().__init__()
+        if not 0 < negative_slope <= 1:
+            raise ValueError(f"negative_slope must be in (0, 1], got {negative_slope}")
         self.negative_slope = negative_slope
 
     def forward(self, x: Tensor) -> Tensor:
         xd = x.data
         slope = self.negative_slope
-        y = np.where(xd > 0, xd, slope * xd)
+        y = np.maximum(xd, slope * xd)
 
         def backward_fn(g):
             return (np.where(xd > 0, g, slope * g),)
 
-        return make_op(y.astype(xd.dtype), (x,), backward_fn)
+        return make_op(y, (x,), backward_fn)
 
 
 class MaxPool2D(Module):
@@ -387,6 +399,13 @@ class MaxPool2D(Module):
 
     The paper contrasts VGG's max-pooling downsampling (Winograd-friendly)
     with ResNet's strided convolutions (§6.3.2).
+
+    The forward is a max reduction over a reshaped view of the input; only
+    the backward gathers windows and finds the argmax, and it routes each
+    window's gradient to its first maximal element.  The forward equals
+    that element's value except where the window's maximum is a tie
+    between -0.0 and +0.0, which may come back as either zero, and where
+    the window holds NaNs, whose payload may come from a different NaN.
     """
 
     def __init__(self, kernel: int = 2) -> None:
@@ -397,15 +416,19 @@ class MaxPool2D(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         k = self.kernel
-        n, h, w, c = x.data.shape
+        xd = x.data
+        n, h, w, c = xd.shape
         if h % k or w % k:
             raise ValueError(f"spatial dims ({h}, {w}) not divisible by pool kernel {k}")
-        xd = x.data.reshape(n, h // k, k, w // k, k, c)
-        windows = xd.transpose(0, 1, 3, 2, 4, 5).reshape(n, h // k, w // k, k * k, c)
-        arg = windows.argmax(axis=3)
-        y = np.take_along_axis(windows, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+        y = xd.reshape(n, h // k, k, w // k, k, c).max(axis=(2, 4))
 
         def backward_fn(g):
+            windows = (
+                xd.reshape(n, h // k, k, w // k, k, c)
+                .transpose(0, 1, 3, 2, 4, 5)
+                .reshape(n, h // k, w // k, k * k, c)
+            )
+            arg = windows.argmax(axis=3)
             gw = np.zeros_like(windows)
             np.put_along_axis(gw, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
             gx = gw.reshape(n, h // k, w // k, k, k, c).transpose(0, 1, 3, 2, 4, 5)

@@ -1,10 +1,14 @@
 """Tests for dlframe layers: every layer's gradient against finite
-differences (DESIGN.md invariant 7), plus engine dispatch semantics."""
+differences (DESIGN.md invariant 7), engine dispatch semantics, and bit
+identity of the layer forwards against their original select/gather
+formulas, kept here as oracles."""
 
 import numpy as np
 import pytest
 
-from repro.dlframe.autograd import Tensor
+from repro import runtime
+from repro.baselines.gemm import conv2d_gemm
+from repro.dlframe.autograd import Tensor, make_op
 from repro.dlframe.layers import (
     BatchNorm2D,
     Conv2D,
@@ -13,11 +17,10 @@ from repro.dlframe.layers import (
     LeakyReLU,
     Linear,
     MaxPool2D,
-    Module,
-    Parameter,
     Sequential,
     add,
 )
+from repro.serve import ModelRegistry
 
 
 def check_input_grad(layer, x0, seed_grad, f=None, rtol=2e-2, atol=2e-2):
@@ -215,7 +218,6 @@ class TestModuleProtocol:
         assert names == 4  # conv w+b, linear w+b
 
     def test_train_eval_propagates(self):
-        rng = np.random.default_rng(0)
         seq = Sequential(BatchNorm2D(2), Sequential(BatchNorm2D(3)))
         seq.eval()
         assert not seq.modules[0].training
@@ -224,3 +226,215 @@ class TestModuleProtocol:
     def test_weight_bytes(self):
         lin = Linear(10, 5, rng=np.random.default_rng(0))
         assert lin.weight_bytes() == 4 * (10 * 5 + 5)
+
+
+# ---------------------------------------------------------------------------
+# bit identity against the original layer formulas
+
+
+def _leaky_oracle(xd, slope):
+    return np.where(xd > 0, xd, slope * xd).astype(xd.dtype)
+
+
+def _maxpool_windows(xd, k):
+    n, h, w, c = xd.shape
+    return (
+        xd.reshape(n, h // k, k, w // k, k, c)
+        .transpose(0, 1, 3, 2, 4, 5)
+        .reshape(n, h // k, w // k, k * k, c)
+    )
+
+
+def _maxpool_oracle(xd, k):
+    """Gather of each window's first argmax."""
+    windows = _maxpool_windows(xd, k)
+    arg = windows.argmax(axis=3)
+    return np.take_along_axis(windows, arg[:, :, :, None, :], axis=3)[:, :, :, 0, :]
+
+
+def _batchnorm_oracle(xd, mean, var, eps, gamma, beta):
+    """Returns ``(y, xhat, inv_std)`` of the original out-of-place forward."""
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat = (xd - mean) * inv_std
+    y = xhat * gamma + beta
+    return y.astype(xd.dtype), xhat, inv_std
+
+
+def _oracle_leaky_forward(self, x):
+    return make_op(_leaky_oracle(x.data, self.negative_slope), (x,), None)
+
+
+def _oracle_maxpool_forward(self, x):
+    return make_op(_maxpool_oracle(x.data, self.kernel), (x,), None)
+
+
+def _oracle_batchnorm_forward(self, x):
+    assert not self.training
+    y, _, _ = _batchnorm_oracle(
+        x.data, self.running_mean, self.running_var, self.eps,
+        self.gamma.data, self.beta.data,
+    )
+    return make_op(y, (x,), None)
+
+
+def _oracle_conv_forward(self, x):
+    xd, wd, p = x.data, self.weight.data, self.padding
+    if self.effective_engine == "winograd":
+        y = runtime.convolve(xd, wd, ph=p, pw=p)
+    else:
+        y = conv2d_gemm(xd, wd, ph=p, pw=p, stride=self.stride)
+    if self.bias is not None:
+        y = y + self.bias.data
+    return make_op(y, (x,), None)
+
+
+def _salted(rng, shape, dtype):
+    """Seeded normals with ±0, ±inf, NaN and subnormals scattered in."""
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 3 * tiny], dtype)
+    x = rng.standard_normal(shape).astype(dtype)
+    flat = x.reshape(-1)
+    at = rng.choice(flat.size, size=4 * specials.size, replace=False)
+    flat[at] = np.resize(specials, at.size)
+    return x
+
+
+def _assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    uint = np.dtype(f"u{want.dtype.itemsize}")
+    np.testing.assert_array_equal(got.view(uint), want.view(uint))
+
+
+class TestBitIdentity:
+    """Each forward equals its original formula bit for bit on salted input;
+    the one documented MaxPool difference is pinned explicitly."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("slope", [0.01, 0.1, 1.0])
+    def test_leaky_relu_forward_and_grad(self, rng, slope, dtype):
+        x0 = _salted(rng, (2, 6, 7, 5), dtype)
+        x = Tensor(x0, requires_grad=True)
+        y = LeakyReLU(slope)(x)
+        _assert_bits_equal(y.data, _leaky_oracle(x0, slope))
+        g = _salted(rng, y.shape, dtype)
+        y.backward(g)
+        _assert_bits_equal(x.grad, np.where(x0 > 0, g, slope * g).astype(dtype))
+
+    @pytest.mark.parametrize("slope", [0.0, -0.1, 1.5, float("nan")])
+    def test_leaky_relu_rejects_slopes_outside_unit_interval(self, slope):
+        with pytest.raises(ValueError, match="negative_slope"):
+            LeakyReLU(slope)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_maxpool_forward_and_grad(self, rng, k, dtype):
+        x0 = _salted(rng, (2, 6 * k, 4 * k, 9), dtype)
+        x = Tensor(x0, requires_grad=True)
+        y = MaxPool2D(k)(x)
+        want = _maxpool_oracle(x0, k)
+        windows = _maxpool_windows(x0, k)
+        zeros, neg = windows == 0, np.signbit(windows)
+        zero_tie = (want == 0) & (zeros & neg).any(axis=3) & (zeros & ~neg).any(axis=3)
+        has_nan = np.isnan(windows).any(axis=3)
+        exact = ~(zero_tie | has_nan)
+        assert exact.mean() > 0.9
+        _assert_bits_equal(y.data[exact], want[exact])
+        np.testing.assert_array_equal(y.data[zero_tie], 0)
+        assert np.isnan(y.data[has_nan]).all() and np.isnan(want[has_nan]).all()
+
+        g = _salted(rng, y.shape, dtype)
+        y.backward(g)
+        arg = windows.argmax(axis=3)
+        gw = np.zeros_like(windows)
+        np.put_along_axis(gw, arg[:, :, :, None, :], g[:, :, :, None, :], axis=3)
+        n, h, w, c = x0.shape
+        want_grad = gw.reshape(n, h // k, w // k, k, k, c).transpose(0, 1, 3, 2, 4, 5)
+        _assert_bits_equal(x.grad, want_grad.reshape(x0.shape))
+
+    def test_maxpool_signed_zero_tie_is_the_documented_difference(self):
+        """A -0.0/+0.0 tie may pool to +0.0 where the first-argmax gather
+        gave -0.0; the gradient still goes to the first maximal element."""
+        x0 = np.array([-0.0, 0.0, -1.0, -2.0], dtype=np.float32).reshape(1, 2, 2, 1)
+        x = Tensor(x0, requires_grad=True)
+        y = MaxPool2D(2)(x)
+        assert np.signbit(_maxpool_oracle(x0, 2)).all()
+        assert y.data.shape == (1, 1, 1, 1) and y.data[0, 0, 0, 0] == 0
+        y.backward(np.ones((1, 1, 1, 1), dtype=np.float32))
+        np.testing.assert_array_equal(x.grad.ravel(), [1, 0, 0, 0])
+
+    def test_maxpool_nan_window_pools_to_nan(self):
+        nan = np.float32(np.nan)
+        x0 = np.array([-1.0, -nan, 2.0, nan], dtype=np.float32).reshape(1, 2, 2, 1)
+        y = MaxPool2D(2)(Tensor(x0))
+        assert np.isnan(y.data).all() and np.isnan(_maxpool_oracle(x0, 2)).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm_forward_and_grads(self, rng, training, dtype):
+        c = 6
+        bn = BatchNorm2D(c)
+        bn.gamma.data[:] = rng.standard_normal(c)
+        bn.beta.data[:] = rng.standard_normal(c)
+        bn.running_mean = rng.standard_normal(c).astype(np.float32)
+        bn.running_var = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        bn.train(training)
+        x0 = _salted(rng, (3, 5, 4, c), dtype)
+        # Keep two channels finite so training statistics stay finite there.
+        x0[..., :2] = rng.standard_normal((3, 5, 4, 2))
+        x0[0, 0, 0, 0], x0[0, 0, 1, 1] = -0.0, np.finfo(dtype).smallest_subnormal
+        if training:
+            mean, var = x0.mean(axis=(0, 1, 2)), x0.var(axis=(0, 1, 2))
+            m = bn.momentum
+            want_rm = m * bn.running_mean + (1 - m) * mean
+            want_rv = m * bn.running_var + (1 - m) * var
+        else:
+            mean, var = bn.running_mean, bn.running_var
+        gamma, beta = bn.gamma.data.copy(), bn.beta.data.copy()
+        want, xhat, inv_std = _batchnorm_oracle(x0, mean, var, bn.eps, gamma, beta)
+
+        x = Tensor(x0, requires_grad=True)
+        y = bn(x)
+        _assert_bits_equal(y.data, want)
+        if training:
+            _assert_bits_equal(bn.running_mean, want_rm)
+            _assert_bits_equal(bn.running_var, want_rv)
+
+        g = rng.standard_normal(y.shape).astype(dtype)
+        y.backward(g)
+        if training:
+            gx = g * gamma
+            dx = (gx - gx.mean(axis=(0, 1, 2)) - xhat * (gx * xhat).mean(axis=(0, 1, 2))) * inv_std
+        else:
+            dx = g * gamma * inv_std
+        _assert_bits_equal(x.grad, dx.astype(dtype))
+        _assert_bits_equal(bn.gamma.grad, (g * xhat).sum(axis=(0, 1, 2)).astype(np.float32))
+        _assert_bits_equal(bn.beta.grad, g.sum(axis=(0, 1, 2)).astype(np.float32))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("engine", ["winograd", "gemm"])
+    def test_conv_bias_epilogue(self, rng, engine, stride):
+        conv = Conv2D(3, 10, 3, stride=stride, engine=engine, rng=np.random.default_rng(1))
+        conv.bias.data[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45]
+        conv.bias.data[7:] = rng.standard_normal(3)
+        x0 = rng.standard_normal((2, 8, 9, 3)).astype(np.float32)
+        x0[0, 0, :3, 0] = [0.0, -0.0, 1e-45]
+        want = _oracle_conv_forward(conv, Tensor(x0)).data
+        _assert_bits_equal(conv(Tensor(x0)).data, want)
+        conv.freeze()
+        _assert_bits_equal(conv(Tensor(x0)).data, want)
+
+
+@pytest.mark.parametrize(
+    "arch,width_mult", [("vgg16", 0.25), ("resnet18", 0.125), ("resnet34", 0.125)]
+)
+def test_served_models_match_original_layer_formulas(rng, monkeypatch, arch, width_mult):
+    """Registered models give the same bits as with the original forwards."""
+    entry = ModelRegistry().register("net", arch=arch, width_mult=width_mult)
+    rows = rng.standard_normal((3, 32, 32, 3)).astype(np.float32)
+    rows[0, 0, :3, 0] = [0.0, -0.0, 1e-45]
+    got = entry.infer_rows(rows)
+    monkeypatch.setattr(LeakyReLU, "forward", _oracle_leaky_forward)
+    monkeypatch.setattr(MaxPool2D, "forward", _oracle_maxpool_forward)
+    monkeypatch.setattr(BatchNorm2D, "forward", _oracle_batchnorm_forward)
+    monkeypatch.setattr(Conv2D, "forward", _oracle_conv_forward)
+    _assert_bits_equal(got, entry.infer_rows(rows))

@@ -113,6 +113,17 @@ class TestRegistry:
             solo = entry.infer_rows(xs[i : i + 1])
             np.testing.assert_array_equal(solo[0], whole[i])
 
+    def test_vgg16_any_split_is_bit_neutral(self, rng):
+        """VGG16, the served model with MaxPool: any split of a batch returns
+        the bits of batch-1 serial execution."""
+        reg = ModelRegistry()
+        entry = reg.register("vgg", arch="vgg16", width_mult=0.125)
+        xs = rng.standard_normal((5, 32, 32, 3)).astype(np.float32)
+        serial = np.concatenate([entry.infer_rows(xs[i : i + 1]) for i in range(5)])
+        for cuts in ([], [2], [1, 4], [3]):
+            got = np.concatenate([entry.infer_rows(p) for p in np.split(xs, cuts)])
+            np.testing.assert_array_equal(got, serial)
+
     def test_batch_quantum_padding_is_bit_neutral(self, rng):
         reg = ModelRegistry()
         entry = reg.register("r18", arch="resnet18", width_mult=0.125)

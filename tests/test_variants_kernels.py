@@ -159,3 +159,41 @@ class TestRegistry:
     def test_no_duplicate_ids(self):
         ks = registered_kernels(include_extended=True)
         assert len(ks) == len(set(ks))
+
+    @pytest.mark.parametrize("include_extended", [False, True])
+    def test_returned_list_is_a_copy(self, include_extended):
+        ks = registered_kernels(include_extended)
+        want = list(ks)
+        ks.reverse()
+        ks.append(KernelId(4, 3, 2))
+        assert registered_kernels(include_extended) == want
+        ks.clear()
+        assert registered_kernels(include_extended) == want
+        assert get_kernel(4, 2) == KernelId(4, 3, 2)
+
+    @pytest.mark.parametrize(
+        "alpha,r,variant,message",
+        [
+            (4, 5, "base", "Gamma_4^base with r=5 is not registered"),
+            (8, 3, "c64", "Gamma_8^c64 with r=3 is not registered"),
+        ],
+    )
+    def test_unregistered_lookup_message(self, alpha, r, variant, message):
+        with pytest.raises(ValueError) as err:
+            get_kernel(alpha, r, variant)
+        assert str(err.value) == message
+
+    def test_kernels_for_width_order_pinned(self):
+        c16 = ["Gamma_16({n},{r})", "Gamma^c64_16({n},{r})"]
+        want = {
+            2: c16 + ["Gamma_8(7,2)", "Gamma^ruse_4(3,2)", "Gamma_4(3,2)"],
+            3: c16 + ["Gamma_8(6,3)", "Gamma^ruse_4(2,3)", "Gamma_4(2,3)"],
+            4: c16 + ["Gamma_8(5,4)"],
+            **{r: c16 + [f"Gamma_8({9 - r},{r})", f"Gamma^ruse_8({9 - r},{r})"] for r in (5, 6, 7)},
+            **{r: c16 + ["Gamma^ruse_16({n},{r})"] for r in range(8, 16)},
+        }
+        for r, names in want.items():
+            names = [name.format(n=17 - r, r=r) for name in names]
+            assert [k.name for k in kernels_for_width(r, include_extended=True)] == names
+            if r <= 9:
+                assert [k.name for k in kernels_for_width(r)] == names
