@@ -9,10 +9,10 @@ baseline is the same loop, which differs from seed code only by the no-op
 guards themselves.)
 
 The serve-path variant (``test_serve_telemetry_overhead``) measures the
-same contract one layer up: the full request-telemetry stack (W3C traces,
-windowed latency histograms, SLO burn-rate tracking) against an untraced
-run of the identical closed-loop load, via the ``telemetry-smoke``
-baseline suite.  It writes ``benchmarks/out/BENCH_telemetry.json`` — the
+same contract one layer up: everything the one ``obs.enable()`` switch
+turns on (spans with W3C trace ids, windowed latency histograms, the
+timing ledger) plus SLO burn-rate tracking, against an untraced run of the
+identical closed-loop load, via the ``telemetry-smoke`` baseline suite.  It writes ``benchmarks/out/BENCH_telemetry.json`` — the
 capture the committed root-level ``BENCH_telemetry_gate.json`` floors are
 distilled from.
 """

@@ -142,16 +142,9 @@ GUARDS: tuple[GuardSpec, ...] = (
         "repro.obs.tracer",
         "Tracer",
         "_lock",
-        ("roots", "_stacks"),
-        assume_held=("_enforce_root_limit",),
-        note="span forest; worker threads record concurrently",
-    ),
-    GuardSpec(
-        "repro.obs.telemetry",
-        "TraceStore",
-        "_lock",
-        ("_traces",),
-        note="bounded ring of request traces",
+        ("roots", "_stacks", "_traces"),
+        assume_held=("_enforce_root_limit", "_index"),
+        note="span forest + per-trace ring; worker threads record concurrently",
     ),
     GuardSpec(
         "repro.obs.metrics",

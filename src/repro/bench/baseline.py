@@ -503,7 +503,6 @@ def _telemetry_metrics() -> dict[str, float]:
     import numpy as np
 
     from .. import obs
-    from ..obs import telemetry
     from ..obs.metrics import get_registry
     from ..obs.slo import SLOConfig
     from ..serve import BatchPolicy, InferenceService, SchedulerConfig, closed_loop
@@ -533,17 +532,14 @@ def _telemetry_metrics() -> dict[str, float]:
                 collect_outputs=True,
             )
 
-    was_obs, was_tel = obs.enabled(), telemetry.enabled()
+    was_enabled = obs.enabled()
     try:
         obs.disable()
-        telemetry.disable()
         off = asyncio.run(run(False))
         obs.enable()
-        telemetry.enable()
         on = asyncio.run(run(True))
     finally:
-        obs.enable() if was_obs else obs.disable()
-        telemetry.enable() if was_tel else telemetry.disable()
+        obs.enable() if was_enabled else obs.disable()
     if on.errors or off.errors:
         raise RuntimeError(
             f"telemetry-smoke runs must complete cleanly, got errors "

@@ -7,6 +7,14 @@ segments, GEMM-tail columns, SMEM transaction phases, occupancy, modeled
 nanoseconds), and exporters to Chrome-trace JSON (``chrome://tracing`` /
 Perfetto) plus text summaries.
 
+``span(name, **attrs)`` is the one span call and :func:`enable` the one
+switch.  Under an active W3C trace context (:mod:`repro.obs.telemetry`,
+set per request by the serving layer) the same span also carries trace
+ids, so one request can be followed from the HTTP front through batching
+into the per-stage spans, all in one store and one Chrome trace.  The
+predict-vs-measure ledger (:mod:`repro.obs.perfledger`) is fed the conv
+span's own duration.
+
 Everything is **off by default** and near-free while disabled: call sites
 pay one module-global check, ``span()`` returns a shared no-op context
 manager, and the metric helpers return immediately.

@@ -2,9 +2,16 @@
 
 Emits the JSON object format of the Trace Event specification:
 
-* every :class:`~repro.obs.tracer.SpanRecord` becomes one complete
-  (``"ph": "X"``) event with microsecond ``ts``/``dur`` relative to the
-  tracer's time origin and its attributes under ``args``;
+* every :class:`~repro.obs.tracer.SpanRecord` of the one store becomes
+  one complete (``"ph": "X"``) event with microsecond ``ts``/``dur``
+  relative to the tracer's time origin and its attributes (plus
+  ``trace_id``/``span_id`` when traced) under ``args``.  Runtime spans
+  nest on one named row per recording thread; the scheduler's
+  after-the-fact request spans get one named row per request trace
+  (``request <trace id prefix>``);
+* every fan-in link (a batch span naming the request spans it served)
+  becomes a ``s``/``f`` flow-event pair — the arrow Perfetto draws from
+  each request row to the shared batch slice;
 * every counter/gauge in the metrics registry becomes one counter
   (``"ph": "C"``) event stamped at the end of the trace, one series per
   label set (histograms export their sum, which Perfetto can still plot);
@@ -28,7 +35,7 @@ import threading
 from typing import Any
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, get_registry, label_string
-from .tracer import Tracer, get_tracer
+from .tracer import SpanRecord, Tracer, get_tracer
 
 __all__ = ["chrome_trace", "write_chrome_trace", "SCHEMA_VERSION"]
 
@@ -36,30 +43,56 @@ __all__ = ["chrome_trace", "write_chrome_trace", "SCHEMA_VERSION"]
 SCHEMA_VERSION = 1
 
 
-def _stable_tids(tracer: Tracer) -> dict[tuple[int, str], int]:
-    """Stable, small ``tid`` per recording thread, keyed ``(ident, name)``.
+#: Row key of a span: ``(thread ident, label)``.  After-the-fact request
+#: spans sit on no thread's stack (ident 0) and share one row per trace.
+_RowKey = tuple[int, str]
+
+
+def _row_key(rec: SpanRecord) -> _RowKey:
+    if rec.tid == 0 and rec.trace_id is not None:
+        return (0, f"request {rec.trace_id[:8]}")
+    return (rec.tid, rec.thread)
+
+
+def _collect_spans(tracer: Tracer) -> list[SpanRecord]:
+    """The one store's spans: the forest depth-first, then the traced spans
+    only the per-trace ring still holds (request spans recorded after the
+    fact, and forest roots a bound has since dropped)."""
+    spans = [rec for rec, _ in tracer.iter_spans()]
+    seen = {id(rec) for rec in spans}
+    for trace_id in tracer.trace_ids():
+        for rec in tracer.spans_of(trace_id):
+            if id(rec) not in seen:
+                seen.add(id(rec))
+                spans.append(rec)
+    return spans
+
+
+def _stable_rows(spans: list[SpanRecord]) -> dict[_RowKey, int]:
+    """Stable, small ``tid`` per row, in first-seen span order (main first).
 
     Raw OS idents are unfit as rows: executor pools recycle them across
     restarts, so spans from *different* worker generations interleave into
     one unreadable row.  Keying on the thread name as well splits those
-    generations, and numbering rows in first-seen span order (main thread
-    first) keeps the layout stable across exports of the same trace.
+    generations, and numbering rows in first-seen span order keeps the
+    layout stable across exports of the same trace.
     """
-    tids: dict[tuple[int, str], int] = {}
     main = threading.main_thread()
-    tids[(main.ident or 0, main.name)] = 0
-    for rec, _ in tracer.iter_spans():
-        tids.setdefault((rec.tid, rec.thread), len(tids))
-    return tids
+    rows: dict[_RowKey, int] = {(main.ident or 0, main.name): 0}
+    for rec in spans:
+        rows.setdefault(_row_key(rec), len(rows))
+    return rows
 
 
 def _span_events(
-    tracer: Tracer, pid: int, tids: dict[tuple[int, str], int]
+    spans: list[SpanRecord], origin: float, pid: int, rows: dict[_RowKey, int]
 ) -> list[dict[str, Any]]:
     events: list[dict[str, Any]] = []
-    origin = tracer.origin_s
-    for rec, _ in tracer.iter_spans():
+    for rec in spans:
         end = rec.end_s if rec.end_s else rec.start_s
+        args = {k: _jsonable(v) for k, v in rec.attrs.items()}
+        if rec.trace_id is not None:
+            args.update(trace_id=rec.trace_id, span_id=rec.span_id)
         events.append(
             {
                 "name": rec.name,
@@ -68,10 +101,45 @@ def _span_events(
                 "ts": (rec.start_s - origin) * 1e6,
                 "dur": max(0.0, end - rec.start_s) * 1e6,
                 "pid": pid,
-                "tid": tids.setdefault((rec.tid, rec.thread), len(tids)),
-                "args": {k: _jsonable(v) for k, v in rec.attrs.items()},
+                "tid": rows[_row_key(rec)],
+                "args": args,
             }
         )
+    return events
+
+
+def _flow_events(
+    spans: list[SpanRecord], origin: float, pid: int, rows: dict[_RowKey, int]
+) -> list[dict[str, Any]]:
+    """One ``s`` (at the linked request span) and one ``f`` (at the linking
+    batch span) per fan-in link, sharing a flow id; dangling links drop."""
+    by_id = {(rec.trace_id, rec.span_id): rec for rec in spans if rec.trace_id}
+    events: list[dict[str, Any]] = []
+    for rec in spans:
+        for trace_id, span_id in rec.links:
+            target = by_id.get((trace_id, span_id))
+            if target is None:
+                continue
+            flow = {"name": "serve.fanin", "cat": "link", "id": int(span_id[:15], 16)}
+            events.append(
+                {
+                    **flow,
+                    "ph": "s",
+                    "ts": (target.start_s - origin) * 1e6,
+                    "pid": pid,
+                    "tid": rows[_row_key(target)],
+                }
+            )
+            events.append(
+                {
+                    **flow,
+                    "ph": "f",
+                    "bp": "e",
+                    "ts": (rec.start_s - origin) * 1e6,
+                    "pid": pid,
+                    "tid": rows[_row_key(rec)],
+                }
+            )
     return events
 
 
@@ -121,9 +189,10 @@ def chrome_trace(
             "args": {"name": "repro (Im2col-Winograd)"},
         }
     ]
-    tids = _stable_tids(tracer)
-    span_events = _span_events(tracer, pid, tids)
-    for (_ident, tname), tid in sorted(tids.items(), key=lambda kv: kv[1]):
+    spans = _collect_spans(tracer)
+    rows = _stable_rows(spans)
+    span_events = _span_events(spans, tracer.origin_s, pid, rows)
+    for (_ident, tname), tid in rows.items():
         events.append(
             {
                 "name": "thread_name",
@@ -143,6 +212,7 @@ def chrome_trace(
             }
         )
     events.extend(span_events)
+    events.extend(_flow_events(spans, tracer.origin_s, pid, rows))
     end_ts = max((e["ts"] + e["dur"] for e in span_events), default=0.0)
     events.extend(_metric_events(registry, pid, end_ts))
     from .perfledger import get_ledger, ledger_events

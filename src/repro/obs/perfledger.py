@@ -17,9 +17,12 @@ via :mod:`repro.obs.promexport` with no extra wiring, and the raw sample
 ring is merged into the Chrome trace as a ``perf.predicted_vs_measured``
 counter track (:mod:`repro.obs.chrometrace`).
 
-Recording is gated on :func:`repro.obs.tracer.enabled` at the call sites:
-with observability off the runtime takes no clock readings and the ledger
-stays empty.
+The ledger takes no clock readings of its own.  The compiled and legacy
+conv paths pass the ``duration_s`` of the span they already open around
+the call (see :func:`repro.obs.span`), so the measured ns and the traced
+stage times come from the same two clock reads.  With observability off
+that span is the no-op singleton, nothing is timed and the ledger stays
+empty (:func:`record_execution` also checks :func:`repro.obs.enabled`).
 """
 
 from __future__ import annotations

@@ -10,8 +10,14 @@ accumulate stages), and what did the planner/model decide along the way
 * Tracing is **off by default**.  When disabled, ``span()`` returns a shared
   no-op context manager without touching the tracer — hot paths pay one
   module-global check, which is what keeps the instrumented kernels within
-  the < 2% overhead budget.
-* The recorded tree exports to Chrome-trace JSON
+  the < 2% overhead budget.  :func:`enable` is the only switch: it turns on
+  spans, metrics, the timing ledger and request traces together.
+* Under an active trace context (:mod:`repro.obs.telemetry`) a span also
+  carries W3C ``trace_id``/``span_id``/``parent_id`` ids, becomes the
+  context for its body, and is indexed by trace id in the tracer's bounded
+  per-trace ring — so one request can be followed from the HTTP front into
+  the batch's per-stage spans, even across executor threads.
+* The recorded spans export to Chrome-trace JSON
   (:mod:`repro.obs.chrometrace`) and to an indented text summary
   (:mod:`repro.obs.summary`).
 
@@ -28,11 +34,16 @@ Typical use::
 
 from __future__ import annotations
 
+import contextvars
 import threading
 import time
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
+
+if TYPE_CHECKING:  # pragma: no cover - telemetry imports this module
+    from .telemetry import TraceContext
 
 __all__ = [
     "SpanRecord",
@@ -52,13 +63,13 @@ _ENABLED = False
 
 
 def enable() -> None:
-    """Turn tracing and metrics collection on (process-wide)."""
+    """Turn spans, metrics, the timing ledger and request traces on."""
     global _ENABLED
     _ENABLED = True
 
 
 def disable() -> None:
-    """Turn tracing and metrics collection off (the default)."""
+    """Turn all instrumentation off (the default)."""
     global _ENABLED
     _ENABLED = False
 
@@ -68,12 +79,23 @@ def enabled() -> bool:
     return _ENABLED
 
 
+#: The active trace position (a :class:`repro.obs.telemetry.TraceContext`).
+#: A ``ContextVar`` propagates through awaits on the event loop and is
+#: per-thread elsewhere; :func:`repro.obs.telemetry.activate` hops it into
+#: executor threads explicitly.
+_CTX: contextvars.ContextVar["TraceContext | None"] = contextvars.ContextVar(
+    "repro_trace_ctx", default=None
+)
+
+
 @dataclass
 class SpanRecord:
     """One completed (or in-flight) span.
 
     Times are ``time.perf_counter`` seconds; the tracer's ``origin_s`` turns
-    them into trace-relative timestamps at export time.
+    them into trace-relative timestamps at export time.  The trace fields
+    stay ``None`` unless the span was recorded under a sampled trace
+    context.
     """
 
     name: str
@@ -85,8 +107,16 @@ class SpanRecord:
     #: Recording thread's name.  OS thread idents are recycled (a restarted
     #: executor pool reuses them), so the Chrome-trace exporter keys its
     #: rows on ``(tid, thread)`` and labels them with this name — one
-    #: readable row per worker instead of interleaved anonymous ids.
+    #: readable row per worker instead of interleaved anonymous ids.  A
+    #: ``tid`` of 0 marks a span recorded after the fact
+    #: (:func:`repro.obs.telemetry.record_span`), which sits on no stack.
     thread: str = ""
+    trace_id: str | None = None
+    span_id: str | None = None
+    parent_id: str | None = None
+    #: Fan-in links to spans in *other* traces as ``(trace_id, span_id)``
+    #: pairs — how a batch span names the N request spans it served.
+    links: list[tuple[str, str]] = field(default_factory=list)
 
     @property
     def duration_s(self) -> float:
@@ -100,6 +130,10 @@ class SpanRecord:
     def set(self, **attrs: Any) -> "SpanRecord":
         """Attach attributes after entry (e.g. results known only at exit)."""
         self.attrs.update(attrs)
+        return self
+
+    def add_link(self, trace_id: str, span_id: str) -> "SpanRecord":
+        self.links.append((trace_id, span_id))
         return self
 
 
@@ -122,16 +156,30 @@ class _NullSpan:
     def set(self, **attrs: Any) -> "_NullSpan":
         return self
 
+    def add_link(self, trace_id: str, span_id: str) -> "_NullSpan":
+        return self
+
 
 NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Records a forest of :class:`SpanRecord` trees, one stack per thread."""
+    """Records a forest of :class:`SpanRecord` trees, one stack per thread.
+
+    Traced spans are also indexed by trace id in a ring that keeps the
+    spans of the most recent :attr:`max_traces` traces (oldest trace
+    evicted whole) — the lookup request trees and the load generator's
+    server-side split read.
+    """
+
+    #: Traces the per-trace ring retains.  A fixed bound, not an option:
+    #: the forest's :meth:`set_root_limit` is the one retention knob.
+    max_traces = 512
 
     def __init__(self, *, max_roots: int | None = None) -> None:
         self.roots: list[SpanRecord] = []
         self._stacks: dict[int, list[SpanRecord]] = {}
+        self._traces: "OrderedDict[str, list[SpanRecord]]" = OrderedDict()
         self._lock = threading.Lock()
         self.origin_s = time.perf_counter()
         #: Optional bound on retained root spans: long-running servers
@@ -144,6 +192,7 @@ class Tracer:
         with self._lock:
             self.roots.clear()
             self._stacks.clear()
+            self._traces.clear()
             self.origin_s = time.perf_counter()
 
     def set_root_limit(self, max_roots: int | None) -> None:
@@ -166,9 +215,30 @@ class Tracer:
             else:
                 break
 
+    def _index(self, trace_id: str, rec: SpanRecord) -> None:
+        """File a traced span under its trace id (caller holds lock)."""
+        spans = self._traces.get(trace_id)
+        if spans is None:
+            spans = self._traces[trace_id] = []
+            while len(self._traces) > self.max_traces:
+                self._traces.popitem(last=False)
+        spans.append(rec)
+
+    def record(self, rec: SpanRecord) -> SpanRecord:
+        """Index an after-the-fact traced span (it joins no thread stack)."""
+        if rec.trace_id is None:
+            raise ValueError(f"span {rec.name!r} carries no trace id")
+        with self._lock:
+            self._index(rec.trace_id, rec)
+        return rec
+
     @contextmanager
     def span(self, name: str, **attrs: Any) -> Iterator[SpanRecord]:
-        """Record one nested span around the ``with`` body."""
+        """Record one nested span around the ``with`` body.
+
+        Under a sampled trace context the span takes a fresh span id as a
+        child of that context and is the context for the body.
+        """
         tid = threading.get_ident()
         rec = SpanRecord(
             name=name,
@@ -177,20 +247,42 @@ class Tracer:
             tid=tid,
             thread=threading.current_thread().name,
         )
+        ctx = _CTX.get()
+        token = None
+        if ctx is not None and ctx.sampled:
+            child = ctx.child()
+            rec.trace_id, rec.span_id, rec.parent_id = (
+                ctx.trace_id, child.span_id, ctx.span_id
+            )
+            token = _CTX.set(child)
         with self._lock:
             stack = self._stacks.setdefault(tid, [])
             (stack[-1].children if stack else self.roots).append(rec)
             stack.append(rec)
             if len(stack) == 1:
                 self._enforce_root_limit()
+            if rec.trace_id is not None:
+                self._index(rec.trace_id, rec)
         try:
             yield rec
         finally:
             rec.end_s = time.perf_counter()
+            if token is not None:
+                _CTX.reset(token)
             with self._lock:
                 stack = self._stacks.get(tid, [])
                 if stack and stack[-1] is rec:
                     stack.pop()
+
+    def spans_of(self, trace_id: str) -> list[SpanRecord]:
+        """The ring's spans of one trace, in recording order."""
+        with self._lock:
+            return list(self._traces.get(trace_id, ()))
+
+    def trace_ids(self) -> list[str]:
+        """Trace ids the ring holds, oldest first."""
+        with self._lock:
+            return list(self._traces)
 
     def snapshot_roots(self) -> list[SpanRecord]:
         """Locked copy of the root list for export-side iteration.
@@ -246,8 +338,9 @@ def reset() -> None:
 def capture(fresh: bool = True) -> Iterator[Tracer]:
     """Enable tracing for a scope; restores the previous flag on exit.
 
-    ``fresh`` resets the global tracer and metrics registry first, so the
-    scope observes only its own activity.
+    ``fresh`` resets the global tracer (its forest and its per-trace ring)
+    and the metrics registry first, so the scope observes only its own
+    activity.
     """
     from .metrics import get_registry
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import contextlib
 import functools
 import threading
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -33,9 +32,8 @@ from typing import Iterator
 import numpy as np
 
 from ..core.fused import DEFAULT_BLOCK_IC
-from ..obs import counter_add
+from ..obs import NULL_SPAN, counter_add, span
 from ..obs.perfledger import record_execution
-from ..obs.tracer import enabled as _obs_enabled
 from . import tuningcache
 from .cache import get_executable, global_cache
 from .executable import FilterBundle
@@ -227,31 +225,27 @@ def convolve(
 
         counter_add("runtime.degraded.calls")
         resolved_block = block_ic if block_ic is not None else int(w.shape[3])
-        if not _obs_enabled():
-            return conv2d_im2col_winograd(
+        with span("degraded", path="legacy") as degraded_span:
+            y = conv2d_im2col_winograd(
                 x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
                 block_ic=resolved_block, legacy=True,
             )
-        # Degraded calls are ledgered too (path="legacy"): the drift monitor
-        # is most interesting exactly when the compiled path is failing.
-        sig = ConvSignature.for_operands(
-            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
-        )
-        t0 = time.perf_counter_ns()
-        y = conv2d_im2col_winograd(
-            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-            block_ic=resolved_block, legacy=True,
-        )
-        measured = float(time.perf_counter_ns() - t0)
-        const, per_row = _legacy_coeffs(sig, _calibration_generation())
-        record_execution(
-            signature=sig.label,
-            variant=sig.variant,
-            rows=x.shape[0],
-            path="legacy",
-            predicted_ns=const + per_row * x.shape[0],
-            measured_ns=measured,
-        )
+        # Degraded calls are ledgered too (path="legacy"), timed by the span
+        # around the legacy conv: the drift monitor is most interesting
+        # exactly when the compiled path is failing.
+        if degraded_span is not NULL_SPAN:
+            sig = ConvSignature.for_operands(
+                x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
+            )
+            const, per_row = _legacy_coeffs(sig, _calibration_generation())
+            record_execution(
+                signature=sig.label,
+                variant=sig.variant,
+                rows=x.shape[0],
+                path="legacy",
+                predicted_ns=const + per_row * x.shape[0],
+                measured_ns=degraded_span.duration_s * 1e9,
+            )
         return y
     sig = ConvSignature.for_operands(
         x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype

@@ -44,7 +44,6 @@ arithmetic, so threaded results stay bit-identical to serial ones.
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
@@ -57,10 +56,8 @@ from ..core.planner import ConvPlan
 from ..core.transforms import TransformMatrices, winograd_matrices
 from ..nhwc.tensor import ConvShape, im2col_nhwc
 from ..nhwc.tiles import _gather_padded_region
-from ..obs import counter_add, span
-from ..obs import telemetry
+from ..obs import NULL_SPAN, counter_add, span, telemetry
 from ..obs.perfledger import record_execution
-from ..obs.tracer import enabled as _obs_enabled
 from .signature import ConvSignature
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -423,11 +420,6 @@ class ConvExecutable:
             return resolved[0]
 
         tasks = self._tasks(batch, cfg)
-        # Predict-vs-measure ledger: with observability on, every call is
-        # clocked and recorded next to its cost-model prediction (zero clock
-        # reads when disabled — part of the telemetry-overhead gate).
-        ledger = _obs_enabled()
-        t0 = time.perf_counter_ns() if ledger else 0
         with span(
             "conv2d",
             engine="runtime",
@@ -444,15 +436,7 @@ class ConvExecutable:
             variant=sig.variant,
             segments=len(tasks),
             plan_segments=len(self._states),
-        ), telemetry.trace_span(
-            "runtime.conv2d",
-            batch=batch,
-            ic=sig.ic,
-            oc=sig.oc,
-            alpha=sig.alpha,
-            variant=sig.variant,
-            segments=len(tasks),
-        ):
+        ) as conv_span:
             counter_add("conv.calls")
             counter_add(
                 "conv.flops",
@@ -462,8 +446,9 @@ class ConvExecutable:
             if cfg.threads > 1 and len(tasks) > 1:
                 get_bundle()  # resolve once, outside the pool
                 # ContextVars do not cross pool threads on their own; hand
-                # the active trace position over so per-segment spans parent
-                # under this conv span regardless of which worker runs them.
+                # the active trace position (this conv span's, when traced)
+                # over so per-segment spans parent under it regardless of
+                # which worker runs them.
                 tctx = telemetry.current()
 
                 def run_task(t: _Task) -> None:
@@ -484,14 +469,16 @@ class ConvExecutable:
             else:
                 for task in tasks:
                     self._run_task(task, x, y, get_bundle, block_ic)
-        if ledger:
+        # Predict-vs-measure ledger: with observability on, the conv span's
+        # own clock reads are the measurement (no extra reads when off).
+        if conv_span is not NULL_SPAN:
             record_execution(
                 signature=sig.label,
                 variant=sig.variant,
                 rows=batch,
                 path="compiled",
                 predicted_ns=self.predicted_ns(batch),
-                measured_ns=float(time.perf_counter_ns() - t0),
+                measured_ns=conv_span.duration_s * 1e9,
             )
         return y
 
@@ -585,14 +572,7 @@ class ConvExecutable:
             width=seg.width,
             batch0=n0,
             batch1=n1,
-        ), telemetry.trace_span(
-            "runtime.segment",
-            kind="winograd",
-            kernel=seg.name,
-            width=seg.width,
-            batch0=n0,
-            batch1=n1,
-        ) as tseg:
+        ) as seg_span:
             if task.first_chunk:
                 batch = x.shape[0]
                 counter_add("winograd.segments", kernel=st.kernel_name)
@@ -642,9 +622,7 @@ class ConvExecutable:
                         * ic
                         * self.dtype.itemsize,
                     )
-            with span("transform.input", kernel=st.kernel_name), telemetry.trace_span(
-                "runtime.transform.input", kernel=st.kernel_name
-            ):
+            with span("transform.input", kernel=st.kernel_name):
                 # VR[k, n, row, t, c] = sum_a DT[k, a] row_tiles[n, row, t, a, c]
                 # — a dot over ``a`` per element, bit-identical to the
                 # per-fh legacy einsum, computed once per input row.
@@ -664,9 +642,7 @@ class ConvExecutable:
                 m_rows = nc * self.oh * num_tiles
                 v = np.ascontiguousarray(v).reshape(alpha, fh, m_rows, ic)
             block = ic if block_ic is None else min(block_ic, ic)
-            with span("accumulate", kernel=st.kernel_name, block_ic=block), telemetry.trace_span(
-                "runtime.accumulate", kernel=st.kernel_name, block_ic=block
-            ):
+            with span("accumulate", kernel=st.kernel_name, block_ic=block):
                 m = np.zeros((alpha, m_rows, oc), dtype=self.dtype)
                 if block >= ic:
                     # The fh-fused (alpha*FH)-batched matmul, then an
@@ -686,11 +662,9 @@ class ConvExecutable:
                         for c0 in range(0, ic, block):
                             c1 = min(c0 + block, ic)
                             m += np.matmul(vf[:, :, c0:c1], uf[:, c0:c1, :])
-            with span("transform.output", kernel=st.kernel_name), telemetry.trace_span(
-                "runtime.transform.output", kernel=st.kernel_name
-            ):
+            with span("transform.output", kernel=st.kernel_name):
                 out = self._einsum("jk,kmo->mjo", mats.AT, m)
-            tseg.set(tiles=self.oh * num_tiles * nc)
+            seg_span.set(tiles=self.oh * num_tiles * nc)
             y[n0:n1, :, seg.start : seg.start + seg.width, :] = out.reshape(
                 nc, self.oh, num_tiles * st.n, oc
             )
@@ -705,9 +679,7 @@ class ConvExecutable:
     ) -> None:
         sig = self.sig
         seg = st.seg
-        with span("segment", kind="gemm", start=seg.start, width=seg.width), telemetry.trace_span(
-            "runtime.segment", kind="gemm", start=seg.start, width=seg.width
-        ):
+        with span("segment", kind="gemm", start=seg.start, width=seg.width):
             counter_add("gemm.tail_segments")
             counter_add("gemm.tail_columns", seg.width)
             operand = get_bundle().gemm_operand

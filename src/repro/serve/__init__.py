@@ -36,10 +36,12 @@ batch to the interpreted legacy path (``serve.degraded``) without losing
 the response.  All of it is observable through ``serve.*`` obs counters,
 histograms and trace spans.
 
-Production telemetry (``tests/test_serve_telemetry.py``): requests accept
-and echo W3C ``traceparent`` headers, per-request span trees
-(queued/admitted/batched/respond, fan-in linked to the shared batch's
-runtime spans) land in :mod:`repro.obs.telemetry`, ``GET /metrics`` serves
+Production telemetry (``tests/test_serve_telemetry.py``), on while
+:func:`repro.obs.enable` is: requests accept and echo W3C ``traceparent``
+headers, per-request span trees (admitted/queued/batched/respond, fan-in
+linked to the shared batch's ``conv2d``/``segment``/stage spans) land in
+the one :mod:`repro.obs` span store (read back with
+:func:`repro.obs.telemetry.tree`), ``GET /metrics`` serves
 the Prometheus exposition with sliding-window latency quantiles, and a
 :class:`~repro.obs.slo.SLOConfig` on the scheduler turns ``/healthz`` into
 a burn-rate-aware health check (503 during a fast burn).

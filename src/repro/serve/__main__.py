@@ -58,7 +58,8 @@ def _add_policy_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout-ms", type=float, default=1000.0,
                    help="default request deadline (default 1000)")
     p.add_argument("--telemetry", action="store_true",
-                   help="enable obs spans, request traces and /metrics content")
+                   help="enable instrumentation (obs.enable): spans, request "
+                        "traces, the timing ledger and /metrics content")
     p.add_argument("--slo-target-ms", type=float, default=None, metavar="MS",
                    help="enable SLO tracking: latency target in ms")
     p.add_argument("--slo-error-budget", type=float, default=0.01,
@@ -73,8 +74,8 @@ def _build_service(args: argparse.Namespace) -> InferenceService:
     ws = None if args.max_workspace_mb is None else int(args.max_workspace_mb * 1024 * 1024)
     if args.telemetry:
         obs.enable()
-        obs.telemetry.enable()
-        # Long-running server: bound the global span forest too.
+        # Long-running server: bound the span forest (the per-trace ring
+        # has its own fixed bound).
         obs.get_tracer().set_root_limit(4096)
     slo = None
     if args.slo_target_ms is not None:

@@ -26,7 +26,7 @@ from typing import Awaitable, Callable, Protocol
 
 import numpy as np
 
-from ..obs import telemetry
+from ..obs import enabled, telemetry
 from ..obs.telemetry import TraceContext
 from .errors import BadRequest, ServeError
 
@@ -197,7 +197,7 @@ async def handle_infer_request(
     # can fail, so even error responses carry the traceparent back.
     trace: TraceContext | None = None
     extra: dict[str, str] = {}
-    if telemetry.enabled():
+    if enabled():
         trace = telemetry.start_trace(headers.get("traceparent"))
         extra["traceparent"] = trace.traceparent()
     try:

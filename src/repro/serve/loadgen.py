@@ -34,7 +34,7 @@ from typing import Awaitable, Callable
 
 import numpy as np
 
-from ..obs import telemetry
+from ..obs import enabled, telemetry
 from .errors import DeadlineExceeded, QueueFull, ServeError
 from .registry import RegisteredModel
 from .scheduler import SchedulerStats
@@ -214,7 +214,7 @@ async def _issue(
     # Behave like a traced client: mint a fresh trace per request (the
     # in-process analogue of sending a traceparent header) so the finish
     # step can pull the server's queued/execute attribution back out.
-    trace = telemetry.start_trace() if telemetry.enabled() else None
+    trace = telemetry.start_trace() if enabled() else None
     t0 = time.perf_counter()
     try:
         y = await service.infer(model, x, timeout_ms=timeout_ms, trace=trace)

@@ -50,7 +50,6 @@ from ..dlframe.models.resnet import resnet18, resnet34
 from ..dlframe.models.vgg import vgg16, vgg16x5, vgg16x7, vgg19
 from ..dlframe.serialization import load_weights as _load_weights
 from ..obs import counter_add, span
-from ..obs.telemetry import trace_span
 from .batching import BatchPolicy
 from .errors import BadRequest, ModelNotFound
 
@@ -178,16 +177,14 @@ class RegisteredModel:
             padded[:k] = rows
         else:
             padded = rows
-        with span("serve.model", model=self.name, rows=k, executed_rows=target):
-            with trace_span(
-                "serve.model",
-                model=self.name,
-                rows=k,
-                executed_rows=target,
-                pad_rows=target - k,
-            ):
-                with no_grad():
-                    out = self.model(Tensor(padded)).data
+        with span(
+            "serve.model",
+            model=self.name,
+            rows=k,
+            executed_rows=target,
+            pad_rows=target - k,
+        ), no_grad():
+            out = self.model(Tensor(padded)).data
         return out[:k]
 
     def predicted_batch_ns(self, rows: int, *, batch_quantum: int = 1) -> float:

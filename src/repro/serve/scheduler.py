@@ -37,7 +37,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import counter_add, gauge_set, observe, observe_windowed, span, telemetry
+from ..obs import (
+    counter_add,
+    enabled,
+    gauge_set,
+    observe,
+    observe_windowed,
+    span,
+    telemetry,
+)
 from ..obs.slo import SLOConfig, SLOStatus, SLOTracker
 from ..obs.telemetry import TraceContext
 from ..runtime import default_config, force_legacy
@@ -273,7 +281,7 @@ class Scheduler:
             raise ServiceStopped("scheduler is not running")
         entry = self.registry.get(model)
         rows, squeeze = entry.validate(x)
-        if trace is None and telemetry.enabled():
+        if trace is None and enabled():
             cur = telemetry.current()
             trace = cur.child() if cur is not None else telemetry.start_trace()
         depth = self._batcher.pending_requests()
@@ -414,7 +422,7 @@ class Scheduler:
         # belongs to none of them.  Fan-in links name every request's server
         # span; the runtime's transform/gemm/tail spans nest under this one
         # via the contextvar the ``activate`` scope sets in this thread.
-        bctx = telemetry.start_trace() if telemetry.enabled() else None
+        bctx = telemetry.start_trace() if enabled() else None
         pad = padded_rows(batch.rows, self.config.policy.batch_quantum) - batch.rows
         predicted_ns = batch.predicted_ns
         if predicted_ns <= 0.0:
@@ -424,10 +432,9 @@ class Scheduler:
             predicted_ns = entry.predicted_batch_ns(
                 batch.rows, batch_quantum=self.config.policy.batch_quantum
             )
+        # Batch cost is clocked here, not by the span: it runs untraced too.
         t0 = time.perf_counter_ns()
-        with span(
-            "serve.batch", model=batch.key[0], requests=len(batch.requests), rows=batch.rows
-        ), telemetry.activate(bctx), telemetry.trace_span(
+        with telemetry.activate(bctx), span(
             "serve.batch",
             batch_id=bid,
             model=batch.key[0],
@@ -534,10 +541,11 @@ class Scheduler:
         """Reconstruct the request's span tree once its outcome is known.
 
         Batching destroys request identity mid-flight, so the per-request
-        spans are recorded retroactively from scheduler bookkeeping — all on
-        the ``time.monotonic`` clock the live batch spans use, so the tree
-        lines up: ``serve.request`` (the server root the batch span links
-        to) over ``admitted -> queued -> batched -> respond``.
+        spans are recorded retroactively from scheduler bookkeeping, whose
+        ``time.monotonic`` readings :func:`~repro.obs.telemetry.record_span`
+        shifts onto the live spans' clock, so the tree lines up:
+        ``serve.request`` (the server root the batch span links to) over
+        ``admitted -> queued -> batched -> respond``.
         """
         ctx = req.trace
         if ctx is None:

@@ -3,11 +3,17 @@
 import numpy as np
 import pytest
 
-from repro import ConvShape, conv2d_im2col_winograd, obs
+from repro import ConvShape, conv2d_im2col_winograd, obs, runtime
 from repro.bench.flops import standard_flops
+from repro.obs import telemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.summary import aggregate
+from repro.obs.telemetry import TraceContext
 from repro.obs.tracer import NULL_SPAN, Tracer
+from repro.runtime.engine import ExecutionConfig
+
+TRACE = "ab" * 16
+SPAN = "cd" * 8
 
 
 @pytest.fixture(autouse=True)
@@ -104,6 +110,69 @@ class TestDisabledFastPath:
                 pass
         assert not obs.enabled()
         assert [r.name for r in tracer.roots] == ["inside"]
+
+
+class TestOneFlag:
+    """``obs.enable`` is the only switch: spans, request traces, ledger."""
+
+    def _conv_operands(self, rng, batch=4):
+        x = rng.standard_normal((batch, 10, 20, 8)).astype(np.float32)
+        w = rng.standard_normal((8, 3, 3, 8)).astype(np.float32)
+        return x, w
+
+    def test_disabled_span_ignores_active_trace(self):
+        with telemetry.activate(TraceContext(TRACE, SPAN)):
+            assert obs.span("x") is NULL_SPAN
+        assert obs.get_tracer().roots == []
+        assert obs.get_tracer().trace_ids() == []
+
+    def test_enabled_without_context_goes_to_forest_only(self):
+        obs.enable()
+        with obs.span("plain") as rec:
+            pass
+        assert obs.get_tracer().roots == [rec]
+        assert (rec.trace_id, rec.span_id, rec.parent_id) == (None, None, None)
+        assert obs.get_tracer().trace_ids() == []
+
+    def test_pool_thread_segments_carry_the_conv_trace(self, rng):
+        x, w = self._conv_operands(rng)
+        config = ExecutionConfig(threads=2)
+        obs.enable()
+        try:
+            with telemetry.activate(TraceContext(TRACE, SPAN)):
+                runtime.convolve(x, w, config=config)
+        finally:
+            config.shutdown()
+        spans = obs.get_tracer().spans_of(TRACE)
+        (conv,) = [s for s in spans if s.name == "conv2d"]
+        segments = [s for s in spans if s.name == "segment"]
+        assert conv.parent_id == SPAN
+        assert len(segments) > 1
+        assert {s.parent_id for s in segments} == {conv.span_id}
+        assert any(s.thread.startswith("repro-runtime") for s in segments)
+        # Pool-thread segments root their own thread's forest rows.
+        assert {r.name for r in obs.get_tracer().roots} >= {"conv2d", "segment"}
+
+    def test_capture_clears_the_trace_ring(self):
+        obs.enable()
+        with telemetry.activate(TraceContext(TRACE, SPAN)), obs.span("before"):
+            pass
+        assert obs.get_tracer().trace_ids() == [TRACE]
+        with obs.capture() as tracer:
+            assert tracer.trace_ids() == []
+
+    def test_ledger_measures_with_the_conv_span(self, rng):
+        x, w = self._conv_operands(rng, batch=1)
+        obs.reset_ledger()
+        try:
+            with obs.capture() as tracer:
+                runtime.convolve(x, w)
+            (conv,) = [r for r in tracer.roots if r.name == "conv2d"]
+            (entry,) = obs.get_ledger().entries()
+            assert entry.key[3] == "compiled"
+            assert entry.last_measured_ns == conv.duration_s * 1e9
+        finally:
+            obs.reset_ledger()
 
 
 class TestMetrics:

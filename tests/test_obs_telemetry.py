@@ -1,5 +1,5 @@
-"""Tests for request-scoped telemetry: W3C trace contexts, the bounded
-trace store and its Chrome-trace export, sliding-window histograms, the
+"""Tests for request-scoped telemetry: W3C trace contexts, traced spans in
+the tracer's per-trace ring and their Chrome-trace export, sliding-window histograms, the
 Prometheus text exposition, and SLO burn-rate tracking.
 
 The exposition tests use a minimal text-format parser (below) and assert
@@ -23,26 +23,20 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.promexport import escape_label_value, prom_name, render_prometheus
 from repro.obs.slo import SLOConfig, SLOTracker, evaluate_sample
 from repro.obs.slo import main as slo_main
-from repro.obs.telemetry import (
-    NULL_TRACE_SPAN,
-    TraceContext,
-    TraceSpan,
-    TraceStore,
-    parse_traceparent,
-    start_trace,
-)
+from repro.obs.telemetry import TraceContext, parse_traceparent, start_trace
+from repro.obs.tracer import NULL_SPAN, SpanRecord, Tracer
 
 TRACE = "ab" * 16
 SPAN = "cd" * 8
 
 
 @pytest.fixture(autouse=True)
-def _fresh_telemetry():
-    telemetry.disable()
-    telemetry.reset()
+def _fresh_tracer():
+    obs.disable()
+    obs.reset()
     yield
-    telemetry.disable()
-    telemetry.reset()
+    obs.disable()
+    obs.reset()
 
 
 # --------------------------------------------------------------------------
@@ -75,6 +69,7 @@ class TestTraceparent:
             f"00-{'g' * 32}-{SPAN}-01",  # non-hex
             f"00-{'0' * 32}-{SPAN}-01",  # all-zero trace id
             f"00-{TRACE}-{'0' * 16}-01",  # all-zero span id
+            f"ff-{TRACE}-{SPAN}-01",  # version ff is forbidden
         ],
     )
     def test_parse_drops_malformed(self, header):
@@ -95,127 +90,153 @@ class TestTraceparent:
 
 
 # --------------------------------------------------------------------------
-# Store, span trees, recording scopes
+# Per-trace ring, span trees, recording scopes
 # --------------------------------------------------------------------------
 
 
 def _span(name, trace_id=TRACE, span_id=None, parent=None, t0=0.0, t1=1.0):
-    return TraceSpan(
+    return SpanRecord(
         name=name,
+        start_s=t0,
+        end_s=t1,
         trace_id=trace_id,
         span_id=span_id or name.ljust(16, "0"),
         parent_id=parent,
-        start_s=t0,
-        end_s=t1,
     )
 
 
 class TestTraceStore:
     def test_tree_nests_by_parentage(self):
-        store = TraceStore()
-        store.record(_span("root", span_id="r" * 16, t0=0.0, t1=4.0))
-        store.record(_span("childA", span_id="a" * 16, parent="r" * 16, t0=1.0, t1=2.0))
-        store.record(_span("childB", span_id="b" * 16, parent="r" * 16, t0=2.0, t1=3.0))
-        store.record(_span("grand", span_id="g" * 16, parent="a" * 16, t0=1.2, t1=1.5))
-        roots = store.tree(TRACE)
+        tracer = Tracer()
+        tracer.record(_span("root", span_id="r" * 16, t0=0.0, t1=4.0))
+        tracer.record(_span("childA", span_id="a" * 16, parent="r" * 16, t0=1.0, t1=2.0))
+        tracer.record(_span("childB", span_id="b" * 16, parent="r" * 16, t0=2.0, t1=3.0))
+        tracer.record(_span("grand", span_id="g" * 16, parent="a" * 16, t0=1.2, t1=1.5))
+        roots = telemetry.tree(TRACE, tracer)
         assert [r["name"] for r in roots] == ["root"]
         kids = roots[0]["children"]
         assert [k["name"] for k in kids] == ["childA", "childB"]
         assert [g["name"] for g in kids[0]["children"]] == ["grand"]
 
     def test_orphan_parent_becomes_root(self):
-        store = TraceStore()
-        store.record(_span("orphan", parent="f" * 16))
-        roots = store.tree(TRACE)
+        tracer = Tracer()
+        tracer.record(_span("orphan", parent="f" * 16))
+        roots = telemetry.tree(TRACE, tracer)
         assert [r["name"] for r in roots] == ["orphan"]
 
     def test_bounded_by_traces_not_spans(self):
-        store = TraceStore(max_traces=2)
+        tracer = Tracer()
+        tracer.max_traces = 2
         for i in range(4):
             tid = f"{i:032x}"
-            store.record(_span("s", trace_id=tid, span_id=f"{i:016x}"))
-        assert store.trace_ids() == [f"{2:032x}", f"{3:032x}"]
+            tracer.record(_span("s", trace_id=tid, span_id=f"{i:016x}"))
+        assert tracer.trace_ids() == [f"{2:032x}", f"{3:032x}"]
 
     def test_rejects_bad_bound(self):
         with pytest.raises(ValueError):
-            TraceStore(max_traces=0)
+            Tracer().set_root_limit(0)
+
+    def test_untraced_record_rejected(self):
+        with pytest.raises(ValueError):
+            Tracer().record(SpanRecord("x", 0.0, 1.0))
 
 
 class TestRecordingScopes:
     def test_noop_when_disabled_or_contextless(self):
-        assert telemetry.trace_span("x") is NULL_TRACE_SPAN  # disabled
-        telemetry.enable()
-        assert telemetry.trace_span("x") is NULL_TRACE_SPAN  # no active ctx
+        assert obs.span("x") is NULL_SPAN  # disabled
+        obs.enable()
+        with obs.span("x") as rec:
+            assert rec.trace_id is None  # no active ctx: forest only
         with telemetry.activate(TraceContext(TRACE, SPAN, sampled=False)):
-            assert telemetry.trace_span("x") is NULL_TRACE_SPAN  # unsampled
-        assert telemetry.get_store().span_count() == 0
+            with obs.span("x") as rec:
+                assert rec.trace_id is None  # unsampled: forest only
+        assert obs.get_tracer().trace_ids() == []
 
-    def test_trace_span_records_explicit_parent_chain(self):
-        telemetry.enable()
+    def test_span_records_explicit_parent_chain(self):
+        obs.enable()
         ctx = TraceContext(TRACE, SPAN)
         with telemetry.activate(ctx):
-            with telemetry.trace_span("outer", k=1) as outer:
+            with obs.span("outer", k=1) as outer:
                 assert telemetry.current().span_id == outer.span_id
-                with telemetry.trace_span("inner") as inner:
+                with obs.span("inner") as inner:
                     pass
-        spans = {s.name: s for s in telemetry.get_store().spans(TRACE)}
-        assert spans["outer"].parent_id == SPAN
-        assert spans["inner"].parent_id == spans["outer"].span_id
-        assert spans["outer"].attrs == {"k": 1}
-        assert spans["outer"].end_s >= spans["outer"].start_s
+        spans = {s.name: s for s in obs.get_tracer().spans_of(TRACE)}
+        assert spans["outer"] is outer and spans["inner"] is inner
+        assert outer.parent_id == SPAN
+        assert inner.parent_id == outer.span_id
+        assert outer.attrs == {"k": 1}
+        assert outer.children == [inner]  # also nested in the forest
+        assert outer.end_s >= outer.start_s
         assert telemetry.current() is None  # context restored
 
     def test_record_span_root_is_context_position(self):
-        telemetry.enable()
+        obs.enable()
         ctx = TraceContext(TRACE, SPAN)
         root = telemetry.record_span("serve.request", ctx, 1.0, 2.0, root=True, rid=7)
         child = telemetry.record_span("serve.queued", ctx, 1.0, 1.5)
         assert root.span_id == SPAN and root.parent_id is None
         assert child.parent_id == SPAN and child.span_id != SPAN
-        assert root.duration_ms == pytest.approx(1000.0)
+        assert root.duration_s == pytest.approx(1.0)
+        # After-the-fact spans live in the ring, on no thread's stack.
+        assert root.tid == 0 and obs.get_tracer().roots == []
+
+    def test_record_span_lands_on_the_span_clock(self):
+        obs.enable()
+        ctx = TraceContext(TRACE, SPAN)
+        with obs.span("live") as live:
+            with obs.span("before"):  # margin against the offset's read skew
+                pass
+            now = time.monotonic()
+            with obs.span("after"):
+                pass
+        rec = telemetry.record_span("serve.respond", ctx, now, now)
+        assert live.start_s <= rec.start_s <= live.end_s
 
     def test_record_span_noop_without_context(self):
-        telemetry.enable()
+        assert telemetry.record_span("x", TraceContext(TRACE, SPAN), 0.0, 1.0) is None
+        obs.enable()
         assert telemetry.record_span("x", None, 0.0, 1.0) is None
-        assert telemetry.get_store().span_count() == 0
+        assert obs.get_tracer().trace_ids() == []
 
 
 class TestQueueExecuteSplit:
     def test_sums_scheduler_spans_per_trace(self):
-        store = TraceStore()
-        store.record(_span("serve.request", t0=0.0, t1=1.0))
-        store.record(_span("serve.queued", span_id="q" * 16, t0=0.0, t1=0.25))
-        store.record(_span("serve.batched", span_id="b" * 16, t0=0.25, t1=1.0))
+        tracer = Tracer()
+        tracer.record(_span("serve.request", t0=0.0, t1=1.0))
+        tracer.record(_span("serve.queued", span_id="q" * 16, t0=0.0, t1=0.25))
+        tracer.record(_span("serve.batched", span_id="b" * 16, t0=0.25, t1=1.0))
         other = "e" * 32
-        store.record(_span("unrelated", trace_id=other, span_id="u" * 16))
-        split = telemetry.queue_execute_split([TRACE, other, "f" * 32], store)
+        tracer.record(_span("unrelated", trace_id=other, span_id="u" * 16))
+        split = telemetry.queue_execute_split([TRACE, other, "f" * 32], tracer)
         assert split["queued_ms"] == [pytest.approx(250.0)]
         assert split["execute_ms"] == [pytest.approx(750.0)]
 
 
 # --------------------------------------------------------------------------
-# Chrome-trace export: store rows, flow events, stable tracer tids
+# Chrome-trace export: request rows, flow events, stable thread tids
 # --------------------------------------------------------------------------
 
 
 class TestStoreChromeExport:
-    def _store_with_fanin(self):
-        store = TraceStore()
+    def _tracer_with_fanin(self):
+        """A request span recorded after the fact, a live batch linking it."""
+        tracer = Tracer()
         req = "1" * 32
-        store.record(
-            TraceSpan("serve.request", req, "a" * 16, None, 0.0, 2.0, thread="MainThread")
-        )
-        batch = "2" * 32
-        bspan = TraceSpan(
-            "serve.batch", batch, "b" * 16, None, 0.5, 1.5, thread="repro-serve_0"
-        )
-        bspan.add_link(req, "a" * 16)
-        store.record(bspan)
-        return store, req
+        tracer.record(_span("serve.request", trace_id=req, span_id="a" * 16, t1=2.0))
+
+        def batch():
+            batch_ctx = TraceContext("2" * 32, "b" * 16)
+            with telemetry.activate(batch_ctx), tracer.span("serve.batch") as bspan:
+                bspan.add_link(req, "a" * 16)
+
+        t = threading.Thread(target=batch, name="repro-serve_0")
+        t.start()
+        t.join()
+        return tracer, req
 
     def test_rows_named_and_stable(self):
-        store, req = self._store_with_fanin()
-        doc = store.chrome_trace()
+        tracer, req = self._tracer_with_fanin()
+        doc = chrome_trace(tracer, MetricsRegistry())
         names = {
             e["tid"]: e["args"]["name"]
             for e in doc["traceEvents"]
@@ -223,38 +244,36 @@ class TestStoreChromeExport:
         }
         assert f"request {req[:8]}" in names.values()
         assert "repro-serve_0" in names.values()
-        # Same store exports the same layout twice.
-        assert doc["traceEvents"] == store.chrome_trace()["traceEvents"]
+        # Same tracer exports the same layout twice.
+        again = chrome_trace(tracer, MetricsRegistry())
+        assert doc["traceEvents"] == again["traceEvents"]
 
     def test_fanin_links_become_flow_events(self):
-        store, _ = self._store_with_fanin()
-        events = store.chrome_trace()["traceEvents"]
+        tracer, _ = self._tracer_with_fanin()
+        events = chrome_trace(tracer, MetricsRegistry())["traceEvents"]
         starts = [e for e in events if e.get("ph") == "s"]
         finishes = [e for e in events if e.get("ph") == "f"]
         assert len(starts) == 1 and len(finishes) == 1
         assert starts[0]["id"] == finishes[0]["id"]
         assert finishes[0]["bp"] == "e"
         slice_tids = {
-            e["args"]["span_id"]: e["tid"] for e in events if e.get("ph") == "X"
+            e["name"]: e["tid"] for e in events if e.get("ph") == "X"
         }
         # The flow starts at the linked request span's row and finishes at
         # the batch span's row.
-        assert starts[0]["tid"] == slice_tids["a" * 16]
-        assert finishes[0]["tid"] == slice_tids["b" * 16]
+        assert starts[0]["tid"] == slice_tids["serve.request"]
+        assert finishes[0]["tid"] == slice_tids["serve.batch"]
 
     def test_dangling_link_is_dropped(self):
-        store = TraceStore()
-        s = TraceSpan("serve.batch", TRACE, SPAN, None, 0.0, 1.0)
-        s.add_link("9" * 32, "9" * 16)
-        store.record(s)
-        events = store.chrome_trace()["traceEvents"]
+        tracer = Tracer()
+        with tracer.span("serve.batch") as s:
+            s.add_link("9" * 32, "9" * 16)
+        events = chrome_trace(tracer, MetricsRegistry())["traceEvents"]
         assert not [e for e in events if e.get("ph") in ("s", "f")]
 
     def test_empty_store_exports_empty(self):
-        assert TraceStore().chrome_trace() == {
-            "traceEvents": [],
-            "displayTimeUnit": "ms",
-        }
+        events = chrome_trace(Tracer(), MetricsRegistry())["traceEvents"]
+        assert not [e for e in events if e.get("ph") in ("X", "s", "f")]
 
 
 class TestTracerChromeStableTids:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,21 +42,16 @@ def _fresh_stack():
     obs.disable()
     obs.reset()
     obs.get_registry().reset()
-    telemetry.disable()
-    telemetry.reset()
     yield
     obs.disable()
     obs.reset()
     obs.get_registry().reset()
-    telemetry.disable()
-    telemetry.reset()
     runtime.clear_cache()
 
 
 @pytest.fixture
 def _telemetry_on():
     obs.enable()
-    telemetry.enable()
     yield
 
 
@@ -128,8 +124,8 @@ class TestTraceparentOverHttp:
 
         # Request span tree: serve.request root carrying the server span id,
         # with the queued -> batched lifecycle below it.
-        store = telemetry.get_store()
-        roots = store.tree(CLIENT_TRACE)
+        tracer = obs.get_tracer()
+        roots = telemetry.tree(CLIENT_TRACE)
         assert [r["name"] for r in roots] == ["serve.request"]
         root = roots[0]
         assert root["span_id"] == span_id
@@ -142,20 +138,20 @@ class TestTraceparentOverHttp:
         # Fan-in: some batch trace links back to this request's server span
         # and carries the runtime's transform/gemm spans.
         batch_traces = [
-            tid for tid in store.trace_ids()
+            tid for tid in tracer.trace_ids()
             if any(
                 s.name == "serve.batch" and (CLIENT_TRACE, span_id) in s.links
-                for s in store.spans(tid)
+                for s in tracer.spans_of(tid)
             )
         ]
         assert len(batch_traces) == 1
-        batch_spans = {s.name for s in store.spans(batch_traces[0])}
-        assert "runtime.conv2d" in batch_spans
-        assert "runtime.segment" in batch_spans
+        batch_spans = {s.name for s in tracer.spans_of(batch_traces[0])}
+        assert "conv2d" in batch_spans
+        assert "segment" in batch_spans
 
         # The Chrome export draws that link as a flow (s/f pair) between the
         # request's named row and the batch's executor row.
-        doc = store.chrome_trace()
+        doc = obs.chrome_trace()
         flows = [e for e in doc["traceEvents"] if e.get("cat") == "link"]
         assert {e["ph"] for e in flows} == {"s", "f"}
         rows = {
@@ -222,7 +218,129 @@ class TestTraceparentOverHttp:
         status, headers, body = asyncio.run(scenario())
         assert status == 200
         assert "traceparent" not in headers and "trace_id" not in body
-        assert telemetry.get_store().span_count() == 0
+        assert obs.get_tracer().trace_ids() == []
+
+
+#: The stage spans every Winograd segment of the batch's forward opens.
+STAGES = (
+    "transform.filter", "gather", "transform.input", "accumulate", "transform.output",
+)
+
+#: Golden Chrome-trace layout of two coalesced traced requests on resnet18
+#: (w=0.125, 32x32, no runtime pool): row name -> span-name counts.  Request
+#: rows are named by trace (``T0``/``T1`` after id normalisation).
+GOLDEN_ROWS = {
+    "MainThread": {},
+    "repro-serve_0": {
+        "serve.batch": 1,
+        "serve.request": 2,
+        "serve.model": 1,
+        "layer.conv2d": 20,
+        "conv2d": 14,
+        "segment": 25,
+        **dict.fromkeys(STAGES, 25),
+    },
+    **{
+        f"request T{i}": dict.fromkeys(
+            ("serve.request", "serve.admitted", "serve.queued", "serve.batched",
+             "serve.respond"),
+            1,
+        )
+        for i in range(2)
+    },
+}
+
+
+class TestGoldenExport:
+    """Golden export: one store renders request rows, runtime rows
+    and the fan-in between them; request trees and batch traces read back."""
+
+    TRACES = ("1" * 32, "2" * 32)
+
+    def _run(self):
+        async def scenario():
+            # Size-triggered flush: the two requests always share a batch.
+            service = _service(
+                policy=BatchPolicy(max_batch_size=2, max_queue_delay_ms=10_000.0)
+            )
+            obs.reset()  # drop registration warmup; trace the requests only
+            obs.enable()
+            async with service:
+                host, port = await service.serve_http("127.0.0.1", 0)
+
+                async def one(i):
+                    reader, writer = await asyncio.open_connection(host, port)
+                    out = await _roundtrip(
+                        reader, writer, "POST", "/v1/infer",
+                        {"model": "net", "inputs": _x(i).tolist()},
+                        headers={"traceparent": f"00-{self.TRACES[i]}-{CLIENT_SPAN}-01"},
+                    )
+                    writer.close()
+                    return out
+
+                return await asyncio.gather(one(0), one(1))
+
+        return asyncio.run(scenario())
+
+    def test_export_tree_and_batch_trace(self):
+        responses = self._run()
+        assert [status for status, _, _ in responses] == [200, 200]
+        server_spans = [h["traceparent"].split("-")[2] for _, h, _ in responses]
+        tracer = obs.get_tracer()
+        normal = {t[:8]: f"T{i}" for i, t in enumerate(self.TRACES)}
+
+        # Chrome trace: named rows, one X event per span, one s/f per link.
+        events = obs.chrome_trace()["traceEvents"]
+        rows = {
+            e["tid"]: e["args"]["name"] for e in events if e.get("name") == "thread_name"
+        }
+        rows = {
+            tid: (f"request {normal[n[8:]]}" if n.startswith("request ") else n)
+            for tid, n in rows.items()
+        }
+        slices = [e for e in events if e.get("ph") == "X"]
+        by_row = {name: Counter() for name in rows.values()}
+        for e in slices:
+            by_row[rows[e["tid"]]][e["name"]] += 1
+        assert {row: dict(c) for row, c in by_row.items()} == GOLDEN_ROWS
+        forest = sum(1 for _ in tracer.iter_spans())
+        assert len(slices) == forest + 2 * 5  # + the after-the-fact spans
+        flows = sorted(
+            (e["ph"], rows[e["tid"]], e["id"]) for e in events if e.get("cat") == "link"
+        )
+        ids = sorted(e["id"] for e in events if e.get("ph") == "s")
+        assert [(ph, row) for ph, row, _ in flows] == [
+            ("f", "repro-serve_0"), ("f", "repro-serve_0"),
+            ("s", "request T0"), ("s", "request T1"),
+        ]
+        assert sorted(i for ph, _, i in flows if ph == "f") == ids
+        (batch_slice,) = [e for e in slices if e["name"] == "serve.batch"]
+        assert {e["ts"] for e in events if e.get("ph") == "f"} == {batch_slice["ts"]}
+
+        # Request trees: serve.request -> the scheduler's lifecycle spans,
+        # both batched by one batch whose span sits inside ``batched``.
+        (bspan,) = [r for r in tracer.roots if r.name == "serve.batch"]
+        for trace_id, server_span in zip(self.TRACES, server_spans, strict=True):
+            (root,) = telemetry.tree(trace_id)
+            assert (root["name"], root["span_id"]) == ("serve.request", server_span)
+            assert [c["name"] for c in root["children"]] == [
+                "serve.admitted", "serve.queued", "serve.batched", "serve.respond",
+            ]
+            batched = root["children"][2]
+            assert batched["attrs"]["batch_id"] == bspan.attrs["batch_id"]
+            end_s = batched["start_s"] + batched["duration_ms"] / 1e3
+            assert batched["start_s"] <= bspan.start_s <= bspan.end_s <= end_s
+            assert (trace_id, server_span) in bspan.links
+
+        # The batch trace holds the whole forward: conv2d, segment and the
+        # stage spans, every one parented inside the batch trace.
+        batch_spans = tracer.spans_of(bspan.trace_id)
+        assert batch_spans[0] is bspan
+        names = {s.name for s in batch_spans}
+        assert {"serve.model", "conv2d", "segment", *STAGES} <= names
+        ids_in_trace = {s.span_id for s in batch_spans}
+        assert all(s.parent_id in ids_in_trace for s in batch_spans[1:])
+        assert len(batch_spans) == forest
 
 
 class TestMetricsEndpoint:
