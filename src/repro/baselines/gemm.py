@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import rowblocks
 from ..nhwc.tensor import conv_output_size, im2col_nhwc
 
 __all__ = ["conv2d_gemm"]
@@ -38,8 +39,10 @@ def conv2d_gemm(
 
     ``accumulation`` selects the reduction order over ``GK``:
 
-    * ``"blas"`` — one library matmul; BLAS blocks the sum, so rounding error
-      is better than a strict sequential chain.
+    * ``"blas"`` — one library matmul per row block
+      (:mod:`repro.core.rowblocks`, ``OH*OW`` rows per image, so no row's
+      bits depend on the batch); BLAS blocks the sum, so rounding error is
+      better than a strict sequential chain.
     * ``"sequential"`` — accumulate GK in order, ``seq_chunk`` columns at a
       time, rounding to the output dtype after every partial.  With the
       default ``seq_chunk=1`` this is exactly the single-thread FP32 FMA
@@ -66,7 +69,7 @@ def conv2d_gemm(
     cols = im2col_nhwc(x, fh, fw, ph, pw, stride)  # (GM, GK) blocks (fh, fw, ic)
     a = np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))  # (GK, GN)
     if accumulation == "blas":
-        y = cols @ a
+        y = rowblocks.matmul(cols, a, oh * ow)
     else:
         if seq_chunk < 1:
             raise ValueError(f"seq_chunk must be >= 1, got {seq_chunk}")

@@ -366,9 +366,9 @@ def _wallclock_metrics(
     compile-once-execute-many regime the plan cache exists for), the
     ``speedup`` ratio, and a ``bit_identical`` flag comparing the runtime
     output against the legacy path.  Both sides run at their defaults,
-    which share the same channel blocking (``DEFAULT_BLOCK_IC``) and hence
-    the same accumulation order: the flag asserts exact bit equality of
-    what callers actually get.
+    which share the same channel blocking (``DEFAULT_BLOCK_IC``, full depth)
+    and row blocks, hence the same accumulation order: the flag asserts
+    exact bit equality of what callers actually get.
     """
     import statistics
 
@@ -427,7 +427,9 @@ def _serve_metrics() -> dict[str, float]:
     ``max_batch_size=1`` — the serving twin of the wallclock suite's
     fused-vs-legacy comparison.  ``batch_speedup`` is the throughput ratio
     and ``bit_identical`` asserts every batched response equals its serial
-    counterpart exactly (the ``MIN_EXECUTE_ROWS`` padding contract).
+    counterpart exactly.  Serial dispatch runs 1-row forwards unpadded, so
+    the flag rests on the row-block contract of :mod:`repro.core.rowblocks`:
+    no row's bits depend on the batch it shares.
     """
     import asyncio
 

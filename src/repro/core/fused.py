@@ -20,9 +20,12 @@ Stage 2 (Winograd)
         acc[k] = sum_{fh, ic} (G w[oc, fh, :, ic])[k] * (D^T x_tile[fh, ic])[k]
         y[tile] = A^T acc
 
-    The channel loop is blocked by ``BK`` columns (the cache-blocking of
-    §5.1); on the GPU the block size is 8 — here it is a tunable that bounds
-    the gathered-tile buffer exactly like SMEM bounds the CUDA version.
+    On the GPU the channel loop is blocked by ``BK = 8`` columns (the
+    cache-blocking of §5.1) so the tiles fit SMEM.  Here the default
+    accumulates the whole ``(fh, ic)`` depth in one GEMM per ``alpha``
+    state; an explicit ``block_ic`` replays a BK-style blocked loop.  Every
+    GEMM runs in the signature-fixed row blocks of
+    :mod:`repro.core.rowblocks`, the host analogue of the kernels' BM tiles.
 
 Boundary columns are handled by the §5.5 segmentation: the planner splits OW
 into kernel-owned segments plus a GEMM tail, and this module runs each
@@ -39,16 +42,18 @@ import numpy as np
 from ..nhwc.tensor import conv_output_size, im2col_nhwc
 from ..nhwc.tiles import extract_width_tiles
 from ..obs import counter_add, span
+from . import rowblocks
 from .boundary import Segment, plan_width_segments
 from .kernels import KernelId, default_alpha_for_width, get_kernel
 from .transforms import TransformMatrices, winograd_matrices
 
 __all__ = ["conv2d_im2col_winograd", "winograd_segment", "gemm_segment", "gemm_input_strip"]
 
-#: Channel-block depth mirroring the kernels' BK-blocked IC loop.  On the GPU
-#: BK=8 bounds SMEM; here a larger block amortises Python overhead while still
-#: bounding the gathered-tile buffer.
-DEFAULT_BLOCK_IC = 64
+#: Channel-block depth of the accumulation.  ``None`` accumulates the full
+#: ``(fh, ic)`` depth in one GEMM per ``alpha`` state (the paper's single
+#: transform-domain accumulator per tile); an integer replays the GPU
+#: kernels' BK-blocked IC loop, one GEMM per ``(fh, block)``.
+DEFAULT_BLOCK_IC: int | None = None
 
 
 def conv2d_im2col_winograd(
@@ -60,7 +65,7 @@ def conv2d_im2col_winograd(
     alpha: int | None = None,
     variant: str = "base",
     dtype: np.dtype | type = np.float32,
-    block_ic: int = DEFAULT_BLOCK_IC,
+    block_ic: int | None = DEFAULT_BLOCK_IC,
     legacy: bool = False,
 ) -> np.ndarray:
     """Unit-stride 2D convolution via fused Im2col-Winograd.
@@ -88,15 +93,16 @@ def conv2d_im2col_winograd(
     block_ic:
         Channel block depth of the accumulation loop, honoured bit-for-bit
         on both paths (the compiled runtime replays the same blocked gemm
-        sequence).  ``block_ic >= IC`` fuses the full channel depth into
-        one contraction — the fastest runtime setting.
+        sequence).  ``None`` (the default) or ``block_ic >= IC`` folds the
+        full ``(fh, ic)`` depth into one GEMM per ``alpha`` state — the
+        fastest setting.
     legacy:
         ``False`` (default) resolves the call through the compiled-plan
         runtime (:mod:`repro.runtime`): cached boundary plan, transform
         matrices, filter transforms and einsum paths, with the Winograd
         stage gathered and input-transformed once per segment.  ``True``
-        forces the original interpreted path (re-planned per call, explicit
-        per-``(fh, block_ic)`` accumulation loop) — the reference the
+        forces the original interpreted path (re-planned per call, per-``fh``
+        gather and input transform) — the reference the
         runtime is tested bit-identical against.  Both paths produce the
         same bits at the same ``block_ic``.
 
@@ -192,15 +198,17 @@ def winograd_segment(
     ph: int,
     pw: int,
     oh: int,
-    block_ic: int = DEFAULT_BLOCK_IC,
+    block_ic: int | None = DEFAULT_BLOCK_IC,
     mats: TransformMatrices | None = None,
 ) -> np.ndarray:
     """Compute one Winograd-owned output segment.
 
-    Implements the accumulator workflow of Algorithms 1/2: per filter row and
-    channel block, gather + input-transform the tiles, filter-transform the
-    weights, fuse the elementwise products into the ``alpha``-state
-    accumulator; output-transform once at the end.
+    Implements the accumulator workflow of Algorithms 1/2: per filter row,
+    gather + input-transform the tiles; filter-transform the weights; fuse
+    the elementwise products into the ``alpha``-state accumulator (one GEMM
+    over the full ``(fh, ic)`` depth, or one per ``(fh, block_ic)`` channel
+    block); output-transform once at the end.  Each GEMM runs in the row
+    blocks of :mod:`repro.core.rowblocks`, as the compiled runtime does.
 
     Returns the segment's ofms slice ``(N, OH, seg.width, OC)``.
     """
@@ -230,15 +238,17 @@ def winograd_segment(
         kernel=kernel.name,
     )
 
-    # Filter transform: U[fh, k, icb, oc] = sum_p G[k, p] * w[oc, fh, p, ic].
+    # Filter transform: U[k, fh, ic, oc] = sum_p G[k, p] * w[oc, fh, p, ic].
     # Computed once for the whole segment (the kernels re-derive it per
     # iteration from SMEM; the arithmetic is identical).
     with span("transform.filter", kernel=kernel.name):
-        u_all = np.einsum("kp,ofpi->fkio", mats.G, w, optimize=True)
-        u_all = np.ascontiguousarray(u_all)  # (FH, alpha, IC, OC)
+        u = np.ascontiguousarray(np.einsum("kp,ofpi->kfio", mats.G, w, optimize=True))
 
-    # Accumulator: alpha states per (batch*oh*tile, oc) — the register file.
-    m = np.zeros((alpha, batch * oh * num_tiles, oc), dtype=x.dtype)
+    # The row-blocked contraction operand V[k, (n, h, t), (f, c)]: each
+    # filter row's input transform fills its (f, c) column band.
+    rows_per_image = oh * num_tiles
+    m_rows = batch * rows_per_image
+    v = rowblocks.blocked_operand((alpha,), batch, fh * ic, rows_per_image, x.dtype)
     for f in range(fh):
         with span("gather", fh_offset=f):
             tiles = extract_width_tiles(
@@ -252,18 +262,33 @@ def winograd_segment(
                 pw=pw,
                 oh=oh,
             )  # (N, OH, T, alpha, IC) view
-        for c0 in range(0, ic, block_ic):
-            c1 = min(c0 + block_ic, ic)
-            with span("transform.input", fh_offset=f, ic0=c0, ic1=c1):
-                blk = np.ascontiguousarray(tiles[..., c0:c1])  # (N, OH, T, alpha, Cb)
-                # Input transform: V[k, ...] = sum_a DT[k, a] * blk[..., a, :].
-                v = np.einsum("ka,nhtac->knhtc", mats.DT, blk, optimize=True)
-                v = v.reshape(alpha, batch * oh * num_tiles, c1 - c0)
-            # Elementwise product in the transform domain, summed over the
-            # channel block: batched (per-state) GEMM, i.e. the 8x(8x8)
-            # outer-product stage.
-            with span("accumulate", fh_offset=f, ic0=c0, ic1=c1):
-                m += v @ u_all[f, :, c0:c1, :]
+        with span("transform.input", fh_offset=f):
+            blk = np.ascontiguousarray(tiles)  # (N, OH, T, alpha, IC)
+            # Input transform: V[k, ...] = sum_a DT[k, a] * blk[..., a, :].
+            vf = np.einsum("ka,nhtac->knhtc", mats.DT, blk, optimize=True)
+            vf = vf.reshape(alpha, m_rows, ic)
+            for b, i0, i1 in rowblocks.blocks(batch, rows_per_image):
+                v[:, b, : (i1 - i0) * rows_per_image, f * ic : (f + 1) * ic] = vf[
+                    :, i0 * rows_per_image : i1 * rows_per_image
+                ]
+    # Elementwise products in the transform domain summed into the alpha
+    # running states: batched (per-state) GEMMs, the 8x(8x8) outer-product
+    # stage.
+    block = ic if block_ic is None else min(block_ic, ic)
+    with span("accumulate", kernel=kernel.name, block_ic=block):
+        if block >= ic:
+            # One GEMM per alpha state over every (fh, ic) product.
+            m = rowblocks.blocked_matmul(v, u.reshape(alpha, fh * ic, oc), rows_per_image)
+            m = m[:, :m_rows]
+        else:
+            # The BK-blocked loop: one GEMM per (fh, channel block).
+            m = np.zeros((alpha, m_rows, oc), dtype=x.dtype)
+            for f in range(fh):
+                for c0 in range(0, ic, block):
+                    c1 = min(c0 + block, ic)
+                    m += rowblocks.blocked_matmul(
+                        v[..., f * ic + c0 : f * ic + c1], u[:, f, c0:c1], rows_per_image
+                    )[:, :m_rows]
     # Output transform, once: y[j] = sum_k AT[j, k] m[k].
     with span("transform.output", kernel=kernel.name):
         y = np.einsum("jk,kmo->mjo", mats.AT, m, optimize=True)
@@ -311,5 +336,5 @@ def gemm_segment(
     strip = gemm_input_strip(x, seg.start, seg.width, pw=pw, fw=fw)
     cols = im2col_nhwc(strip, fh, fw, ph, 0)  # width already materialised
     a = np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))
-    y = cols @ a
+    y = rowblocks.matmul(cols, a, oh * seg.width)
     return y.reshape(batch, oh, seg.width, oc)

@@ -74,7 +74,7 @@ class PlannedConv2D:
         alpha: int | None = None,
         variant: str = "base",
         dtype: np.dtype | type = np.float32,
-        block_ic: int = DEFAULT_BLOCK_IC,
+        block_ic: int | None = DEFAULT_BLOCK_IC,
     ) -> None:
         from ..runtime.executable import build_filter_bundle  # lazy: import cycle
 

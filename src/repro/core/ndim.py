@@ -72,7 +72,7 @@ def conv3d_im2col_winograd(
     pw: int | None = None,
     alpha: int | None = None,
     dtype: np.dtype | type = np.float32,
-    block_ic: int = DEFAULT_BLOCK_IC,
+    block_ic: int | None = DEFAULT_BLOCK_IC,
 ) -> np.ndarray:
     """Unit-stride 3D convolution, channels-last, fused Im2col-Winograd.
 
@@ -86,6 +86,9 @@ def conv3d_im2col_winograd(
         Zero padding per spatial axis (defaults ``f // 2``).
     alpha:
         Winograd state count for the width axis.
+    block_ic:
+        Channel block depth of the accumulation loop; ``None`` is one block
+        of the full ``IC``.
 
     Returns
     -------
@@ -129,7 +132,8 @@ def conv3d_im2col_winograd(
             )
         else:
             y[..., seg.start : seg.start + seg.width, :] = _winograd_segment_3d(
-                xp, w, seg.kernel, seg.start, seg.width, od, oh, block_ic
+                xp, w, seg.kernel, seg.start, seg.width, od, oh,
+                ic if block_ic is None else block_ic,
             )
     return y
 

@@ -2,7 +2,7 @@
 
 The convolution layer is the experiment: ``engine="winograd"`` routes
 unit-stride convolutions through the compiled-plan runtime
-(:func:`repro.runtime.convolve` — cached executables + fh-fused
+(:func:`repro.runtime.convolve` — cached executables + full-depth
 contractions, bit-identical to :func:`repro.core.fused.conv2d_im2col_winograd`)
 forward, and the backward deconvolution of :mod:`repro.core.gradients`
 (data grad), exactly as Dragon-Alpha dispatches (§5.7); ``engine="gemm"``
@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..baselines.gemm import conv2d_gemm
+from ..core import rowblocks
 from ..core.gradients import conv2d_filter_grad, conv2d_input_grad
 from ..obs import span
 from ..runtime import ConvSignature, FilterBundle, get_executable
@@ -312,7 +313,9 @@ class Linear(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         xd, wd, bd = x.data, self.weight.data, self.bias.data
-        y = xd @ wd + bd
+        # One row per sample, contracted in fixed row blocks so a sample's
+        # bits do not depend on the batch it shares.
+        y = rowblocks.matmul(xd, wd, 1) + bd
 
         def backward_fn(g):
             return g @ wd.T, xd.T @ g, g.sum(axis=0)

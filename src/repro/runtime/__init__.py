@@ -8,8 +8,8 @@ every call.  This package compiles a conv *signature* — geometry, padding,
 descriptor-keyed heuristic/plan cache), and executes the Winograd stage
 with one gather + input transform per segment, accumulating at the
 caller's ``block_ic`` channel blocking — bit-identical to the interpreted
-path at the same ``block_ic``, with ``block_ic=None`` fusing the full
-depth into a single fh-fused contraction.
+path at the same ``block_ic``, with the default ``None`` running one GEMM
+per ``alpha`` state over the full ``(fh, ic)`` depth.
 
 Entry points
 ------------

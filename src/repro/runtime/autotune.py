@@ -9,20 +9,23 @@ top-K by the machine-calibrated ``predicted_ns`` prior
 (:mod:`repro.gpusim.calibrate`), then **measures** the survivors with
 ``perf_counter_ns`` min-of-reps on real tensors and keeps the fastest.
 
-Candidate space (α × variant × ``block_ic`` × dispatch mode):
+Candidate space (α × variant × dispatch mode):
 
 * every registered ``Gamma_alpha^{variant}`` whose filter width matches;
-* channel blocking ``block_ic`` ∈ {``DEFAULT_BLOCK_IC``, ``None``, ``IC``}
-  (deduplicated by effective depth — at IC ≤ 64 they are all one path);
 * dispatch mode ∈ :data:`DISPATCH_MODES`: serial, pooled over
   (segment, batch-chunk) tasks, or small-workspace chunking.
+
+Channel blocking stays at ``DEFAULT_BLOCK_IC`` (full depth): any smaller
+``block_ic`` changes the accumulation order, so it could never pass the
+bit-identity rule below, and every ``block_ic >= IC`` is the default path.
+``TunedChoice.block_ic`` keeps recording it for the file format.
 
 Eligibility is **bit-identity**: a candidate must reproduce the default
 path's output exactly (``np.array_equal``) before its time counts — a
 kernel override must do so on *two* independent operand draws, since a
 different Winograd scheme agreeing on one random tensor could be
-coincidence, while dispatch/chunking/full-depth-blocking changes are
-arithmetic-neutral by construction.  The default dispatch is always
+coincidence, while dispatch/chunking changes are arithmetic-neutral by
+construction.  The default dispatch is always
 measured alongside the survivors and wins ties *and near-ties*
 (:data:`WIN_MARGIN` hysteresis — noise must not displace the safe steady
 state), so a persisted
@@ -176,19 +179,6 @@ def default_candidate(sig: ConvSignature) -> Candidate:
     return Candidate(sig.alpha, sig.variant, DEFAULT_BLOCK_IC, "serial")
 
 
-def _block_choices(sig: ConvSignature) -> list[int | None]:
-    """``block_ic`` ∈ {default, None, IC} deduplicated by effective depth."""
-    choices: list[int | None] = []
-    seen: set[int] = set()
-    for block in (DEFAULT_BLOCK_IC, None, sig.ic):
-        effective = sig.ic if block is None else min(block, sig.ic)
-        if effective in seen:
-            continue
-        seen.add(effective)
-        choices.append(block)
-    return choices
-
-
 def _kernel_choices(sig: ConvSignature) -> list[tuple[int, str]]:
     """Admissible ``(alpha, variant)`` pairs, the signature's own first."""
     pairs: list[tuple[int, str]] = [(sig.alpha, sig.variant)]
@@ -217,11 +207,10 @@ def enumerate_candidates(sig: ConvSignature) -> list[Candidate]:
     """The full candidate space for ``sig``, default candidate first."""
     out: list[Candidate] = [default_candidate(sig)]
     for alpha, variant in _kernel_choices(sig):
-        for block in _block_choices(sig):
-            for mode in admissible_dispatch_modes():
-                cand = Candidate(alpha, variant, block, mode)
-                if cand != out[0]:
-                    out.append(cand)
+        for mode in admissible_dispatch_modes():
+            cand = Candidate(alpha, variant, DEFAULT_BLOCK_IC, mode)
+            if cand != out[0]:
+                out.append(cand)
     return out
 
 

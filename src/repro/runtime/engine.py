@@ -207,10 +207,10 @@ def convolve(
     Drop-in equivalent of
     :func:`repro.core.fused.conv2d_im2col_winograd` (bit-identical outputs
     at the same ``block_ic``, identical validation errors).  ``block_ic``
-    is honoured exactly as in the interpreted path — the default matches
-    the legacy default, so unmodified callers keep bit-identical results;
-    ``block_ic=None`` accumulates the full channel depth in one fh-fused
-    contraction (the fastest setting, identical to ``block_ic >= IC``).
+    is honoured exactly as in the interpreted path, whose default it
+    shares: ``None`` (identical to ``block_ic >= IC``) accumulates the full
+    ``(fh, ic)`` depth in one GEMM per ``alpha`` state, the fastest
+    setting; an integer replays the channel-blocked loop.
     ``version`` optionally names the weight version to key the
     filter-transform cache by instead of comparing the weights, and
     ``bundle`` supplies pre-resolved filter operands (frozen inference).
@@ -224,11 +224,10 @@ def convolve(
         from ..core.fused import conv2d_im2col_winograd  # lazy: import cycle
 
         counter_add("runtime.degraded.calls")
-        resolved_block = block_ic if block_ic is not None else int(w.shape[3])
         with span("degraded", path="legacy") as degraded_span:
             y = conv2d_im2col_winograd(
                 x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-                block_ic=resolved_block, legacy=True,
+                block_ic=block_ic, legacy=True,
             )
         # Degraded calls are ledgered too (path="legacy"), timed by the span
         # around the legacy conv: the drift monitor is most interesting

@@ -16,29 +16,34 @@ re-derives on each call:
   buffer,
 * memoized einsum contraction paths,
 * a small LRU of the §6.1.2 filter transforms ``U = G w`` (layout
-  ``(alpha, FH, IC, OC)``, ready for the fh-fused batched matmul) and of
+  ``(alpha, FH, IC, OC)``, which reshapes to the ``(alpha, FH*IC, OC)``
+  contraction operand without a copy) and of
   the folded GEMM-tail operand, matched by caller-named weight version or
   else by an exact bit compare against a private copy of the source
   weights.  Frozen callers skip the cache and pass their own
   :class:`FilterBundle`.
 
-Execution gathers all ``FH`` filter rows as one strided view and runs the
-input transform as one tensordot per segment.  The transform-domain
+Execution gathers all ``FH`` filter rows as one strided view, runs the
+input transform as one tensordot per segment and writes ``V`` once, in the
+``(alpha, M, FH*IC)`` layout of the contraction, straight into a row-block
+padded buffer (:mod:`repro.core.rowblocks`).  The transform-domain
 accumulation honours the caller's channel blocking ``block_ic`` (default
-:data:`~repro.core.fused.DEFAULT_BLOCK_IC`, exactly the interpreted path's
-default): with ``block_ic >= IC`` (or ``None``) the products land in the
-``alpha``-state accumulator through one ``(alpha·FH)``-batched matmul
-followed by an in-order reduction over ``fh``; with smaller blocks the
-legacy loop's (``fh``-major, block-minor) gemm sequence is replayed with
-identical operand shapes.  Either way the accumulation order — and hence
-every output bit — matches the legacy path at the same ``block_ic``
-(asserted across the registry in ``tests/test_runtime.py``), with none of
-its per-block ``ascontiguousarray`` copies or per-call planning overhead.
+:data:`~repro.core.fused.DEFAULT_BLOCK_IC`, ``None``): at ``None`` (or any
+``block_ic >= IC``) each ``alpha`` state runs one GEMM over the full
+``(fh, ic)`` depth against ``U`` reshaped to ``(alpha, FH*IC, OC)`` — the
+paper's transform-domain accumulation of every ``(fh, ic)`` product before
+one output transform; with smaller blocks the legacy loop's (``fh``-major,
+block-minor) gemm sequence is replayed.  Every contraction, including the
+§5.5 GEMM tail, runs in row blocks whose shape is fixed by the signature,
+exactly as the legacy path does, so the two produce the same bits at the
+same ``block_ic`` (asserted across the registry in
+``tests/test_runtime.py``) and no row's bits depend on the batch it shares.
 
 Large batches are processed in bounded workspace chunks; an opt-in thread
 pool (see :class:`~repro.runtime.engine.ExecutionConfig`) dispatches chunks
-concurrently for the training path.  Chunk boundaries never change the
-arithmetic, so threaded results stay bit-identical to serial ones.
+concurrently for the training path.  Chunks are cut on whole row blocks,
+so chunk boundaries never change the arithmetic and threaded results stay
+bit-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 
 import numpy as np
 
+from ..core import rowblocks
 from ..core.boundary import Segment, plan_width_segments
 from ..core.fused import DEFAULT_BLOCK_IC, gemm_input_strip
 from ..core.kernels import get_kernel
@@ -84,8 +90,9 @@ class FilterBundle:
     """Pre-transformed filter operands for one weight version.
 
     ``u`` maps each Winograd scheme ``(n, r)`` in the plan to the transform
-    ``U[k, f, ic, oc] = sum_p G[k, p] w[oc, f, p, ic]`` (C-contiguous, the
-    batch layout of the fh-fused matmul); ``gemm_operand`` is the folded
+    ``U[k, f, ic, oc] = sum_p G[k, p] w[oc, f, p, ic]`` (C-contiguous, so
+    ``U.reshape(alpha, FH*IC, OC)`` is the full-depth contraction operand
+    as a view); ``gemm_operand`` is the folded
     ``(FH*FW*IC, OC)`` matrix of the §5.5 GEMM tail.
     """
 
@@ -119,7 +126,7 @@ def build_filter_bundle(
         mats = winograd_matrices(n, r, dtype=dtype.name)
         # Same contraction as the legacy "kp,ofpi->fkio" (a dot over p per
         # element, hence bit-identical values), laid out (k, f, ic, oc) so
-        # slices feed np.matmul's batch dims directly.
+        # each alpha state's (f, ic) rows are one contiguous GEMM operand.
         u[key] = np.ascontiguousarray(np.einsum("kp,ofpi->kfio", mats.G, w, optimize=True))
     operand = np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))
     return FilterBundle(u=u, gemm_operand=operand)
@@ -386,8 +393,9 @@ class ConvExecutable:
         Either ``w`` (filters, resolved through the filter-transform cache)
         or a pre-resolved ``bundle`` must be provided.  ``block_ic`` is the
         channel block depth of the transform-domain accumulation, honoured
-        bit-for-bit as in the interpreted path (``None`` accumulates the
-        full depth in one fh-fused contraction, the fastest setting).
+        bit-for-bit as in the interpreted path (the default ``None``
+        accumulates the full ``(fh, ic)`` depth in one GEMM per ``alpha``
+        state, the fastest setting).
         """
         from .engine import default_config
 
@@ -491,45 +499,44 @@ class ConvExecutable:
         serving batcher's workspace-budget flush trigger — can reason about
         how many coalesced rows one dispatch of this executable costs.
         """
-        itemsize = self.dtype.itemsize
-        peak = 0
-        for st in self._states:
-            if isinstance(st, _GemmSegment):
-                per_row = itemsize * (
-                    self.sig.ih * st.need * self.sig.ic
-                    + self.oh * st.seg.width
-                    * (self.sig.fh * self.sig.fw * self.sig.ic + self.sig.oc)
-                )
-            else:
-                per_row = itemsize * (
-                    st.nrows * st.ncols * self.sig.ic
-                    + st.alpha * self.sig.fh * self.oh * st.num_tiles
-                    * (self.sig.ic + self.sig.oc)
-                    + 2 * st.alpha * self.oh * st.num_tiles * self.sig.oc
-                )
-            peak = max(peak, per_row)
-        return peak
+        return max(self._row_bytes(st) for st in self._states)
+
+    def _row_bytes(self, st: _WinogradSegment | _GemmSegment) -> int:
+        """Per-batch-row intermediate bytes of one segment.
+
+        Winograd: gathered region + V + P (+ m, y slice); GEMM tail:
+        input strip + im2col rows + output.
+        """
+        sig = self.sig
+        if isinstance(st, _GemmSegment):
+            return self.dtype.itemsize * (
+                sig.ih * st.need * sig.ic
+                + self.oh * st.seg.width * (sig.fh * sig.fw * sig.ic + sig.oc)
+            )
+        return self.dtype.itemsize * (
+            st.nrows * st.ncols * sig.ic
+            + st.alpha * sig.fh * self.oh * st.num_tiles * (sig.ic + sig.oc)
+            + 2 * st.alpha * self.oh * st.num_tiles * sig.oc
+        )
 
     def _tasks(self, batch: int, cfg: "ExecutionConfig") -> list[_Task]:
-        """Split each segment into bounded-workspace batch chunks."""
+        """Split each segment into bounded-workspace batch chunks.
+
+        Chunks hold whole row blocks (a multiple of the segment's
+        :func:`~repro.core.rowblocks.block_images`), so every chunk runs
+        exactly the blocks the unchunked call would and its bits match.
+        """
         tasks: list[_Task] = []
-        itemsize = self.dtype.itemsize
         for st in self._states:
             if isinstance(st, _GemmSegment):
                 tasks.append(_Task(st, 0, batch, True))
                 continue
-            # Peak per batch row: gathered region + V + P (+ m, y slice).
-            per_row = itemsize * (
-                st.nrows * st.ncols * self.sig.ic
-                + st.alpha * self.sig.fh * self.oh * st.num_tiles
-                * (self.sig.ic + self.sig.oc)
-                + 2 * st.alpha * self.oh * st.num_tiles * self.sig.oc
-            )
-            rows = max(1, cfg.workspace_bytes // max(per_row, 1))
+            rows = max(1, cfg.workspace_bytes // max(self._row_bytes(st), 1))
             if cfg.threads > 1:
                 # Enough chunks to feed the pool, still workspace-bounded.
                 rows = min(rows, max(1, -(-batch // (2 * cfg.threads))))
-            rows = min(rows, batch)
+            per_block = rowblocks.block_images(self.oh * st.num_tiles)
+            rows = min(max(1, rows // per_block) * per_block, batch)
             for i, n0 in enumerate(range(0, batch, rows)):
                 tasks.append(_Task(st, n0, min(n0 + rows, batch), i == 0))
         return tasks
@@ -622,46 +629,52 @@ class ConvExecutable:
                         * ic
                         * self.dtype.itemsize,
                     )
+            rows_per_image = self.oh * num_tiles
+            m_rows = nc * rows_per_image
             with span("transform.input", kernel=st.kernel_name):
                 # VR[k, n, row, t, c] = sum_a DT[k, a] row_tiles[n, row, t, a, c]
                 # — a dot over ``a`` per element, bit-identical to the
                 # per-fh legacy einsum, computed once per input row.
                 vr = np.tensordot(mats.DT, row_tiles, axes=([1], [3]))
                 sk, svn, svh, svt, svc = vr.strides
-                # Per-offset view: V[k, f, n, h, t, c] = VR[k, n, h + f, t, c],
-                # materialised contiguous so the batched matmul below sees
-                # the exact (M, IC) operand shape of the legacy path (BLAS
-                # bit-reproducibility holds per gemm shape, so the operand
-                # geometry is part of the bit-exactness contract).
-                v = np.lib.stride_tricks.as_strided(
+                # V[k, (n, h, t), (f, c)] = VR[k, n, h + f, t, c], written
+                # once, block by block, into the row-blocked contraction
+                # operand (alpha, blocks, Mb, FH*IC).
+                images = np.lib.stride_tricks.as_strided(
                     vr,
-                    shape=(alpha, fh, nc, self.oh, num_tiles, ic),
-                    strides=(sk, svh, svn, svh, svt, svc),
+                    shape=(alpha, nc, self.oh, num_tiles, fh, ic),
+                    strides=(sk, svn, svh, svt, svh, svc),
                     writeable=False,
                 )
-                m_rows = nc * self.oh * num_tiles
-                v = np.ascontiguousarray(v).reshape(alpha, fh, m_rows, ic)
+                v = rowblocks.blocked_operand(
+                    (alpha,), nc, fh * ic, rows_per_image, self.dtype
+                )
+                for b, i0, i1 in rowblocks.blocks(nc, rows_per_image):
+                    dst = v[:, b, : (i1 - i0) * rows_per_image]
+                    dst.reshape(alpha, i1 - i0, self.oh, num_tiles, fh, ic)[...] = (
+                        images[:, i0:i1]
+                    )
             block = ic if block_ic is None else min(block_ic, ic)
             with span("accumulate", kernel=st.kernel_name, block_ic=block):
-                m = np.zeros((alpha, m_rows, oc), dtype=self.dtype)
                 if block >= ic:
-                    # The fh-fused (alpha*FH)-batched matmul, then an
-                    # in-order reduction over fh into the alpha-state
-                    # accumulator — exactly the legacy loop's accumulation
-                    # order at block_ic >= IC.
-                    p = np.matmul(v, u)  # (alpha, FH, M, OC)
-                    for f in range(fh):
-                        m += p[:, f]
+                    # One GEMM per alpha state over the full (fh, ic) depth.
+                    m = rowblocks.blocked_matmul(
+                        v, u.reshape(alpha, fh * ic, oc), rows_per_image
+                    )[:, :m_rows]
                 else:
                     # Channel-blocked accumulation replaying the legacy
                     # loop's (fh-major, block-minor) gemm sequence with
                     # identical per-gemm operand shapes, hence identical
                     # bits at the same block_ic.
+                    m = np.zeros((alpha, m_rows, oc), dtype=self.dtype)
                     for f in range(fh):
-                        vf, uf = v[:, f], u[:, f]
                         for c0 in range(0, ic, block):
                             c1 = min(c0 + block, ic)
-                            m += np.matmul(vf[:, :, c0:c1], uf[:, c0:c1, :])
+                            m += rowblocks.blocked_matmul(
+                                v[..., f * ic + c0 : f * ic + c1],
+                                u[:, f, c0:c1],
+                                rows_per_image,
+                            )[:, :m_rows]
             with span("transform.output", kernel=st.kernel_name):
                 out = self._einsum("jk,kmo->mjo", mats.AT, m)
             seg_span.set(tiles=self.oh * num_tiles * nc)
@@ -685,7 +698,7 @@ class ConvExecutable:
             operand = get_bundle().gemm_operand
             strip = gemm_input_strip(x, seg.start, seg.width, pw=sig.pw, fw=sig.fw)
             cols = im2col_nhwc(strip, sig.fh, sig.fw, sig.ph, 0)
-            out = cols @ operand
+            out = rowblocks.matmul(cols, operand, self.oh * seg.width)
             y[:, :, seg.start : seg.start + seg.width, :] = out.reshape(
                 x.shape[0], self.oh, seg.width, sig.oc
             )

@@ -64,7 +64,10 @@ __all__ = [
     "guard_stats",
 ]
 
-SCHEMA_VERSION = 1
+#: Version 2: the default ``block_ic`` became ``None`` (full depth), so the
+#: ``bit_identical``/``is_default`` verdicts of version-1 files, measured
+#: against the old 64-channel default, no longer hold.
+SCHEMA_VERSION = 2
 
 #: A tuned dispatch may run up to this factor over its recorded default
 #: time (scaled to the live batch) before a call counts as a strike.  Wide
@@ -101,8 +104,8 @@ class TunedChoice:
 
     ``alpha``/``variant`` name the Gamma kernel (usually the signature's
     own — a kernel override must survive the double bit-identity check);
-    ``block_ic`` is the channel blocking (``None`` = full-depth fh-fused
-    accumulation); ``dispatch`` names one of the autotuner's dispatch modes
+    ``block_ic`` is the channel blocking (``None`` = the full-depth
+    default); ``dispatch`` names one of the autotuner's dispatch modes
     (see :data:`repro.runtime.autotune.DISPATCH_MODES`).
     """
 

@@ -65,7 +65,7 @@ from .loadgen import (
     percentile,
     seeded_input_fn,
 )
-from .registry import MIN_EXECUTE_ROWS, MODEL_BUILDERS, ModelRegistry, RegisteredModel
+from .registry import MODEL_BUILDERS, ModelRegistry, RegisteredModel
 from .scheduler import Scheduler, SchedulerConfig, SchedulerStats
 from .service import InferenceService
 
@@ -79,7 +79,6 @@ __all__ = [
     "InferenceService",
     "JsonHttpServer",
     "LoadgenResult",
-    "MIN_EXECUTE_ROWS",
     "MODEL_BUILDERS",
     "ModelNotFound",
     "ModelRegistry",

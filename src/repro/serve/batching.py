@@ -76,11 +76,6 @@ class BatchPolicy:
     #: per-row bytes and the cost model; it then replaces the raw-bytes cap
     #: (which remains the fallback).
     max_workspace_byte_ns: float | None = None
-    #: Executed batches are padded up to a multiple of this row count (and
-    #: always to :data:`~repro.serve.registry.MIN_EXECUTE_ROWS`): the batch
-    #: quantum is the serving analogue of the tile size — underfilled
-    #: quanta are the tail slots coalescing exists to fill.
-    batch_quantum: int = 1
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -97,8 +92,6 @@ class BatchPolicy:
             raise ValueError(
                 f"max_workspace_byte_ns must be > 0, got {self.max_workspace_byte_ns}"
             )
-        if self.batch_quantum < 1:
-            raise ValueError(f"batch_quantum must be >= 1, got {self.batch_quantum}")
 
 
 @dataclass(eq=False)  # identity semantics: ndarray fields make field-eq ill-defined

@@ -21,17 +21,17 @@ request arrives:
   conv transforms the new weights exactly once (on the reload's warmup or
   the first request after it), then reuses them.
 
-Batch-row execution floor
--------------------------
-:data:`MIN_EXECUTE_ROWS` pins the smallest batch the registry will hand to
-BLAS.  A single-row matmul takes the gemv special-case, whose accumulation
-differs in the last bits from the gemm path every row of a larger batch
-takes — so a 1-row dispatch and the same row inside a coalesced batch
-could disagree.  Padding every execution to at least two rows keeps the
-whole serving surface on one BLAS path, making responses **bit-identical
-across any batch composition** (the serving analogue of the paper's tile
-quantization: the batch-1 dispatch provably wastes its tail slot, and
-coalescing is what fills it).
+Batch composition
+-----------------
+A forward runs exactly the rows it was given, with no whole-forward
+padding, and its responses are still **bit-identical across any batch
+composition**: every BLAS contraction on the served path (Winograd
+accumulate, §5.5 GEMM tail, GEMM convs, the ``Linear`` head) runs in the
+signature-fixed row blocks of :mod:`repro.core.rowblocks`, so no row's
+arithmetic depends on how many requests shared its batch.  That is the
+paper's BM-tile quantization applied per GEMM: the waste of a batch-1
+dispatch is the pad rows of each GEMM's last block, and coalescing is what
+fills them.
 """
 
 from __future__ import annotations
@@ -54,17 +54,11 @@ from .batching import BatchPolicy
 from .errors import BadRequest, ModelNotFound
 
 __all__ = [
-    "MIN_EXECUTE_ROWS",
     "MODEL_BUILDERS",
     "ModelRegistry",
     "RegisteredModel",
     "padded_rows",
 ]
-
-#: Smallest row count ever dispatched to the model (see module docstring):
-#: below this, BLAS routes matmuls to the gemv path whose accumulation
-#: differs bitwise from the gemm path batched rows take.
-MIN_EXECUTE_ROWS = 2
 
 #: Heuristic per-row workspace when warmup resolved no *new* executables
 #: (another model of the same geometry warmed the cache first): a deep CNN
@@ -82,17 +76,13 @@ MODEL_BUILDERS: dict[str, Callable[..., Module]] = {
 }
 
 
-def padded_rows(k: int, batch_quantum: int = 1) -> int:
-    """Rows actually executed for a ``k``-row batch under ``batch_quantum``.
+def padded_rows(k: int) -> int:
+    """Rows a ``k``-row dispatch executes: ``k``, since forwards are not padded.
 
-    The serving analogue of §4.1's tile/wave quantization: execution is
-    quantized to ``batch_quantum`` rows (and never below
-    :data:`MIN_EXECUTE_ROWS`), so ``padded_rows(k) - k`` is the pad-row
-    waste a dispatch pays — the number telemetry attributes per batch.
+    Kept for callers that report whole-forward padding (it is now zero;
+    the per-GEMM row-block padding is not counted here).
     """
-    if batch_quantum < 1:
-        raise ValueError(f"batch_quantum must be >= 1, got {batch_quantum}")
-    return max(MIN_EXECUTE_ROWS, -(-k // batch_quantum) * batch_quantum)
+    return k
 
 
 def _iter_modules(module: Module) -> Iterator[Module]:
@@ -127,7 +117,7 @@ class RegisteredModel:
     #: Tuned entries installed for this model by warmup tuning.
     tuned_convs: int = 0
     #: Affine predicted batch cost (conv portion, from the machine cost
-    #: model): one dispatch of ``k`` rows ≈ ``call + row * padded_rows(k)``.
+    #: model): one dispatch of ``k`` rows ≈ ``call + row * k``.
     predicted_row_ns: float = 0.0
     predicted_call_ns: float = 0.0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -159,45 +149,26 @@ class RegisteredModel:
 
     # -- execution ----------------------------------------------------------
 
-    def infer_rows(self, rows: np.ndarray, *, batch_quantum: int = 1) -> np.ndarray:
+    def infer_rows(self, rows: np.ndarray) -> np.ndarray:
         """Forward ``rows`` through the frozen model, batch-composition-stably.
 
-        The executed batch is zero-padded up to
-        ``max(MIN_EXECUTE_ROWS, ceil(rows / batch_quantum) * batch_quantum)``
-        and the padding sliced back off: every row's arithmetic is then
-        independent of how many real requests shared its batch, so any
-        dynamic batch composition returns the same bits as batch-1 serial
-        execution (asserted in the test suite).
+        Every row's arithmetic is independent of how many real requests
+        shared its batch (see the module docstring), so any dynamic batch
+        composition returns the same bits as batch-1 serial execution
+        (asserted in the test suite).
         """
-        k = rows.shape[0]
-        target = padded_rows(k, batch_quantum)
-        if target != k:
-            counter_add("serve.pad.rows", target - k, model=self.name)
-            padded = np.zeros((target,) + rows.shape[1:], dtype=rows.dtype)
-            padded[:k] = rows
-        else:
-            padded = rows
-        with span(
-            "serve.model",
-            model=self.name,
-            rows=k,
-            executed_rows=target,
-            pad_rows=target - k,
-        ), no_grad():
-            out = self.model(Tensor(padded)).data
-        return out[:k]
+        with span("serve.model", model=self.name, rows=rows.shape[0]), no_grad():
+            return self.model(Tensor(rows)).data
 
-    def predicted_batch_ns(self, rows: int, *, batch_quantum: int = 1) -> float:
+    def predicted_batch_ns(self, rows: int) -> float:
         """Predicted wallclock ns of dispatching ``rows`` as one batch.
 
         The calibrated (or hand-set) machine cost model summed over the
-        model's warmed conv executables, evaluated at the rows the dispatch
-        will actually execute (quantized + MIN_EXECUTE_ROWS padding).  The
-        scheduler's deadline-pressure flush and the predicted-vs-actual
-        batch cost stats both consume this.
+        model's warmed conv executables.  The scheduler's deadline-pressure
+        flush and the predicted-vs-actual batch cost stats both consume
+        this.
         """
-        executed = padded_rows(rows, batch_quantum)
-        return self.predicted_call_ns + self.predicted_row_ns * executed
+        return self.predicted_call_ns + self.predicted_row_ns * rows
 
     # -- introspection ------------------------------------------------------
 
@@ -315,7 +286,7 @@ class ModelRegistry:
         t0 = time.perf_counter()
         per_row_floor = 0
         for h, w, c in entry.input_shapes:
-            zeros = np.zeros((MIN_EXECUTE_ROWS, h, w, c), dtype=entry.dtype)
+            zeros = np.zeros((1, h, w, c), dtype=entry.dtype)
             entry.infer_rows(zeros)
             per_row_floor = max(per_row_floor, zeros[0].nbytes)
         entry.warmup_ms = (time.perf_counter() - t0) * 1e3
@@ -342,16 +313,15 @@ class ModelRegistry:
         else:
             # Warm cache: measure instead — two post-warmup forwards give
             # the same affine decomposition from wallclock.
-            k = MIN_EXECUTE_ROWS
             h, w, c = entry.input_shapes[0]
             t1 = time.perf_counter_ns()
-            entry.infer_rows(np.zeros((k, h, w, c), dtype=entry.dtype))
+            entry.infer_rows(np.zeros((1, h, w, c), dtype=entry.dtype))
             t2 = time.perf_counter_ns()
-            entry.infer_rows(np.zeros((2 * k, h, w, c), dtype=entry.dtype))
+            entry.infer_rows(np.zeros((2, h, w, c), dtype=entry.dtype))
             t3 = time.perf_counter_ns()
-            per_row = max(0.0, float((t3 - t2) - (t2 - t1)) / k)
+            per_row = max(0.0, float((t3 - t2) - (t2 - t1)))
             entry.predicted_row_ns = per_row
-            entry.predicted_call_ns = max(0.0, float(t2 - t1) - per_row * k)
+            entry.predicted_call_ns = max(0.0, float(t2 - t1) - per_row)
         counter_add("serve.warmup.executables", entry.executables_resolved)
 
     def _tune(
@@ -404,7 +374,7 @@ class ModelRegistry:
         counter_add("serve.weights.reloaded", model=name)
         if warmup:
             for h, w, c in entry.input_shapes:
-                entry.infer_rows(np.zeros((MIN_EXECUTE_ROWS, h, w, c), dtype=entry.dtype))
+                entry.infer_rows(np.zeros((1, h, w, c), dtype=entry.dtype))
         return entry
 
     # -- lookup -------------------------------------------------------------

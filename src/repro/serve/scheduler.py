@@ -52,7 +52,7 @@ from ..runtime import default_config, force_legacy
 from ..runtime.engine import ExecutionConfig
 from .batching import Batch, BatchPolicy, DynamicBatcher, PendingRequest
 from .errors import DeadlineExceeded, QueueFull, ServiceStopped
-from .registry import ModelRegistry, padded_rows
+from .registry import ModelRegistry
 
 __all__ = ["Scheduler", "SchedulerConfig", "SchedulerStats"]
 
@@ -169,9 +169,7 @@ class Scheduler:
         self._batcher = DynamicBatcher(
             self.config.policy,
             per_row_bytes=lambda model: registry.get(model).per_row_workspace_bytes,
-            predicted_batch_ns=lambda model, rows: registry.get(model).predicted_batch_ns(
-                rows, batch_quantum=self.config.policy.batch_quantum
-            ),
+            predicted_batch_ns=lambda model, rows: registry.get(model).predicted_batch_ns(rows),
         )
         self._stats = SchedulerStats()
         self._stats_lock = threading.Lock()
@@ -389,7 +387,6 @@ class Scheduler:
                 self._fail(req, exc)
             return
         done = time.monotonic()
-        pad = padded_rows(batch.rows, self.config.policy.batch_quantum) - batch.rows
         with self._stats_lock:
             self._stats.batches += 1
             self._stats.batch_sizes[batch.rows] = (
@@ -410,7 +407,7 @@ class Scheduler:
                     self._slo.record(latency_ms)
             observe("serve.latency_ms", latency_ms, model=req.model)
             observe_windowed("serve.latency.window_ms", latency_ms, model=req.model)
-            self._record_request_trace(req, dispatched, done, bid, pad)
+            self._record_request_trace(req, dispatched, done, bid)
             if not req.future.done():
                 req.future.set_result(part)
 
@@ -423,15 +420,12 @@ class Scheduler:
         # span; the runtime's transform/gemm/tail spans nest under this one
         # via the contextvar the ``activate`` scope sets in this thread.
         bctx = telemetry.start_trace() if enabled() else None
-        pad = padded_rows(batch.rows, self.config.policy.batch_quantum) - batch.rows
         predicted_ns = batch.predicted_ns
         if predicted_ns <= 0.0:
             # Drain-path batches (and schedulers built without a cost
             # callback) arrive uncosted; price them here so the ledgered
             # predicted-vs-actual summary covers every executed batch.
-            predicted_ns = entry.predicted_batch_ns(
-                batch.rows, batch_quantum=self.config.policy.batch_quantum
-            )
+            predicted_ns = entry.predicted_batch_ns(batch.rows)
         # Batch cost is clocked here, not by the span: it runs untraced too.
         t0 = time.perf_counter_ns()
         with telemetry.activate(bctx), span(
@@ -440,7 +434,6 @@ class Scheduler:
             model=batch.key[0],
             requests=len(batch.requests),
             rows=batch.rows,
-            pad_rows=pad,
         ) as bspan:
             for req in batch.requests:
                 if req.trace is not None:
@@ -454,9 +447,7 @@ class Scheduler:
                 ):
                     pass
             try:
-                out = entry.infer_rows(
-                    stacked, batch_quantum=self.config.policy.batch_quantum
-                )
+                out = entry.infer_rows(stacked)
             except Exception:
                 # Compiled-path failure: replay the whole batch on the
                 # interpreted reference path (shares none of the compiled
@@ -466,9 +457,7 @@ class Scheduler:
                 counter_add("serve.degraded", model=batch.key[0])
                 bspan.set(degraded=True)
                 with span("serve.batch.degraded", model=batch.key[0]), force_legacy():
-                    out = entry.infer_rows(
-                        stacked, batch_quantum=self.config.policy.batch_quantum
-                    )
+                    out = entry.infer_rows(stacked)
         self._record_batch_cost(
             batch, predicted_ns, float(time.perf_counter_ns() - t0)
         )
@@ -536,7 +525,7 @@ class Scheduler:
             req.future.set_exception(exc)
 
     def _record_request_trace(
-        self, req: PendingRequest, dispatched: float, done: float, bid: int, pad: int
+        self, req: PendingRequest, dispatched: float, done: float, bid: int
     ) -> None:
         """Reconstruct the request's span tree once its outcome is known.
 
@@ -562,7 +551,7 @@ class Scheduler:
         )
         telemetry.record_span(
             "serve.batched", ctx, dispatched, done,
-            model=req.model, batch_id=bid, pad_rows=pad,
+            model=req.model, batch_id=bid,
         )
         telemetry.record_span("serve.respond", ctx, done, done, model=req.model)
 

@@ -42,7 +42,7 @@ def _fresh_runtime():
 
 
 def legacy_exact(x: np.ndarray, w: np.ndarray, **kw) -> np.ndarray:
-    """The legacy path at full channel depth (== default for IC <= 64)."""
+    """The legacy path at full channel depth (== the default)."""
     return conv2d_im2col_winograd(x, w, legacy=True, block_ic=w.shape[3], **kw)
 
 
@@ -106,17 +106,17 @@ class TestBitIdenticalEquivalence:
         np.testing.assert_array_equal(got, legacy_exact(x, w))
 
     def test_default_block_ic_matches_legacy_default_for_deep_channels(self, rng):
-        """IC > DEFAULT_BLOCK_IC: the default path replays the legacy 64-wide
-        channel blocking, so the main entry point's bits never changed."""
+        """IC = 96: the default path (full depth) and the legacy default
+        agree bit for bit on both entry points."""
         x = rng.standard_normal((1, 6, 19, 96)).astype(np.float32)
         w = rng.standard_normal((5, 3, 3, 96)).astype(np.float32)
         want = conv2d_im2col_winograd(x, w, legacy=True)  # legacy defaults
         got = conv2d_im2col_winograd(x, w)  # runtime defaults
         np.testing.assert_array_equal(got, want)
-        # ... and those bits differ from the full-depth fused accumulation,
-        # i.e. the blocking is load-bearing, not vacuous, at this IC.
-        fused = runtime.convolve(x, w, block_ic=None)
-        assert not np.array_equal(fused, want)
+        # ... and those bits differ from a 64-channel blocked accumulation,
+        # i.e. the channel blocking is load-bearing, not vacuous, at this IC.
+        blocked = runtime.convolve(x, w, block_ic=64)
+        assert not np.array_equal(blocked, want)
 
     @pytest.mark.parametrize("block_ic", [1, 7, 8, 20, 64])
     def test_explicit_block_ic_honoured(self, rng, block_ic):
@@ -126,6 +126,16 @@ class TestBitIdenticalEquivalence:
         want = conv2d_im2col_winograd(x, w, legacy=True, block_ic=block_ic)
         got = conv2d_im2col_winograd(x, w, block_ic=block_ic)
         np.testing.assert_array_equal(got, want)
+
+    def test_explicit_block_ic_honoured_at_one_output_channel(self, rng):
+        """OC = 1 turns each blocked GEMM into a gemv, whose bits depend on
+        the operand layout: both paths must slice the same blocked V."""
+        x = rng.standard_normal((2, 9, 14, 40)).astype(np.float32)
+        w = rng.standard_normal((1, 3, 3, 40)).astype(np.float32)
+        np.testing.assert_array_equal(
+            runtime.convolve(x, w, block_ic=7),
+            conv2d_im2col_winograd(x, w, legacy=True, block_ic=7),
+        )
 
     def test_block_ic_none_is_full_depth(self, rng):
         x = rng.standard_normal((1, 5, 17, 24)).astype(np.float32)

@@ -53,17 +53,16 @@ class TestCandidateSpace:
         assert len(set(cands)) == len(cands)
 
     def test_block_axis_collapses_at_shallow_depth(self):
-        # IC=8 <= DEFAULT_BLOCK_IC: {64, None, 8} all run the same
-        # full-depth path, so only one block choice survives dedup and the
-        # space is kernels x 1 x dispatch modes.
+        # Every candidate runs the full-depth default: the space is
+        # kernels x 1 x dispatch modes.
         shallow = {c.block_ic for c in rta.enumerate_candidates(SMALL)}
-        assert shallow == {64}
+        assert shallow == {None}
 
-    def test_block_axis_opens_at_depth_past_default(self):
-        # IC=128: blocked-by-64 and full-depth genuinely differ; IC-sized
-        # blocking dedups against None (same effective depth).
+    def test_block_axis_stays_closed_at_depth(self):
+        # IC=128: a 64-channel blocking would change the bits, so it can
+        # never be eligible and is not searched.
         deep = {c.block_ic for c in rta.enumerate_candidates(DEEP)}
-        assert deep == {64, None}
+        assert deep == {None}
 
     def test_admissible_dispatch_modes_enumerated(self):
         modes = {c.dispatch for c in rta.enumerate_candidates(SMALL)}
@@ -126,17 +125,16 @@ class TestSearch:
         assert winners[0].measured_ns is not None
 
     def test_bit_different_candidates_are_ineligible_not_timed(self):
-        # At IC=128 the full-depth (block_ic=None) accumulation order
-        # differs from the blocked default — same math, different bits —
-        # and a kernel override is a different Winograd scheme entirely.
-        # Neither may ever win; they must be marked ineligible instead.
+        # A kernel override is a different Winograd scheme: same math,
+        # different bits.  It may never win; it must be marked ineligible
+        # instead.
         entry, rows = rta.explain_signature(DEEP, 1, reps=1)
         ineligible = [r for r in rows if r.eligible is False]
         assert ineligible, "expected bit-different candidates at IC=128"
         assert all(not r.winner for r in ineligible)
         choice = entry.choice
         assert (choice.alpha, choice.variant) == (DEEP.alpha, DEEP.variant)
-        assert choice.block_ic is not None
+        assert choice.block_ic is None
 
     def test_search_is_deterministic_in_its_choice_evidence(self):
         # Same seed, same operands: the bit-identity verdicts (the part of

@@ -4,8 +4,8 @@ The two contracts everything else leans on:
 
 * **Batching equivalence** — any dynamic batch composition returns, per
   request, the exact bits batch-1 serial execution would have produced
-  (the ``MIN_EXECUTE_ROWS`` padding keeps every dispatch on BLAS's gemm
-  path, so row arithmetic is independent of batch-mates).
+  (every BLAS contraction runs in signature-fixed row blocks, so row
+  arithmetic is independent of batch-mates).
 * **Weight-reload invalidation** — swapping a served model's weights
   re-freezes it: each frozen conv transforms the new weights exactly once
   (one filter-cache miss), then hits again, and the served outputs change.
@@ -27,7 +27,6 @@ from repro.dlframe.serialization import save_weights
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.serve import (
-    MIN_EXECUTE_ROWS,
     BadRequest,
     Batch,
     BatchPolicy,
@@ -124,14 +123,6 @@ class TestRegistry:
             got = np.concatenate([entry.infer_rows(p) for p in np.split(xs, cuts)])
             np.testing.assert_array_equal(got, serial)
 
-    def test_batch_quantum_padding_is_bit_neutral(self, rng):
-        reg = ModelRegistry()
-        entry = reg.register("r18", arch="resnet18", width_mult=0.125)
-        xs = rng.standard_normal((3, 32, 32, 3)).astype(np.float32)
-        want = entry.infer_rows(xs)
-        got = entry.infer_rows(xs, batch_quantum=4)  # executes at 4 rows
-        np.testing.assert_array_equal(got, want)
-
 
 class TestWeightReload:
     """Satellite: load_weights invalidates the filter-transform cache once."""
@@ -144,7 +135,7 @@ class TestWeightReload:
             # Warmup built exactly one filter transform per frozen conv.
             assert _counter_total("runtime.filter_cache.misses") == entry.winograd_convs
 
-            x = rng.standard_normal((MIN_EXECUTE_ROWS, 32, 32, 3)).astype(np.float32)
+            x = rng.standard_normal((2, 32, 32, 3)).astype(np.float32)
             before_y = entry.infer_rows(x)
             misses0 = _counter_total("runtime.filter_cache.misses")
             hits0 = _counter_total("runtime.filter_cache.hits")
@@ -216,7 +207,7 @@ class TestFrozenServing:
         cache; frozen layers hold their own transforms instead."""
         reg = ModelRegistry()
         entry = reg.register("r34", arch="resnet34", width_mult=0.125)
-        x = rng.standard_normal((MIN_EXECUTE_ROWS, 32, 32, 3)).astype(np.float32)
+        x = rng.standard_normal((2, 32, 32, 3)).astype(np.float32)
         entry.infer_rows(x)
         with obs.capture():
             entry.infer_rows(x)
@@ -237,7 +228,7 @@ class TestBatchPolicy:
             {"max_batch_size": 0},
             {"max_queue_delay_ms": -1.0},
             {"max_workspace_bytes": 0},
-            {"batch_quantum": 0},
+            {"max_workspace_byte_ns": 0.0},
         ],
     )
     def test_validation(self, kw):

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import time
 
 import numpy as np
 import pytest
@@ -59,6 +60,21 @@ def _service(**config_kw) -> InferenceService:
     service = InferenceService(config=SchedulerConfig(**config_kw))
     service.registry.register("net", arch=ARCH, width_mult=WIDTH, image=IMAGE)
     return service
+
+
+def _measured_quote(service: InferenceService) -> None:
+    """Price the model's batches at one measured warm forward.
+
+    The hand-set cost model can quote a fraction of the real forward time,
+    which lets a deadline-pressure flush fire too late to meet its deadline
+    on a slow or busy machine.
+    """
+    entry = service.registry.get("net")
+    x = _x()[None]
+    t0 = time.perf_counter_ns()
+    entry.infer_rows(x)
+    entry.predicted_call_ns = float(time.perf_counter_ns() - t0)
+    entry.predicted_row_ns = 0.0
 
 
 def _x(seed: int = 0) -> np.ndarray:
@@ -156,6 +172,7 @@ class TestDeadlines:
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=60_000.0),
                 default_timeout_ms=None,
             )
+            _measured_quote(service)
             async with service:
                 t0 = asyncio.get_running_loop().time()
                 y = await service.infer("net", _x(), timeout_ms=500.0)
@@ -195,6 +212,7 @@ class TestDeadlines:
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=60_000.0),
                 default_timeout_ms=500.0,
             )
+            _measured_quote(service)
             async with service:
                 await service.infer("net", _x())  # timeout_ms="default"
             return service.scheduler.stats()

@@ -44,7 +44,7 @@ def _entry(
     return tc.TunedEntry(
         signature=sig,
         batch_bucket=bucket,
-        choice=tc.TunedChoice(sig.alpha, sig.variant, 64, dispatch),
+        choice=tc.TunedChoice(sig.alpha, sig.variant, None, dispatch),
         default_ns=default_ns,
         tuned_ns=tuned_ns,
         bit_identical=True,
@@ -110,6 +110,16 @@ class TestPersistence:
         doc = _table().to_json()
         doc["schema_version"] = tc.SCHEMA_VERSION + 1
         path = tmp_path / "stale.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(tc.TuningCacheError, match="schema_version"):
+            tc.TuningTable.load(path)
+
+    def test_v1_file_refused(self, tmp_path):
+        # Version-1 verdicts were measured against the 64-channel blocked
+        # default, which is no longer the default path.
+        doc = _table().to_json()
+        doc["schema_version"] = 1
+        path = tmp_path / "v1.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(tc.TuningCacheError, match="schema_version"):
             tc.TuningTable.load(path)
@@ -298,7 +308,7 @@ class TestEntryProperties:
         default = tc.TunedEntry(
             signature=SIG,
             batch_bucket=1,
-            choice=tc.TunedChoice(SIG.alpha, SIG.variant, 64, "serial"),
+            choice=tc.TunedChoice(SIG.alpha, SIG.variant, None, "serial"),
             default_ns=1e6,
             tuned_ns=1e6,
             bit_identical=True,
