@@ -104,17 +104,6 @@ GUARDS: tuple[GuardSpec, ...] = (
         ("_filters",),
         note="filter-transform LRU; lookups compare on a snapshot outside the lock",
     ),
-    GuardSpec(
-        "repro.runtime.tuningcache",
-        "ActiveTuning",
-        "_lock",
-        ("_table", "_generation", "_guards"),
-        note=(
-            "active tuning table + activation epoch + per-entry never-worse "
-            "guard state, swapped atomically by activate()/deactivate(); "
-            "lookups race tuned dispatches feeding the guard"
-        ),
-    ),
     # -- repro.serve ---------------------------------------------------------
     GuardSpec(
         "repro.serve.registry",

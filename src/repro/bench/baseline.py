@@ -56,17 +56,6 @@ Suites
     committed ``BENCH_telemetry_gate.json`` pins only the
     machine-independent floors, so the CI gate reads "telemetry changes
     no bits and costs bounded throughput".
-``tune-smoke``
-    *Measured* tuned-vs-default dispatch on the wallclock-smoke Fig 8
-    shapes: the per-signature autotuner (:mod:`repro.runtime.autotune`)
-    searches each shape in memory, then :func:`repro.runtime.convolve` is
-    timed with the resulting table activated vs deactivated, with a
-    bit-identity check per shape.  The committed ``BENCH_tune_gate.json``
-    pins only the machine-independent floors (``speedup`` >= 1 per shape
-    and in median, ``bit_identical`` == 1), so the CI gate reads "tuned
-    dispatch is never slower than default and never changes a bit".
-    Nothing is persisted and the activation is scoped — capture has no
-    side effects on the process.
 ``calib-smoke``
     *Measured* prediction accuracy of the machine-calibrated cost model
     (:mod:`repro.gpusim.calibrate`): times the pinned calibration shapes,
@@ -584,84 +573,6 @@ def _telemetry_metrics() -> dict[str, float]:
 #: Repetitions per calib-smoke shape measurement (median recorded).
 CALIB_SMOKE_REPS = 3
 
-#: Timed reps per surviving candidate inside the tune-smoke searches.
-TUNE_SMOKE_REPS = 5
-
-#: Interleaved (default, tuned) timing rounds per shape; min of each side
-#: is recorded.  More rounds than WALLCLOCK_REPS because the compared gap
-#: (a dispatch-mode win) is far narrower than fused-vs-legacy.
-TUNE_TIMING_ROUNDS = 9
-
-#: The tune-smoke shape set: the wallclock CI subset, one per channel depth.
-TUNE_SMOKE_INDICES = WALLCLOCK_SMOKE_INDICES
-
-
-def _tune_metrics() -> dict[str, float]:
-    """Measured tuned-vs-default dispatch of the compiled runtime.
-
-    Per shape: the autotuner's search result for the signature (at its
-    batch bucket), then min-of-``TUNE_TIMING_ROUNDS`` wall-clock of
-    :func:`repro.runtime.convolve` under the activated table vs without
-    any table, and a ``bit_identical`` flag comparing the two outputs.
-    The two sides are timed in *interleaved* rounds (default, tuned,
-    default, tuned, …) and min is kept: slow drift on a shared runner then
-    hits both sides alike instead of biasing whichever block ran second,
-    and latency floors are the noise-robust statistic for the claim the
-    gate asserts ("tuned dispatch is never slower than default").  The
-    search itself keeps only bit-identical candidates and lets the default
-    win ties, so ``speedup`` can dip below 1.0 only by measurement noise;
-    the gate's tolerance absorbs exactly that.
-    """
-    import statistics
-    import time as _time
-
-    import numpy as np
-
-    from .. import runtime
-    from ..runtime import autotune, tuningcache
-
-    shapes = [wallclock_shapes()[i] for i in TUNE_SMOKE_INDICES]
-    pairs = [
-        (
-            runtime.ConvSignature.resolve(ih=ih, iw=iw, ic=c, oc=c, fh=3, fw=3, alpha=8),
-            batch,
-        )
-        for batch, ih, iw, c in shapes
-    ]
-    table = autotune.tune_signatures(pairs, reps=TUNE_SMOKE_REPS)
-    rng = np.random.default_rng(20260808)
-    out: dict[str, float] = {}
-    speedups: list[float] = []
-    all_exact = 1.0
-    for batch, ih, iw, c in shapes:
-        x = rng.standard_normal((batch, ih, iw, c)).astype(np.float32)
-        w = rng.standard_normal((c, 3, 3, c)).astype(np.float32)
-        y_default = runtime.convolve(x, w, alpha=8)  # also the default warmup
-        with tuningcache.activated(table):
-            y_tuned = runtime.convolve(x, w, alpha=8)  # tuned-path warmup
-        t_default_ns = t_tuned_ns = float("inf")
-        for _ in range(TUNE_TIMING_ROUNDS):
-            t0 = _time.perf_counter_ns()
-            runtime.convolve(x, w, alpha=8)
-            t_default_ns = min(t_default_ns, float(_time.perf_counter_ns() - t0))
-            with tuningcache.activated(table):
-                t0 = _time.perf_counter_ns()
-                runtime.convolve(x, w, alpha=8)
-                t_tuned_ns = min(t_tuned_ns, float(_time.perf_counter_ns() - t0))
-        t_default, t_tuned = t_default_ns / 1e6, t_tuned_ns / 1e6
-        exact = float(np.array_equal(y_default, y_tuned))
-        speedup = t_default / t_tuned if t_tuned > 0 else 0.0
-        speedups.append(speedup)
-        all_exact = min(all_exact, exact)
-        prefix = f"tune/g8n6r3/{batch}x{ih}x{iw}x{c}"
-        out[f"{prefix}/default_time_ms"] = t_default
-        out[f"{prefix}/tuned_time_ms"] = t_tuned
-        out[f"{prefix}/speedup"] = speedup
-        out[f"{prefix}/bit_identical"] = exact
-    out["tune/median_speedup"] = statistics.median(speedups)
-    out["tune/bit_identical"] = all_exact
-    return out
-
 
 def _calib_metrics() -> dict[str, float]:
     """Measured prediction accuracy of the machine-calibrated cost model.
@@ -707,7 +618,6 @@ SUITES = {
     "serve-smoke": _serve_metrics,
     "telemetry-smoke": _telemetry_metrics,
     "calib-smoke": _calib_metrics,
-    "tune-smoke": _tune_metrics,
     "full": _full_metrics,
 }
 

@@ -17,8 +17,8 @@ Execution goes through :func:`repro.runtime.convolve` with the frozen
 operands passed as a pre-resolved
 :class:`~repro.runtime.executable.FilterBundle`: the per-``(IH, IW)``
 executables come from the shared process-wide cache, repeated inference
-never compares or re-transforms the weights, and tuned dispatch and
-:func:`~repro.runtime.force_legacy` apply as to any other call.  A frozen
+never compares or re-transforms the weights, and
+:func:`~repro.runtime.force_legacy` applies as to any other call.  A frozen
 :class:`repro.dlframe.layers.Conv2D` holds its bundles the same way.
 
 Numerics are identical to :func:`repro.core.fused.conv2d_im2col_winograd`

@@ -29,9 +29,10 @@ are persisted in a machine-keyed ``CALIB_<host>.json``.  An *activated*
 calibration is consulted by :func:`repro.gpusim.perfmodel.estimate_conv`
 (falling back to the analytic device model otherwise) and powers the
 runtime timing ledger's predictions (:mod:`repro.obs.perfledger`), the
-serve scheduler's predicted batch cost, and — optionally — the autotuner's
-ranking.  Activation is **explicit** (:func:`activate`): merely fitting or
-having a ``CALIB_<host>.json`` on disk never changes the modeled suites,
+serve scheduler's predicted batch cost, and — optionally — the ranking of
+:func:`repro.gpusim.autotune.autotune_conv` (``use_calibration=True``).
+Activation is **explicit** (:func:`activate`): merely fitting or having a
+``CALIB_<host>.json`` on disk never changes the modeled suites,
 so the committed Figure 8/9/Table 2 baselines stay machine-independent.
 
 Naming note: the near-twin :mod:`repro.gpusim.calibration` (trailing
@@ -52,6 +53,7 @@ import argparse
 import contextlib
 import hashlib
 import json
+import math
 import platform
 import re
 import sys
@@ -234,10 +236,10 @@ class CalibrationModel:
         """Content digest of the model's predictions: host + coefficients.
 
         Two models with the same digest price every candidate identically,
-        so consumers that cache rankings (the gpusim autotuner's ``_CACHE``,
-        the tuning table's provenance field) key on this rather than on the
-        host name — loading a *different* calibration file for the same
-        host must invalidate, and it does because the coefficients differ.
+        so consumers that cache rankings (the gpusim autotuner's ``_CACHE``)
+        key on this rather than on the host name — loading a *different*
+        calibration file for the same host must invalidate, and it does
+        because the coefficients differ.
         """
         body = json.dumps(
             {"host": self.host, "coeffs": {k: float(self.coeffs.get(k, 0.0)) for k in sorted(self.coeffs)}},
@@ -271,19 +273,41 @@ class CalibrationModel:
         }
 
     @classmethod
-    def from_json(cls, doc: dict[str, Any]) -> "CalibrationModel":
+    def from_json(cls, doc: Any) -> "CalibrationModel":
+        """Parse a calibration document; any malformed field is a ``ValueError``.
+
+        Coefficient names must be :data:`FEATURES` names and values finite
+        and non-negative (what :func:`fit`'s NNLS produces): an unknown name
+        would silently price every conv at 0 ns, a NaN poisons every
+        prediction.
+        """
+        if not isinstance(doc, dict):
+            raise ValueError(
+                f"calibration document must be an object, got {type(doc).__name__}"
+            )
         version = doc.get("schema_version")
         if version != SCHEMA_VERSION:
             raise ValueError(f"schema_version {version!r} != supported {SCHEMA_VERSION}")
         coeffs = doc.get("coeffs")
         if not isinstance(coeffs, dict) or not coeffs:
             raise ValueError("calibration file has no coefficients")
+        unknown = sorted(set(coeffs) - set(FEATURES))
+        if unknown:
+            raise ValueError(f"unknown coefficients {unknown}; known: {list(FEATURES)}")
+        for name, value in coeffs.items():
+            if not (isinstance(value, (int, float)) and math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"coefficient {name!r} must be a finite number >= 0, got {value!r}"
+                )
+        stats = doc.get("stats", {})
+        if not isinstance(stats, dict):
+            raise ValueError(f"stats must be an object, got {type(stats).__name__}")
         return cls(
             host=str(doc.get("host", "unknown")),
-            coeffs={str(k): float(v) for k, v in coeffs.items()},
+            coeffs={k: float(v) for k, v in coeffs.items()},
             fitted=bool(doc.get("fitted", True)),
             created=str(doc.get("created", "")),
-            stats=dict(doc.get("stats", {})),
+            stats=dict(stats),
         )
 
     def save(self, path: str | Path) -> Path:
@@ -400,8 +424,8 @@ def measure_suite(
     """Wallclock the compiled runtime over ``shapes``; one sample per shape.
 
     Warm-cache medians (executable + filter transforms resolved before the
-    timed reps): the steady state the ledger, the serve scheduler and the
-    autotuner all predict for.
+    timed reps): the steady state the ledger and the serve scheduler both
+    predict for.
     """
     from .. import runtime  # lazy: runtime is above gpusim in the import DAG
     from ..bench.harness import measure_ns

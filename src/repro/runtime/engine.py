@@ -18,6 +18,8 @@ executable entirely and runs the interpreted reference path
 (``conv2d_im2col_winograd(..., legacy=True)``).  A server that catches an
 exception out of a compiled executable can replay the batch under this
 scope and still answer the request (bit-identical results, just slower).
+Those are the only two paths: outside the scope every signature runs its
+cached executable.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from ..core.fused import DEFAULT_BLOCK_IC
 from ..obs import NULL_SPAN, counter_add, span
 from ..obs.perfledger import record_execution
-from . import tuningcache
 from .cache import get_executable, global_cache
 from .executable import FilterBundle
 from .signature import ConvSignature
@@ -249,19 +250,5 @@ def convolve(
     sig = ConvSignature.for_operands(
         x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
     )
-    # Tuned dispatch is the production default — but only under an
-    # *explicitly activated* tuning table (mirroring the calibration
-    # activation contract): without one, lookup() is a silent no-op and the
-    # modeled CI suites stay machine-independent.  Tuned entries are
-    # bit-identical to this default path by construction, so the branch can
-    # only change *when* the bits are computed, never which bits.
-    tuned = tuningcache.lookup(sig, int(x.shape[0]))
-    if tuned is not None:
-        from . import autotune  # lazy: autotune imports this module
-
-        return autotune.execute_tuned(
-            tuned, x, w,
-            version=version, bundle=bundle, config=config, block_ic=block_ic,
-        )
     exe = get_executable(sig)
     return exe(x, w, version=version, bundle=bundle, config=config, block_ic=block_ic)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import asyncio
+
 import numpy as np
 import pytest
 
@@ -22,3 +24,27 @@ def rel_err(got: np.ndarray, want: np.ndarray) -> float:
 #: matrices have entry-magnitude disparity ~1e8, so its FP32 error floor is
 #: ~1e-4 in max-relative terms (Table 3 reports ~1e-5 *average*).
 TOL_BY_ALPHA = {None: 2e-5, 4: 2e-5, 8: 5e-5, 16: 2e-3}
+
+
+def admitted(service, n: int) -> asyncio.Event:
+    """An ``asyncio.Event`` set once ``n`` requests have entered ``service``'s queue.
+
+    Wraps the scheduler's batcher ``add`` on this instance, so a test can
+    wait for admission explicitly instead of yielding to the event loop and
+    hoping the submitting tasks ran.
+    """
+    batcher = service.scheduler._batcher
+    add = batcher.add
+    event = asyncio.Event()
+    count = 0
+
+    def counting_add(req):
+        nonlocal count
+        ready = add(req)
+        count += 1
+        if count >= n:
+            event.set()
+        return ready
+
+    batcher.add = counting_add
+    return event

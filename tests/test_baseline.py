@@ -130,7 +130,7 @@ class TestSuites:
         assert set(SUITES) == {
             "smoke", "fig8", "fig9", "table2",
             "wallclock", "wallclock-smoke", "serve-smoke",
-            "telemetry-smoke", "calib-smoke", "tune-smoke", "full",
+            "telemetry-smoke", "calib-smoke", "full",
         }
 
 

@@ -141,6 +141,24 @@ class TestPersistence:
         with pytest.raises(ValueError):
             CalibrationModel.load(p)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[1, 2]",
+            '{"schema_version": 1, "coeffs": {"call": 1.0}, "stats": 5}',
+            '{"schema_version": 1, "coeffs": {"call": NaN}}',
+            '{"schema_version": 1, "coeffs": {"const_ns": 1.0}}',
+            '{"schema_version": 1, "coeffs": {"call": -1.0}}',
+            '{"schema_version": 1, "coeffs": {"call": "fast"}}',
+        ],
+        ids=["list", "stats-int", "nan", "unknown-name", "negative", "string"],
+    )
+    def test_load_rejects_malformed_file(self, tmp_path, text):
+        p = tmp_path / "CALIB_x.json"
+        p.write_text(text)
+        with pytest.raises(ValueError):
+            CalibrationModel.load(p)
+
     def test_calibration_path_is_host_keyed(self, tmp_path):
         path = calibration_path(tmp_path)
         assert path.name == f"CALIB_{host_key()}.json"

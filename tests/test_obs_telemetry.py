@@ -283,13 +283,19 @@ class TestTracerChromeStableTids:
             with obs.span("main.work"):
                 pass
 
-            def work():
+            def work(entered, release):
                 with obs.span("pool.work"):
-                    time.sleep(0.001)
+                    entered.set()
+                    release.wait(10.0)
 
             for _ in range(2):  # two "pool generations", same thread name
-                t = threading.Thread(target=work, name="repro-serve_0")
+                entered, release = threading.Event(), threading.Event()
+                t = threading.Thread(
+                    target=work, args=(entered, release), name="repro-serve_0"
+                )
                 t.start()
+                entered.wait(10.0)  # the worker's span is open
+                release.set()
                 t.join()
             doc = chrome_trace(tracer)
         meta = {

@@ -35,6 +35,8 @@ from repro.serve import (
 )
 from repro.serve.httpfront import MAX_BODY_BYTES
 
+from .conftest import admitted
+
 ARCH = "resnet18"
 WIDTH = 0.125
 IMAGE = 32
@@ -95,11 +97,12 @@ class TestAdmissionControl:
             )
             with obs.capture():
                 async with service:
+                    both_admitted = admitted(service, 2)
                     queued = [
                         asyncio.ensure_future(service.infer("net", _x(i)))
                         for i in range(2)
                     ]
-                    await asyncio.sleep(0)  # both admitted, neither dispatched
+                    await both_admitted.wait()  # neither dispatched yet
                     with pytest.raises(QueueFull):
                         await service.infer("net", _x(9))
                     rejected = _counter_total("serve.rejected")
@@ -130,8 +133,9 @@ class TestAdmissionControl:
                 default_timeout_ms=None,
             )
             await service.start()
+            queued = admitted(service, 1)
             fut = asyncio.ensure_future(service.infer("net", _x()))
-            await asyncio.sleep(0)
+            await queued.wait()
             await service.scheduler.stop(drain=False)
             with pytest.raises(ServiceStopped):
                 await fut
@@ -146,11 +150,12 @@ class TestAdmissionControl:
             service = _service(policy=BatchPolicy(max_batch_size=4))
             fn = seeded_input_fn(service.registry.get("net"))
             async with service:
+                all_admitted = admitted(service, 6)
                 pending = [
                     asyncio.ensure_future(service.infer("net", fn(rid)))
                     for rid in range(6)
                 ]
-                await asyncio.sleep(0)
+                await all_admitted.wait()
                 await asyncio.gather(service.stop(), service.stop(), service.stop())
                 results = await asyncio.gather(*pending, return_exceptions=True)
                 # drain=True: every admitted request still gets its answer.

@@ -28,6 +28,7 @@ from repro.serve import (
     SLOConfig,
     closed_loop,
 )
+from tests.conftest import admitted
 from tests.test_obs_telemetry import parse_exposition
 
 ARCH = "resnet18"
@@ -464,8 +465,9 @@ class TestHealthzSLO:
                 slo=SLOConfig(latency_target_ms=60_000.0),
             )
             async with service:
+                queued = admitted(service, 1)
                 blocker = asyncio.ensure_future(service.infer("net", _x()))
-                await asyncio.sleep(0)  # let the blocker enter the queue
+                await queued.wait()  # the blocker is in the queue
                 with pytest.raises(QueueFull):
                     await service.infer("net", _x(1))
                 status = service.scheduler.slo_status()
