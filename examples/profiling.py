@@ -23,12 +23,15 @@ from repro.obs.report import load_events, render_report
 
 rng = np.random.default_rng(7)
 
-# 1. A CIFAR-scale residual block: 32 channels on a 16x17 feature map.  The
-#    odd width (17) forces the §5.5 boundary split, so the trace shows both
+# 1. A CIFAR-scale residual block: 72 channels on a 16x17 feature map, which
+#    the per-layer engine rule (repro.runtime.conv_engine) keeps on Winograd;
+#    with 32 channels or fewer it would run both convs as a GEMM.  The odd
+#    width (17) forces the §5.5 boundary split, so the trace shows both
 #    Winograd segments and the GEMM tail.
-block = BasicBlock(32, 32, engine="winograd", rng=rng)
+C = 72
+block = BasicBlock(C, C, engine="winograd", rng=rng)
 block.eval()
-x = rng.standard_normal((4, 16, 17, 32)).astype(np.float32)
+x = rng.standard_normal((4, 16, 17, C)).astype(np.float32)
 
 with obs.capture() as tracer:
     y = block(Tensor(x))
@@ -42,7 +45,7 @@ print(tracer.summary(max_depth=2))
 
 # 3. The flop counter is the paper's §6.1.1 numerator; it must agree with
 #    the standalone accounting in repro.bench.flops for the same shapes.
-conv_shape = ConvShape(batch=4, ih=16, iw=17, ic=32, oc=32, fh=3, fw=3, ph=1, pw=1)
+conv_shape = ConvShape(batch=4, ih=16, iw=17, ic=C, oc=C, fh=3, fw=3, ph=1, pw=1)
 recorded = obs.get_registry().counter("conv.flops").total()
 expected = 2 * standard_flops(conv_shape)  # two 3x3 convolutions in the block
 print()

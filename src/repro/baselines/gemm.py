@@ -40,9 +40,10 @@ def conv2d_gemm(
     ``accumulation`` selects the reduction order over ``GK``:
 
     * ``"blas"`` — one library matmul per row block
-      (:mod:`repro.core.rowblocks`, ``OH*OW`` rows per image, so no row's
-      bits depend on the batch); BLAS blocks the sum, so rounding error is
-      better than a strict sequential chain.
+      (:func:`repro.core.rowblocks.conv_matmul`, ``OH*OW`` rows per image,
+      so no row's bits depend on the batch), the im2col rows written from
+      NHWC row windows straight into the blocked operand; BLAS blocks the
+      sum, so rounding error is better than a strict sequential chain.
     * ``"sequential"`` — accumulate GK in order, ``seq_chunk`` columns at a
       time, rounding to the output dtype after every partial.  With the
       default ``seq_chunk=1`` this is exactly the single-thread FP32 FMA
@@ -66,16 +67,15 @@ def conv2d_gemm(
     ow = conv_output_size(iw, fw, pw, stride)
     if oh < 1 or ow < 1:
         raise ValueError(f"empty output {oh}x{ow} for input {ih}x{iw}, filter {fh}x{fw}")
-    cols = im2col_nhwc(x, fh, fw, ph, pw, stride)  # (GM, GK) blocks (fh, fw, ic)
-    a = np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))  # (GK, GN)
+    a = rowblocks.fold_filters(w)  # (GK, GN)
     if accumulation == "blas":
-        y = rowblocks.matmul(cols, a, oh * ow)
-    else:
-        if seq_chunk < 1:
-            raise ValueError(f"seq_chunk must be >= 1, got {seq_chunk}")
-        gk = cols.shape[1]
-        y = np.zeros((cols.shape[0], oc), dtype=cols.dtype)
-        for k0 in range(0, gk, seq_chunk):
-            k1 = min(k0 + seq_chunk, gk)
-            y += cols[:, k0:k1] @ a[k0:k1]
+        return rowblocks.conv_matmul(x, a, fh, fw, ph, pw, stride=stride)
+    if seq_chunk < 1:
+        raise ValueError(f"seq_chunk must be >= 1, got {seq_chunk}")
+    cols = im2col_nhwc(x, fh, fw, ph, pw, stride)  # (GM, GK) blocks (fh, fw, ic)
+    gk = cols.shape[1]
+    y = np.zeros((cols.shape[0], oc), dtype=cols.dtype)
+    for k0 in range(0, gk, seq_chunk):
+        k1 = min(k0 + seq_chunk, gk)
+        y += cols[:, k0:k1] @ a[k0:k1]
     return y.reshape(n, oh, ow, oc)

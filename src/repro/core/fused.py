@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nhwc.tensor import conv_output_size, im2col_nhwc
+from ..nhwc.tensor import conv_output_size
 from ..nhwc.tiles import extract_width_tiles
 from ..obs import counter_add, span
 from . import rowblocks
@@ -47,7 +47,7 @@ from .boundary import Segment, plan_width_segments
 from .kernels import KernelId, default_alpha_for_width, get_kernel
 from .transforms import TransformMatrices, winograd_matrices
 
-__all__ = ["conv2d_im2col_winograd", "winograd_segment", "gemm_segment", "gemm_input_strip"]
+__all__ = ["conv2d_im2col_winograd", "winograd_segment", "gemm_segment"]
 
 #: Channel-block depth of the accumulation.  ``None`` accumulates the full
 #: ``(fh, ic)`` depth in one GEMM per ``alpha`` state (the paper's single
@@ -296,28 +296,6 @@ def winograd_segment(
     return y.reshape(batch, oh, num_tiles * n_out, oc)
 
 
-def gemm_input_strip(x: np.ndarray, seg_start: int, width: int, *, pw: int, fw: int) -> np.ndarray:
-    """The input column strip feeding ``width`` output columns at ``seg_start``.
-
-    The strip spans ``[seg_start - pw, seg_start - pw + width + fw - 1)`` in
-    unpadded coordinates.  When that range lies entirely inside the input —
-    the common case for a mid-tensor GEMM tail — the returned strip is a
-    zero-copy view of ``x``; only true edge segments materialise a
-    zero-filled buffer for the implicit padding.
-    """
-    batch, ih, iw, ic = x.shape
-    col_lo = seg_start - pw
-    need = width + fw - 1
-    if 0 <= col_lo and col_lo + need <= iw:
-        return x[:, :, col_lo : col_lo + need, :]
-    src_c0 = max(col_lo, 0)
-    src_c1 = min(col_lo + need, iw)
-    strip = np.zeros((batch, ih, need, ic), dtype=x.dtype)
-    if src_c0 < src_c1:
-        strip[:, :, src_c0 - col_lo : src_c1 - col_lo, :] = x[:, :, src_c0:src_c1, :]
-    return strip
-
-
 def gemm_segment(
     x: np.ndarray, w: np.ndarray, seg: Segment, *, ph: int, pw: int, oh: int
 ) -> np.ndarray:
@@ -326,15 +304,12 @@ def gemm_segment(
 
     Only the ``seg.width`` needed output columns are produced: the input
     slice feeding them is ``[seg.start - pw, seg.start - pw + width + fw - 1)``
-    in unpadded coordinates, gathered with implicit zero padding (sliced
-    zero-copy when the range is interior).
+    in unpadded coordinates, with implicit zero padding, and their im2col
+    rows are written straight into the row-blocked GEMM operand
+    (:func:`~repro.core.rowblocks.conv_matmul`).
     """
-    batch, ih, iw, ic = x.shape
-    oc, fh, fw, _ = w.shape
+    _, fh, fw, _ = w.shape
     counter_add("gemm.tail_segments")
     counter_add("gemm.tail_columns", seg.width)
-    strip = gemm_input_strip(x, seg.start, seg.width, pw=pw, fw=fw)
-    cols = im2col_nhwc(strip, fh, fw, ph, 0)  # width already materialised
-    a = np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))
-    y = rowblocks.matmul(cols, a, oh * seg.width)
-    return y.reshape(batch, oh, seg.width, oc)
+    a = rowblocks.fold_filters(w)
+    return rowblocks.conv_matmul(x, a, fh, fw, ph, pw, col0=seg.start, width=seg.width)

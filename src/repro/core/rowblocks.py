@@ -32,6 +32,8 @@ from typing import Iterator
 
 import numpy as np
 
+from ..nhwc.tensor import conv_output_size, im2col_nhwc_into
+
 __all__ = [
     "ROW_ALIGN",
     "ROW_BLOCK_TARGET",
@@ -40,6 +42,8 @@ __all__ = [
     "blocked_matmul",
     "blocked_operand",
     "blocks",
+    "conv_matmul",
+    "fold_filters",
     "matmul",
 ]
 
@@ -127,3 +131,48 @@ def matmul(a: np.ndarray, b: np.ndarray, rows_per_image: int) -> np.ndarray:
     """
     rows = a.shape[-2]
     return blocked_matmul(_pack(a, rows_per_image), b, rows_per_image)[..., :rows, :]
+
+
+def fold_filters(w: np.ndarray) -> np.ndarray:
+    """``(OC, FH, FW, IC)`` filters as the ``(FH*FW*IC, OC)`` GEMM operand."""
+    oc, fh, fw, ic = w.shape
+    return np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))
+
+
+def conv_matmul(
+    x: np.ndarray,
+    a: np.ndarray,
+    fh: int,
+    fw: int,
+    ph: int,
+    pw: int,
+    *,
+    stride: int = 1,
+    col0: int = 0,
+    width: int | None = None,
+) -> np.ndarray:
+    """Im2col GEMM convolution of output columns ``[col0, col0 + width)``, in row blocks.
+
+    ``x`` is ``(N, IH, IW, IC)`` and ``a`` the folded ``(FH*FW*IC, OC)``
+    filter operand; ``width`` defaults to every column from ``col0`` on.
+    The im2col rows (``OH * width`` per image) are written from NHWC row
+    windows straight into a :func:`blocked_operand` buffer, so the matrix
+    is materialised once, with no padded copy of ``x`` and no repacking.
+    Returns ``(N, OH, width, OC)``.
+    """
+    n, ih, iw, ic = x.shape
+    oh = conv_output_size(ih, fh, ph, stride)
+    if width is None:
+        width = conv_output_size(iw, fw, pw, stride) - col0
+    r = oh * width
+    k = block_images(r)
+    buf = blocked_operand((), n, fh * fw * ic, r, x.dtype)
+    images = buf[:, : k * r].view()
+    images.shape = (buf.shape[0], k, oh, width, fh, fw * ic)  # raises rather than copy
+    full, rest = divmod(n, k)
+    if full:
+        xs = x[: full * k].reshape(full, k, ih, iw, ic)
+        im2col_nhwc_into(images[:full], xs, fh, fw, ph, pw, stride, col0)
+    if rest:
+        im2col_nhwc_into(images[full, :rest], x[full * k :], fh, fw, ph, pw, stride, col0)
+    return blocked_matmul(buf, a, r)[: n * r].reshape(n, oh, width, a.shape[-1])

@@ -5,8 +5,12 @@ unit-stride convolutions through the compiled-plan runtime
 (:func:`repro.runtime.convolve` — cached executables + full-depth
 contractions, bit-identical to :func:`repro.core.fused.conv2d_im2col_winograd`)
 forward, and the backward deconvolution of :mod:`repro.core.gradients`
-(data grad), exactly as Dragon-Alpha dispatches (§5.7); ``engine="gemm"``
-uses the im2col GEMM everywhere and stands in for the PyTorch baseline.
+(data grad), exactly as Dragon-Alpha dispatches (§5.7).  The forward's
+algorithm is picked per layer by one fixed rule of its signature
+(:func:`repro.runtime.conv_engine`): ``Gamma_alpha``, or, with few channels
+or few output columns where the transforms are not amortised, a runtime
+executable of the row-blocked im2col GEMM.  ``engine="gemm"`` uses the
+im2col GEMM everywhere and stands in for the PyTorch baseline.
 Non-unit-stride convolutions always take the GEMM path, matching the paper
 ("other algorithms handle the non-unit-stride cases") — which is also why
 the paper sees smaller training speedups on ResNet (§6.3.2).
@@ -21,8 +25,9 @@ import numpy as np
 from ..baselines.gemm import conv2d_gemm
 from ..core import rowblocks
 from ..core.gradients import conv2d_filter_grad, conv2d_input_grad
+from ..nhwc.tensor import conv_output_size
 from ..obs import span
-from ..runtime import ConvSignature, FilterBundle, get_executable
+from ..runtime import ConvSignature, FilterBundle, conv_engine, get_executable
 from ..runtime import convolve as runtime_convolve
 from .autograd import Tensor, make_op
 from .initializers import kaiming_uniform
@@ -149,9 +154,11 @@ class Conv2D(Module):
     padding:
         Spatial padding; defaults to ``kernel // 2`` ("same" for odd kernels).
     engine:
-        ``"winograd"`` (Im2col-Winograd forward + backward deconvolution) or
-        ``"gemm"`` (the baseline).  The filter gradient is GEMM in both, as
-        in the paper.
+        ``"winograd"`` (Im2col-Winograd forward where
+        :func:`~repro.runtime.conv_engine` picks it for the input width, the
+        runtime's GEMM otherwise, see :meth:`engine_at`; backward
+        deconvolution) or ``"gemm"`` (the baseline, everywhere).  The filter
+        gradient is GEMM in both, as in the paper.
     rng:
         Generator for kaiming-uniform init.
     """
@@ -184,29 +191,57 @@ class Conv2D(Module):
         self._frozen = False
         # Frozen filter operands per input width (the plan depends on OW).
         self._bundles: dict[int, FilterBundle] = {}
+        # Engine run at each input width served so far.
+        self._served: dict[int, str] = {}
 
-    def _frozen_forward(self, xd: np.ndarray, wd: np.ndarray) -> np.ndarray:
+    def engine_at(self, iw: int) -> str:
+        """The engine a forward on an input ``iw`` columns wide runs.
+
+        ``"gemm"`` for the GEMM engine and for strided layers (§5.7);
+        otherwise the per-signature rule :func:`~repro.runtime.conv_engine`,
+        which never looks at the batch (nor at the height: Winograd tiles
+        the width only).
+        """
+        if self.engine == "gemm" or self.stride != 1:
+            return "gemm"
+        k = self.kernel
+        return conv_engine(self.ic, self.oc, k, k, conv_output_size(iw, k, self.padding))
+
+    @property
+    def effective_engine(self) -> str:
+        """The engine the layer runs at the input widths it has served.
+
+        ``"winograd"`` or ``"gemm"``, or ``"mixed"`` when those widths ran
+        both.  Before its first forward a layer reports ``"gemm"`` when no
+        input can run Winograd (GEMM engine or stride != 1) and the
+        configured engine otherwise; :meth:`engine_at` answers for a given
+        width without running it.
+        """
+        served = set(self._served.values())
+        if len(served) == 1:
+            return served.pop()
+        if served:
+            return "mixed"
+        return self.engine if self.stride == 1 else "gemm"
+
+    def _frozen_forward(self, xd: np.ndarray, wd: np.ndarray, algorithm: str) -> np.ndarray:
         ph = pw = self.padding
         # Captured once: a concurrent re-freeze swaps in a new dict, so a
         # bundle built here from the old weights never lands in it.
         bundles = self._bundles
         bundle = bundles.get(xd.shape[2])
         if bundle is None:
-            sig = ConvSignature.for_operands(xd, wd, ph=ph, pw=pw)
+            sig = ConvSignature.for_operands(xd, wd, ph=ph, pw=pw, algorithm=algorithm)
             bundle = bundles[xd.shape[2]] = get_executable(sig).build_bundle(wd)
-        return runtime_convolve(xd, wd, ph=ph, pw=pw, bundle=bundle)
-
-    @property
-    def effective_engine(self) -> str:
-        """The engine actually used (§5.7 dispatch: stride != 1 -> GEMM)."""
-        return self.engine if self.stride == 1 else "gemm"
+        return runtime_convolve(xd, wd, ph=ph, pw=pw, bundle=bundle, algorithm=algorithm)
 
     def freeze(self) -> "Conv2D":
         """Enter frozen-inference mode (§6.1.2's pre-transposition, here:
-        pre-transformed filters).  The filter transform is computed once per
-        input width at first use, from the weights at that time; freezing
-        again or any ``train()`` discards it (weights are assumed fixed
-        while frozen)."""
+        pre-transformed filters).  The filter operands (Winograd ``U``, or
+        the folded GEMM matrix where the rule picks GEMM) are computed once
+        per input width at first use, from the weights at that time;
+        freezing again or any ``train()`` discards them (weights are
+        assumed fixed while frozen)."""
         self.eval()
         self._frozen = True
         self._bundles = {}
@@ -222,37 +257,41 @@ class Conv2D(Module):
         w = self.weight
         ph = pw = self.padding
         stride = self.stride
-        engine = self.effective_engine
         xd, wd = x.data, w.data
+        engine = self.engine_at(xd.shape[2])
+        self._served[xd.shape[2]] = engine
+        frozen = getattr(self, "_frozen", False)
         with span(
             "layer.conv2d", engine=engine, ic=self.ic, oc=self.oc,
-            kernel=self.kernel, stride=stride, frozen=getattr(self, "_frozen", False),
+            kernel=self.kernel, stride=stride, frozen=frozen,
         ):
-            if engine == "winograd" and getattr(self, "_frozen", False):
-                # Frozen: the layer holds U per input width and hands it to
-                # the runtime, so a call does no filter work at all.
-                y = self._frozen_forward(xd, wd)
-            elif engine == "winograd":
-                # Compiled-plan runtime: the (shape, dtype) signature hits
-                # the executable cache after the first step, and the filter
-                # cache, matching weights by an exact bit compare against
-                # its copy, recomputes U once per optimizer update (weights
-                # mutate in place).
-                y = runtime_convolve(xd, wd, ph=ph, pw=pw)
-            else:
+            if self.engine == "gemm" or stride != 1:
                 y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
+            elif frozen:
+                # Frozen: the layer holds its filter operands per input
+                # width and hands them to the runtime, so a call does no
+                # filter work at all.
+                y = self._frozen_forward(xd, wd, engine)
+            else:
+                # Compiled-plan runtime, Winograd or (the rule's pick) GEMM:
+                # the (shape, dtype, algorithm) signature hits the
+                # executable cache after the first step, and the filter
+                # cache, matching weights by an exact bit compare against
+                # its copy, rebuilds the operands once per optimizer update
+                # (weights mutate in place).
+                y = runtime_convolve(xd, wd, ph=ph, pw=pw, algorithm=engine)
         if self.bias is not None:
             y += self.bias.data  # y is this call's fresh conv output
 
         in_shape = xd.shape
         fh = fw = self.kernel
+        # The rule was fitted on forwards; the data grad keeps the
+        # configured engine (Winograd deconvolution for unit stride).
+        grad_engine = self.engine
 
         def backward_fn(g):
             if stride == 1:
-                dx = conv2d_input_grad(
-                    g, wd, in_shape, ph=ph, pw=pw,
-                    engine="winograd" if engine == "winograd" else "gemm",
-                )
+                dx = conv2d_input_grad(g, wd, in_shape, ph=ph, pw=pw, engine=grad_engine)
                 dw = conv2d_filter_grad(xd, g, fh=fh, fw=fw, ph=ph, pw=pw)
             else:
                 dx, dw = _strided_conv_grads(xd, wd, g, ph, pw, stride)

@@ -4,16 +4,18 @@ Reproduces the measurement protocol of §6.3.1: the loss value is recorded
 every 10 steps; epoch wall-times give the speed column of Tables 4/5; the
 memory model gives the "GPU memory" column; train/test accuracy complete
 the rows.  A :class:`Trainer` with ``engine="winograd"`` convolutions is the
-"Alpha" row, ``engine="gemm"`` is the "PyTorch" row.
+"Alpha" row (Winograd wherever the per-layer engine rule keeps it),
+``engine="gemm"`` is the "PyTorch" row.
 
 Memory model
 ------------
 We cannot measure CUDA allocations, so memory is *accounted*: parameters +
 optimizer state + gradients + every activation retained by the autograd tape
 (found by walking the recorded graph), + the convolution workspace.  The
-fused Winograd engine needs **no** workspace (§4.1); the GEMM engine's
-im2col buffer is ``GM x GK`` floats for its largest convolution, which is
-the structural reason the Alpha columns of Tables 4/5 are smaller.
+fused Winograd engine needs **no** workspace (§4.1); a GEMM conv's im2col
+buffer is ``GM x GK`` floats (plus its row blocks' pad rows), and the
+largest one is charged, which is the structural reason the Alpha columns of
+Tables 4/5 are smaller.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core import rowblocks
 from ..obs import counter_add, gauge_set, span
 from .autograd import Tensor, no_grad
 from .data import SyntheticImages
@@ -215,15 +218,22 @@ def conv_layer_geometries(
 
 
 def _conv_workspace_bytes(model: Module, input_shape: tuple[int, ...]) -> int:
-    """Largest im2col workspace among GEMM-engine convolutions (fused
-    Winograd convolutions contribute zero, §4.1)."""
+    """Largest im2col workspace among the convolutions that run GEMM.
+
+    That is every conv of the GEMM engine, strided convs and the convs the
+    engine rule sends to GEMM (:meth:`Conv2D.engine_at`); fused Winograd
+    convolutions contribute zero (§4.1).  The workspace is the row-blocked
+    GEMM operand of :func:`~repro.core.rowblocks.conv_matmul`, pad rows
+    included: ``ceil(N / k)`` blocks of ``Mb`` rows by ``FH*FW*IC``.
+    """
     n = input_shape[0]
     worst = 0
-    for layer, _, _, oh, ow in conv_layer_geometries(model, input_shape):
-        if layer.effective_engine == "gemm":
-            gm = n * oh * ow
+    for layer, ih, iw, oh, ow in conv_layer_geometries(model, input_shape):
+        if layer.engine_at(iw) == "gemm":
+            r = oh * ow
+            rows = -(-n // rowblocks.block_images(r)) * rowblocks.block_rows(r)
             gk = layer.ic * layer.kernel * layer.kernel
-            worst = max(worst, 4 * gm * gk)
+            worst = max(worst, 4 * rows * gk)
     return worst
 
 

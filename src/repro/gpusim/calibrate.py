@@ -152,10 +152,11 @@ def conv_features(plan: ConvPlan, batch: int) -> dict[str, float]:
     Counted from the §5.5 segment decomposition exactly as the runtime
     executes it (the gathered-region / V-workspace geometry of
     :class:`~repro.runtime.executable.ConvExecutable`), so the prediction
-    and the execution can never drift structurally apart.
+    and the execution can never drift structurally apart.  A runtime GEMM
+    plan is one GEMM segment over every column, priced by the tail terms.
     """
-    if plan.algorithm != "im2col-winograd":
-        raise ValueError(f"cannot featurise a non-Winograd plan: {plan.reason}")
+    if not plan.segments:
+        raise ValueError(f"cannot featurise a plan without segments: {plan.reason}")
     shape = plan.shape
     oh, fh, fw, ic, oc = shape.oh, shape.fh, shape.fw, shape.ic, shape.oc
     transform = contract = tail = mem = 0.0

@@ -18,6 +18,7 @@ __all__ = [
     "conv_output_size",
     "pad_nhwc",
     "im2col_nhwc",
+    "im2col_nhwc_into",
     "col2im_nhwc",
 ]
 
@@ -142,21 +143,74 @@ def im2col_nhwc(x: np.ndarray, fh: int, fw: int, ph: int, pw: int, stride: int =
     Transforms ifms ``X (N, IH, IW, IC)`` into the matrix
     ``B ∈ R^{GM × GK}`` with ``GM = N*OH*OW`` and ``GK = FH*FW*IC``, laid out
     so that column blocks run ``(fh, fw, ic)`` — the order Stage 2's sliding
-    windows assume.
+    windows assume.  Built by :func:`im2col_nhwc_into`.
     """
     n, ih, iw, ic = x.shape
     oh = conv_output_size(ih, fh, ph, stride)
     ow = conv_output_size(iw, fw, pw, stride)
-    xp = pad_nhwc(x, ph, pw)
-    # Gather windows via stride tricks: (N, OH, OW, FH, FW, IC) view.
-    sn, sh, sw, sc = xp.strides
-    windows = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, oh, ow, fh, fw, ic),
-        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
-        writeable=False,
-    )
-    return windows.reshape(n * oh * ow, fh * fw * ic).copy()
+    cols = np.empty((n, oh, ow, fh, fw * ic), dtype=x.dtype)
+    im2col_nhwc_into(cols, x, fh, fw, ph, pw, stride)
+    return cols.reshape(n * oh * ow, fh * fw * ic)
+
+
+def im2col_nhwc_into(
+    out: np.ndarray,
+    x: np.ndarray,
+    fh: int,
+    fw: int,
+    ph: int,
+    pw: int,
+    stride: int = 1,
+    col0: int = 0,
+) -> None:
+    """Write the im2col rows of output columns ``[col0, col0 + W)`` into ``out``.
+
+    ``x`` is ``(..., IH, IW, IC)`` and ``out`` is ``(..., OH, W, FH, FW*IC)``
+    with any strides, typically a view into a row-blocked GEMM operand, so
+    the matrix is written where the contraction reads it.  In NHWC an output
+    pixel's ``(fw, ic)`` window within one filter row is one contiguous
+    ``FW*IC`` run of an input row (§4.1), so per ``fh`` the interior columns
+    take a single strided row-window copy.  Edge columns, whose window
+    crosses the implicit padding, copy their in-range taps and zero the
+    rest, and output rows whose filter row falls in the padding are zeroed:
+    ``x`` is never padded.
+    """
+    *lead, ih, iw, ic = x.shape
+    oh, width = out.shape[-4], out.shape[-3]
+    o = out.view()
+    o.shape = out.shape[:-1] + (fw, ic)  # raises rather than copy
+    s = stride
+    nl = len(lead)
+    lead_strides = x.strides[:nl]
+    sh, sw, sc = x.strides[nl:]
+    # Interior columns: every tap inside the input.
+    ja = min(max(-(-pw // s) - col0, 0), width)
+    jb = min(max((iw - fw + pw) // s + 1 - col0, ja), width)
+    for f in range(fh):
+        # Output rows whose input row ``r*s + f - ph`` lies inside the input.
+        r0 = min(max(-(-(ph - f) // s), 0), oh)
+        r1 = max(min((ih - 1 - f + ph) // s + 1, oh), r0)
+        o[..., :r0, :, f, :, :] = 0
+        o[..., r1:, :, f, :, :] = 0
+        if r0 == r1:
+            continue
+        i0 = r0 * s + f - ph
+        rows = slice(i0, i0 + (r1 - r0 - 1) * s + 1, s)
+        if ja < jb:
+            base = x[..., i0:, (col0 + ja) * s - pw :, :]
+            o[..., r0:r1, ja:jb, f, :, :] = np.lib.stride_tricks.as_strided(
+                base,
+                shape=(*lead, r1 - r0, jb - ja, fw, ic),
+                strides=(*lead_strides, sh * s, sw * s, sw, sc),
+                writeable=False,
+            )
+        for j in (*range(ja), *range(jb, width)):
+            c = (col0 + j) * s - pw  # input column of tap 0
+            t0 = max(0, -c)
+            t1 = max(t0, min(fw, iw - c))
+            o[..., r0:r1, j, f, :t0, :] = 0
+            o[..., r0:r1, j, f, t1:, :] = 0
+            o[..., r0:r1, j, f, t0:t1, :] = x[..., rows, c + t0 : c + t1, :]
 
 
 def col2im_nhwc(

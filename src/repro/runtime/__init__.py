@@ -39,7 +39,7 @@ from .engine import (
     legacy_forced,
 )
 from .executable import ConvExecutable, FilterBundle, build_filter_bundle
-from .signature import ConvSignature
+from .signature import ConvSignature, conv_engine
 
 __all__ = [
     "CacheStats",
@@ -52,6 +52,7 @@ __all__ = [
     "cache_stats",
     "clear_cache",
     "configure",
+    "conv_engine",
     "convolve",
     "default_config",
     "force_legacy",

@@ -20,6 +20,13 @@ exception out of a compiled executable can replay the batch under this
 scope and still answer the request (bit-identical results, just slower).
 Those are the only two paths: outside the scope every signature runs its
 cached executable.
+
+``convolve(..., algorithm="gemm")`` runs the same conv as one row-blocked
+im2col GEMM instead (the per-layer pick of
+:func:`~repro.runtime.signature.conv_engine`), through the same cache,
+bundles, ledger and degradation hatch; its legacy path is
+:func:`repro.baselines.gemm.conv2d_gemm`.  The default stays the paper's
+``Gamma_alpha``.
 """
 
 from __future__ import annotations
@@ -33,11 +40,12 @@ from typing import Iterator
 
 import numpy as np
 
+from ..baselines.gemm import conv2d_gemm
 from ..core.fused import DEFAULT_BLOCK_IC
 from ..obs import NULL_SPAN, counter_add, span
 from ..obs.perfledger import record_execution
 from .cache import get_executable, global_cache
-from .executable import FilterBundle
+from .executable import FilterBundle, compiled_plan
 from .signature import ConvSignature
 
 __all__ = [
@@ -174,15 +182,9 @@ def _legacy_coeffs(sig: ConvSignature, generation: int) -> tuple[float, float]:
     coefficients the executable caches are recomputed here from the plan —
     memoized per signature and calibration generation.
     """
-    from ..core.planner import plan_convolution
     from ..gpusim import calibrate
-    from ..nhwc.tensor import ConvShape
 
-    shape = ConvShape(
-        batch=1, ih=sig.ih, iw=sig.iw, ic=sig.ic, oc=sig.oc,
-        fh=sig.fh, fw=sig.fw, ph=sig.ph, pw=sig.pw, stride=1,
-    )
-    plan = plan_convolution(shape, alpha=sig.alpha, variant=sig.variant)
+    plan = compiled_plan(sig)
     model = calibrate.resolve_model()
     p1 = model.predict_ns(calibrate.conv_features(plan, 1))
     p2 = model.predict_ns(calibrate.conv_features(plan, 2))
@@ -202,6 +204,7 @@ def convolve(
     version: object = None,
     bundle: FilterBundle | None = None,
     config: ExecutionConfig | None = None,
+    algorithm: str = "winograd",
 ) -> np.ndarray:
     """Unit-stride conv through the compiled-plan runtime.
 
@@ -215,6 +218,9 @@ def convolve(
     ``version`` optionally names the weight version to key the
     filter-transform cache by instead of comparing the weights, and
     ``bundle`` supplies pre-resolved filter operands (frozen inference).
+    ``algorithm="gemm"`` runs the conv as one row-blocked im2col GEMM
+    (bit-identical to ``conv2d_gemm``; ``alpha``, ``variant`` and
+    ``block_ic`` do not apply).
 
     Inside a :func:`force_legacy` scope the call bypasses the compiled
     executable and runs the interpreted reference path instead (same bits,
@@ -226,16 +232,24 @@ def convolve(
 
         counter_add("runtime.degraded.calls")
         with span("degraded", path="legacy") as degraded_span:
-            y = conv2d_im2col_winograd(
-                x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-                block_ic=block_ic, legacy=True,
-            )
+            if algorithm == "gemm":
+                _, fh, fw, _ = w.shape
+                y = conv2d_gemm(
+                    x, w, ph=fh // 2 if ph is None else ph,
+                    pw=fw // 2 if pw is None else pw, dtype=np.dtype(dtype),
+                )
+            else:
+                y = conv2d_im2col_winograd(
+                    x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
+                    block_ic=block_ic, legacy=True,
+                )
         # Degraded calls are ledgered too (path="legacy"), timed by the span
         # around the legacy conv: the drift monitor is most interesting
         # exactly when the compiled path is failing.
         if degraded_span is not NULL_SPAN:
             sig = ConvSignature.for_operands(
-                x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
+                x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
+                algorithm=algorithm,
             )
             const, per_row = _legacy_coeffs(sig, _calibration_generation())
             record_execution(
@@ -248,7 +262,8 @@ def convolve(
             )
         return y
     sig = ConvSignature.for_operands(
-        x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
+        x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
+        algorithm=algorithm,
     )
     exe = get_executable(sig)
     return exe(x, w, version=version, bundle=bundle, config=config, block_ic=block_ic)

@@ -39,6 +39,11 @@ exactly as the legacy path does, so the two produce the same bits at the
 same ``block_ic`` (asserted across the registry in
 ``tests/test_runtime.py``) and no row's bits depend on the batch it shares.
 
+A GEMM signature (:func:`~repro.runtime.signature.conv_engine`'s pick for
+small layers) compiles to a plan of one GEMM segment spanning ``OW``: the
+tail's row-blocked im2col GEMM over every column, with the folded filters
+as its operand, and none of the Winograd state.
+
 Large batches are processed in bounded workspace chunks; an opt-in thread
 pool (see :class:`~repro.runtime.engine.ExecutionConfig`) dispatches chunks
 concurrently for the training path.  Chunks are cut on whole row blocks,
@@ -55,12 +60,12 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable
 import numpy as np
 
 from ..core import rowblocks
-from ..core.boundary import Segment, plan_width_segments
-from ..core.fused import DEFAULT_BLOCK_IC, gemm_input_strip
+from ..core.boundary import GEMM, Segment, plan_width_segments
+from ..core.fused import DEFAULT_BLOCK_IC
 from ..core.kernels import get_kernel
 from ..core.planner import ConvPlan
 from ..core.transforms import TransformMatrices, winograd_matrices
-from ..nhwc.tensor import ConvShape, im2col_nhwc
+from ..nhwc.tensor import ConvShape
 from ..nhwc.tiles import _gather_padded_region
 from ..obs import NULL_SPAN, counter_add, span, telemetry
 from ..obs.perfledger import record_execution
@@ -69,7 +74,7 @@ from .signature import ConvSignature
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .engine import ExecutionConfig
 
-__all__ = ["ConvExecutable", "FilterBundle", "build_filter_bundle"]
+__all__ = ["ConvExecutable", "FilterBundle", "build_filter_bundle", "compiled_plan"]
 
 SchemeKey = tuple[int, int]  # (n, r)
 
@@ -117,7 +122,6 @@ def build_filter_bundle(
     """
     counter_add("runtime.filter_cache.misses")
     w = np.asarray(w, dtype=dtype)
-    oc, fh, fw, ic = w.shape
     u: dict[SchemeKey, np.ndarray] = {}
     for key in schemes:
         n, r = key
@@ -128,8 +132,7 @@ def build_filter_bundle(
         # element, hence bit-identical values), laid out (k, f, ic, oc) so
         # each alpha state's (f, ic) rows are one contiguous GEMM operand.
         u[key] = np.ascontiguousarray(np.einsum("kp,ofpi->kfio", mats.G, w, optimize=True))
-    operand = np.ascontiguousarray(w.transpose(1, 2, 3, 0).reshape(fh * fw * ic, oc))
-    return FilterBundle(u=u, gemm_operand=operand)
+    return FilterBundle(u=u, gemm_operand=rowblocks.fold_filters(w))
 
 
 def _flat_bits(w: np.ndarray) -> np.ndarray:
@@ -155,6 +158,33 @@ class _FilterSlot:
     bundle: FilterBundle
 
 
+def compiled_plan(sig: ConvSignature) -> ConvPlan:
+    """The :class:`~repro.core.planner.ConvPlan` an executable of ``sig`` runs.
+
+    A real plan (batch is irrelevant to it) so the static sanitizer and the
+    perf model audit exactly what the runtime runs.  A Winograd signature
+    gets the §5.5 segmentation of ``OW``; a GEMM signature one GEMM segment
+    over every column, the tail's arithmetic at full width.
+    """
+    shape = ConvShape(
+        batch=1, ih=sig.ih, iw=sig.iw, ic=sig.ic, oc=sig.oc,
+        fh=sig.fh, fw=sig.fw, ph=sig.ph, pw=sig.pw, stride=1,
+    )
+    if sig.algorithm == "gemm":
+        return ConvPlan(
+            shape, "gemm", segments=(Segment(kernel=GEMM, start=0, width=sig.ow),),
+            reason="runtime-compiled im2col GEMM (repro.runtime.conv_engine)",
+        )
+    primary = get_kernel(sig.alpha, sig.fw, sig.variant)
+    return ConvPlan(
+        shape,
+        "im2col-winograd",
+        primary=primary,
+        segments=tuple(plan_width_segments(sig.ow, sig.fw, primary=primary)),
+        reason=f"runtime-compiled unit-stride width-{sig.fw} convolution",
+    )
+
+
 @dataclass(frozen=True)
 class _WinogradSegment:
     """Compiled state of one Winograd-owned segment."""
@@ -176,12 +206,10 @@ class _WinogradSegment:
 
 @dataclass(frozen=True)
 class _GemmSegment:
-    """Compiled state of the §5.5 GEMM tail segment."""
+    """Compiled state of a GEMM segment: the §5.5 tail, or every column of a
+    GEMM signature."""
 
     seg: Segment
-    col_lo: int
-    need: int
-    interior: bool
 
 
 @dataclass(frozen=True)
@@ -201,34 +229,12 @@ class ConvExecutable:
         self.sig = sig
         self.dtype = np.dtype(sig.dtype)
         self.oh, self.ow = sig.oh, sig.ow
-        primary = get_kernel(sig.alpha, sig.fw, sig.variant)
-        segments = plan_width_segments(self.ow, sig.fw, primary=primary)
-        # A real ConvPlan (batch is irrelevant to the plan) so the static
-        # sanitizer and the perf model audit exactly what the runtime runs.
-        self.plan = ConvPlan(
-            ConvShape(
-                batch=1, ih=sig.ih, iw=sig.iw, ic=sig.ic, oc=sig.oc,
-                fh=sig.fh, fw=sig.fw, ph=sig.ph, pw=sig.pw, stride=1,
-            ),
-            "im2col-winograd",
-            primary=primary,
-            segments=tuple(segments),
-            reason=f"runtime-compiled unit-stride width-{sig.fw} convolution",
-        )
+        self.plan = compiled_plan(sig)
         self.mats: dict[SchemeKey, TransformMatrices] = {}
         self._states: list[_WinogradSegment | _GemmSegment] = []
-        for seg in segments:
+        for seg in self.plan.segments:
             if seg.is_gemm:
-                col_lo = seg.start - sig.pw
-                need = seg.width + sig.fw - 1
-                self._states.append(
-                    _GemmSegment(
-                        seg=seg,
-                        col_lo=col_lo,
-                        need=need,
-                        interior=0 <= col_lo and col_lo + need <= sig.iw,
-                    )
-                )
+                self._states.append(_GemmSegment(seg=seg))
                 continue
             spec = seg.kernel.spec  # type: ignore[union-attr]
             key = (spec.n, spec.r)
@@ -504,15 +510,15 @@ class ConvExecutable:
     def _row_bytes(self, st: _WinogradSegment | _GemmSegment) -> int:
         """Per-batch-row intermediate bytes of one segment.
 
-        Winograd: gathered region + V + P (+ m, y slice); GEMM tail:
-        input strip + im2col rows + output.
+        Winograd: gathered region + V + P (+ m, y slice); GEMM: the
+        row-blocked im2col operand (its pad rows shared out over a block's
+        images) + output.
         """
         sig = self.sig
         if isinstance(st, _GemmSegment):
-            return self.dtype.itemsize * (
-                sig.ih * st.need * sig.ic
-                + self.oh * st.seg.width * (sig.fh * sig.fw * sig.ic + sig.oc)
-            )
+            r = self.oh * st.seg.width
+            rows = -(-rowblocks.block_rows(r) // rowblocks.block_images(r))
+            return self.dtype.itemsize * (rows * sig.fh * sig.fw * sig.ic + r * sig.oc)
         return self.dtype.itemsize * (
             st.nrows * st.ncols * sig.ic
             + st.alpha * sig.fh * self.oh * st.num_tiles * (sig.ic + sig.oc)
@@ -693,12 +699,10 @@ class ConvExecutable:
         sig = self.sig
         seg = st.seg
         with span("segment", kind="gemm", start=seg.start, width=seg.width):
-            counter_add("gemm.tail_segments")
-            counter_add("gemm.tail_columns", seg.width)
-            operand = get_bundle().gemm_operand
-            strip = gemm_input_strip(x, seg.start, seg.width, pw=sig.pw, fw=sig.fw)
-            cols = im2col_nhwc(strip, sig.fh, sig.fw, sig.ph, 0)
-            out = rowblocks.matmul(cols, operand, self.oh * seg.width)
-            y[:, :, seg.start : seg.start + seg.width, :] = out.reshape(
-                x.shape[0], self.oh, seg.width, sig.oc
+            if sig.algorithm == "winograd":
+                counter_add("gemm.tail_segments")
+                counter_add("gemm.tail_columns", seg.width)
+            y[:, :, seg.start : seg.start + seg.width, :] = rowblocks.conv_matmul(
+                x, get_bundle().gemm_operand, sig.fh, sig.fw, sig.ph, sig.pw,
+                col0=seg.start, width=seg.width,
             )

@@ -1,11 +1,13 @@
 """Conv signatures: the cache key of the compiled-plan runtime.
 
 A :class:`ConvSignature` pins everything the compile step depends on —
-geometry ``(IH, IW, IC, OC, FH, FW)``, padding, the ``Gamma_alpha`` kernel
-selection ``(alpha, variant)`` and the computation dtype — and nothing it
-does not: the batch size ``N`` only scales the gathered volume, so the same
-executable serves every batch of a shape (exactly how cuDNN keys its
-heuristic/plan caches on the conv descriptor, not the batch pointer).
+geometry ``(IH, IW, IC, OC, FH, FW)``, padding, the algorithm (the
+``Gamma_alpha`` kernel selection ``(alpha, variant)``, or the im2col GEMM
+that :func:`conv_engine` picks for small layers) and the computation
+dtype — and nothing it does not: the batch size ``N`` only scales the
+gathered volume, so the same executable serves every batch of a shape
+(exactly how cuDNN keys its heuristic/plan caches on the conv descriptor,
+not the batch pointer).
 
 Validation lives here so the functional API
 (:func:`repro.core.fused.conv2d_im2col_winograd`), the runtime entry point
@@ -15,14 +17,55 @@ Validation lives here so the functional API
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.kernels import default_alpha_for_width, get_kernel
+from ..core.kernels import MAX_WIDTH, default_alpha_for_width, get_kernel
 from ..nhwc.tensor import conv_output_size
 
-__all__ = ["ConvSignature"]
+__all__ = ["ConvSignature", "conv_engine"]
+
+#: The GEMM region of :func:`conv_engine`: a unit-stride 3x3 conv runs GEMM
+#: when ``OW <= width`` and ``min(IC, OC) <= channels`` for one of these
+#: ``(width, channels)`` corners.  Fitted on the 3x3 grid of DESIGN.md
+#: ("Per-layer algorithm rule", ``OW`` 2-32): GEMM only where it was faster
+#: at batch 1 and within 5% at batch 8.
+GEMM_REGION: tuple[tuple[float, float], ...] = (
+    (2, math.inf),
+    (4, 128),
+    (16, 64),
+    (32, 32),
+)
+
+
+def conv_engine(ic: int, oc: int, fh: int, fw: int, ow: int) -> str:
+    """``"gemm"`` or ``"winograd"``: the faster algorithm for a unit-stride conv.
+
+    A pure function of the layer's signature, never of the batch, the host
+    or any option, so every process picks the same engine and a layer's
+    bits do not depend on how many images share its batch.  Winograd pays
+    its input and output transforms per tile and reads filters ``alpha/r``
+    times the raw size; with few channels the contraction does not amortise
+    the transforms, and with few output columns most of the work is the
+    tiles' boundary (the paper's §5.6 roofline, and Figs 8-9 where cuDNN's
+    GEMM wins).
+
+    The region covers only what was measured: 3x3 filters and ``OW <= 32``.
+    Other filters and wider maps stay on Winograd, and filter widths no
+    ``Gamma_alpha`` kernel covers run GEMM.  ``OH`` is not an input:
+    ``Gamma_alpha`` tiles along the width only, so the plan, and with it
+    the rule, depends on ``OW`` (the grid was square).
+    """
+    if not 2 <= fw <= MAX_WIDTH:
+        return "gemm"
+    if (fh, fw) != (3, 3):
+        return "winograd"
+    channels = min(ic, oc)
+    if any(ow <= width and channels <= most for width, most in GEMM_REGION):
+        return "gemm"
+    return "winograd"
 
 
 @dataclass(frozen=True)
@@ -31,7 +74,9 @@ class ConvSignature:
 
     ``dtype`` is the numpy dtype *name* (hashable); ``alpha``/``variant``
     are fully resolved (no ``None`` defaults survive construction via
-    :meth:`resolve`).
+    :meth:`resolve`).  ``algorithm`` is ``"winograd"`` (the paper's
+    ``Gamma_alpha``, the default) or ``"gemm"`` (one im2col GEMM over every
+    output column; ``alpha`` is then 0 and ``variant`` ``"base"``).
     """
 
     ih: int
@@ -45,6 +90,7 @@ class ConvSignature:
     alpha: int
     variant: str
     dtype: str
+    algorithm: str = "winograd"
 
     @property
     def oh(self) -> int:
@@ -57,10 +103,8 @@ class ConvSignature:
     @property
     def label(self) -> str:
         """Compact human-readable key for metrics/ledger labels."""
-        return (
-            f"{self.ih}x{self.iw}x{self.ic}-{self.oc}"
-            f".f{self.fh}x{self.fw}.a{self.alpha}.{self.variant}"
-        )
+        algo = "gemm" if self.algorithm == "gemm" else f"a{self.alpha}.{self.variant}"
+        return f"{self.ih}x{self.iw}x{self.ic}-{self.oc}.f{self.fh}x{self.fw}.{algo}"
 
     @classmethod
     def resolve(
@@ -77,6 +121,7 @@ class ConvSignature:
         alpha: int | None = None,
         variant: str = "base",
         dtype: np.dtype | type | str = np.float32,
+        algorithm: str = "winograd",
     ) -> "ConvSignature":
         """Apply the functional API's defaults and validate the envelope.
 
@@ -90,19 +135,27 @@ class ConvSignature:
             pw = fw // 2
         if not (0 <= pw < fw and 0 <= ph < fh) and (fh > 1 or fw > 1):
             raise ValueError(f"padding (ph={ph}, pw={pw}) must satisfy 0 <= p < filter extent")
-        if alpha is None:
-            alpha = default_alpha_for_width(fw)
         dt = np.dtype(dtype)
-        if dt == np.float16 and alpha == 16:
-            raise ValueError(
-                "alpha=16 is not representable in float16 (transform-matrix "
-                "magnitude disparity, see §6.2.2); use alpha<=8 or float32"
+        if algorithm == "gemm":
+            sig = cls(
+                ih=ih, iw=iw, ic=ic, oc=oc, fh=fh, fw=fw, ph=ph, pw=pw,
+                alpha=0, variant="base", dtype=dt.name, algorithm="gemm",
             )
-        get_kernel(alpha, fw, variant)  # raises for unregistered combinations
-        sig = cls(
-            ih=ih, iw=iw, ic=ic, oc=oc, fh=fh, fw=fw,
-            ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dt.name,
-        )
+        elif algorithm == "winograd":
+            if alpha is None:
+                alpha = default_alpha_for_width(fw)
+            if dt == np.float16 and alpha == 16:
+                raise ValueError(
+                    "alpha=16 is not representable in float16 (transform-matrix "
+                    "magnitude disparity, see §6.2.2); use alpha<=8 or float32"
+                )
+            get_kernel(alpha, fw, variant)  # raises for unregistered combinations
+            sig = cls(
+                ih=ih, iw=iw, ic=ic, oc=oc, fh=fh, fw=fw,
+                ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dt.name,
+            )
+        else:
+            raise ValueError(f"algorithm must be 'winograd' or 'gemm', got {algorithm!r}")
         if sig.oh < 1 or sig.ow < 1:
             raise ValueError(f"empty output {sig.oh}x{sig.ow}")
         return sig
@@ -118,6 +171,7 @@ class ConvSignature:
         alpha: int | None = None,
         variant: str = "base",
         dtype: np.dtype | type | str = np.float32,
+        algorithm: str = "winograd",
     ) -> "ConvSignature":
         """Signature of ``conv(x, w)`` — the operand-shape front door."""
         if x.ndim != 4 or w.ndim != 4:
@@ -131,4 +185,5 @@ class ConvSignature:
         return cls.resolve(
             ih=ih, iw=iw, ic=ic, oc=oc, fh=fh, fw=fw,
             ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
+            algorithm=algorithm,
         )

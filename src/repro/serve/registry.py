@@ -5,14 +5,18 @@ request arrives:
 
 * builds (or adopts) a :mod:`repro.dlframe` model and **freezes** it —
   serving must be a pure function of the weights, so BatchNorm uses
-  running statistics and nothing mutates per request, and each Winograd
-  ``Conv2D`` holds its §6.1.2 filter transforms itself instead of having
-  the runtime find them again on every call;
-* **warms** the model through the compiled-plan runtime: one forward pass
-  resolves every unit-stride convolution to its cached
+  running statistics and nothing mutates per request, and each ``Conv2D``
+  holds its filter operands itself (the §6.1.2 transforms of a Winograd
+  conv, the folded matrix of a GEMM conv) instead of rebuilding them on
+  every call;
+* **warms** the model: one forward pass per served input size resolves
+  every unit-stride convolution to its cached
   :class:`~repro.runtime.executable.ConvExecutable` (plan + transform
-  matrices + gather descriptors + einsum paths) and builds each frozen
-  conv's filter transforms, so the first real request does no set-up work;
+  matrices + gather descriptors + einsum paths, or the GEMM plan the
+  per-layer rule picks) and builds each frozen conv's filter operands, so
+  the first real request does no set-up work, and each conv then reports
+  the engine the rule ran it on (``winograd_convs`` counts those that ran
+  Winograd);
 * measures the model's **per-row workspace** from the executables the
   warmup resolved (:meth:`~repro.runtime.executable.ConvExecutable.per_row_workspace_bytes`),
   which the dynamic batcher's workspace-budget flush trigger consumes;
@@ -238,7 +242,6 @@ class ModelRegistry:
             input_shapes=tuple(
                 (hw, hw, in_channels) for hw in (image, *extra_images)
             ),
-            winograd_convs=sum(1 for c in convs if c.effective_engine == "winograd"),
             total_convs=len(convs),
         )
         with self._lock:
@@ -247,6 +250,9 @@ class ModelRegistry:
             self._models[name] = entry
         if warmup:
             self._warm(entry)
+        # After the warm-up, each conv reports the engine it ran at every
+        # served size; without one, the engine it is configured with.
+        entry.winograd_convs = sum(1 for c in convs if c.effective_engine != "gemm")
         counter_add("serve.models.registered")
         return entry
 
@@ -255,9 +261,10 @@ class ModelRegistry:
 
         One forward per registered input shape: the executable cache takes
         the plan/transform/einsum misses, each frozen conv builds its filter
-        transforms (one ``runtime.filter_cache.misses`` per conv and input
-        width), and the executables the pass resolved yield the measured
-        per-row workspace the batcher budgets with.
+        operands (one ``runtime.filter_cache.misses`` per unit-stride conv
+        and input width), and the executables the pass resolved (Winograd
+        and GEMM alike) yield the measured per-row workspace and the cost
+        coefficients the batcher budgets with.
         """
         before = {id(e) for e in runtime.global_cache().executables()}
         t0 = time.perf_counter()

@@ -105,3 +105,27 @@ def test_model_any_split(arch, image, width):
         np.testing.assert_array_equal(
             _split_outputs(entry.infer_rows, x, size), whole, err_msg=f"{size}-row split"
         )
+
+
+def test_mixed_engine_model_any_split_legacy_and_dispatch():
+    """ResNet-18 at width 0.5: the engine rule runs layer3-4 on Winograd and
+    the other convs (and every strided one) as row-blocked GEMMs.  Any
+    split, the legacy path and the dispatch knobs all give the same bits."""
+    entry = ModelRegistry().register("mixed", arch="resnet18", image=32, width_mult=0.5)
+    assert 0 < entry.winograd_convs < entry.total_convs
+    x = np.random.default_rng(5).standard_normal((ROWS, 32, 32, 3), dtype=np.float32)
+    whole = entry.infer_rows(x)
+    for size in SPLITS:
+        np.testing.assert_array_equal(
+            _split_outputs(entry.infer_rows, x, size), whole, err_msg=f"{size}-row split"
+        )
+    with runtime.force_legacy():
+        np.testing.assert_array_equal(entry.infer_rows(x), whole, err_msg="legacy")
+    default = runtime.default_config()
+    threads, workspace = default.threads, default.workspace_bytes
+    try:
+        for kw in ({"threads": 2}, {"threads": 0, "workspace_bytes": 1}):
+            runtime.configure(**kw)
+            np.testing.assert_array_equal(entry.infer_rows(x), whole, err_msg=repr(kw))
+    finally:
+        runtime.configure(threads=threads, workspace_bytes=workspace)

@@ -4,33 +4,88 @@ import numpy as np
 import pytest
 
 from repro import obs, runtime
+from repro.baselines.gemm import conv2d_gemm
 from repro.core import conv2d_im2col_winograd
-from repro.dlframe import Adam, Tensor, Trainer, synthetic_cifar10
+from repro.dlframe import Adam, Tensor, Trainer, conv_layer_geometries, synthetic_cifar10
 from repro.dlframe.layers import Conv2D
 from repro.dlframe.models import resnet18, vgg16
 
 
+#: Channels at which the engine rule keeps a 3x3 conv on Winograd for any
+#: output width above 4 (the GEMM region stops at 64 channels for OW <= 16
+#: and at 128 for OW <= 4).
+WINO_C = 72
+
+
+def _wino_conv() -> Conv2D:
+    return Conv2D(WINO_C, WINO_C, 3, engine="winograd", rng=np.random.default_rng(0))
+
+
+#: Input side at which every conv of the small test models keeps its first
+#: block on Winograd: the engine rule's GEMM region stops at ``OW`` 32.
+WINO_IMAGE = 40
+
+
+def _winograd_convs(model, shape) -> int:
+    """Convs of ``model`` that ran Winograd on their ``shape``-input forwards."""
+    return sum(
+        layer.effective_engine == "winograd"
+        for layer, *_ in conv_layer_geometries(model, shape)
+    )
+
+
 class TestConvFreeze:
     def test_frozen_forward_bit_identical(self, rng):
-        conv = Conv2D(3, 4, 3, engine="winograd", rng=np.random.default_rng(0))
-        x = rng.standard_normal((2, 9, 11, 3)).astype(np.float32)
-        conv.eval()
-        before = conv(Tensor(x)).data
-        conv.freeze()
-        np.testing.assert_array_equal(conv(Tensor(x)).data, before)
+        for c, engine in ((WINO_C, "winograd"), (3, "gemm")):
+            conv = Conv2D(c, c, 3, engine="winograd", rng=np.random.default_rng(0))
+            x = rng.standard_normal((2, 9, 11, c)).astype(np.float32)
+            conv.eval()
+            before = conv(Tensor(x)).data
+            conv.freeze()
+            np.testing.assert_array_equal(conv(Tensor(x)).data, before)
+            assert conv.effective_engine == engine
 
     def test_cache_per_input_width(self, rng):
-        conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
+        conv = _wino_conv().freeze()
         for iw in (8, 12, 8, 16):
-            conv(Tensor(rng.standard_normal((1, 6, iw, 2)).astype(np.float32)))
+            conv(Tensor(rng.standard_normal((1, 6, iw, WINO_C)).astype(np.float32)))
         assert set(conv._bundles) == {8, 12, 16}
+        assert conv.effective_engine == "winograd"
+
+    def test_rule_picked_gemm_holds_folded_operands(self, rng):
+        """Few channels: the rule runs GEMM, and the frozen layer holds the
+        folded filters per input width instead of their transforms."""
+        conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
+        for iw in (8, 12, 8):
+            x = rng.standard_normal((1, 6, iw, 2)).astype(np.float32)
+            np.testing.assert_array_equal(
+                conv(Tensor(x)).data,
+                conv2d_gemm(x, conv.weight.data, ph=1, pw=1) + conv.bias.data,
+            )
+        assert set(conv._bundles) == {8, 12}
+        for bundle in conv._bundles.values():
+            assert not bundle.u and bundle.gemm_operand.shape == (3 * 3 * 2, 2)
+        assert conv.effective_engine == "gemm"
+
+    def test_rule_picked_gemm_honours_force_legacy(self, rng):
+        """A rule-picked GEMM conv degrades to ``conv2d_gemm``, bit for bit."""
+        conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
+        x = rng.standard_normal((2, 9, 11, 2)).astype(np.float32)
+        want = conv(Tensor(x)).data
+        with obs.capture():
+            with runtime.force_legacy():
+                got = conv(Tensor(x)).data
+            degraded = obs.get_registry().counter("runtime.degraded.calls").total()
+        assert degraded == 1
+        np.testing.assert_array_equal(got, want)
 
     def test_train_invalidates(self, rng):
-        conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
-        conv(Tensor(rng.standard_normal((1, 6, 8, 2)).astype(np.float32)))
-        assert conv._bundles
-        conv.train()
-        assert not conv._bundles and not conv._frozen
+        for conv, c in ((_wino_conv(), WINO_C), (Conv2D(2, 2, 3), 2)):
+            conv.freeze()
+            conv(Tensor(rng.standard_normal((1, 6, 8, c)).astype(np.float32)))
+            assert conv._bundles
+            conv.train()
+            assert not conv._bundles and not conv._frozen
 
     def test_weight_update_after_unfreeze_takes_effect(self, rng):
         conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
@@ -44,8 +99,8 @@ class TestConvFreeze:
 
     def test_frozen_conv_honours_force_legacy(self, rng):
         """Frozen convs go through ``runtime.convolve``, so degradation applies."""
-        conv = Conv2D(3, 4, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
-        x = rng.standard_normal((2, 9, 11, 3)).astype(np.float32)
+        conv = _wino_conv().freeze()
+        x = rng.standard_normal((2, 9, 11, WINO_C)).astype(np.float32)
         conv(Tensor(x))  # build the frozen operands first
         want = conv2d_im2col_winograd(x, conv.weight.data, legacy=True) + conv.bias.data
         with obs.capture():
@@ -56,8 +111,8 @@ class TestConvFreeze:
         np.testing.assert_array_equal(got, want)
 
     def test_frozen_calls_hit_the_layer_held_bundle(self, rng):
-        conv = Conv2D(3, 4, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
-        x = rng.standard_normal((2, 9, 11, 3)).astype(np.float32)
+        conv = _wino_conv().freeze()
+        x = rng.standard_normal((2, 9, 11, WINO_C)).astype(np.float32)
         with obs.capture():
             for _ in range(3):
                 conv(Tensor(x))
@@ -68,8 +123,8 @@ class TestConvFreeze:
     def test_refreeze_picks_up_new_weights(self, rng):
         """Weights copied in place (as ``load_state_dict`` does) take effect
         on the next freeze, which drops the old operands."""
-        conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
-        x = rng.standard_normal((1, 6, 8, 2)).astype(np.float32)
+        conv = _wino_conv().freeze()
+        x = rng.standard_normal((1, 6, 8, WINO_C)).astype(np.float32)
         conv(Tensor(x))
         conv.weight.data[...] = rng.standard_normal(conv.weight.data.shape)
         conv.freeze()
@@ -81,25 +136,28 @@ class TestConvFreeze:
         x = rng.standard_normal((1, 6, 8, 2)).astype(np.float32)
         conv(Tensor(x))
         assert not conv._bundles  # gemm path never transforms filters
+        assert conv.effective_engine == "gemm"
 
 
 class TestModelFreeze:
     def test_tree_freeze_matches_eval(self, rng):
-        m = vgg16(classes=4, image=8, width_mult=0.125, seed=1)
-        x = rng.standard_normal((2, 8, 8, 3)).astype(np.float32)
+        m = vgg16(classes=4, image=WINO_IMAGE, width_mult=0.125, seed=1)
+        x = rng.standard_normal((2, WINO_IMAGE, WINO_IMAGE, 3)).astype(np.float32)
         m.eval()
         want = m(Tensor(x)).data
         m.freeze()
         got = m(Tensor(x)).data
         np.testing.assert_array_equal(got, want)
+        assert _winograd_convs(m, x.shape) == 2  # the first block; GEMM after it
 
     def test_resnet_freeze(self, rng):
         m = resnet18(classes=4, width_mult=0.0625, seed=1)
-        x = rng.standard_normal((1, 16, 16, 3)).astype(np.float32)
+        x = rng.standard_normal((1, WINO_IMAGE, WINO_IMAGE, 3)).astype(np.float32)
         m.eval()
         want = m(Tensor(x)).data
         m.freeze()
         np.testing.assert_array_equal(m(Tensor(x)).data, want)
+        assert _winograd_convs(m, x.shape) == 5  # the stem and layer1
 
     def test_freeze_sets_eval_everywhere(self):
         m = vgg16(classes=4, image=8, width_mult=0.0625, seed=1).freeze()

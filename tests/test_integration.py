@@ -12,7 +12,7 @@ from repro.bench import (
     standard_flops,
 )
 from repro.core import conv2d_im2col_winograd, plan_convolution
-from repro.dlframe import Adam, Tensor, Trainer, synthetic_cifar10
+from repro.dlframe import Adam, Tensor, Trainer, conv_layer_geometries, synthetic_cifar10
 from repro.dlframe.models import resnet18, vgg16
 from repro.gpusim import RTX3060TI, RTX4090, estimate_conv, estimate_cudnn_gemm
 from repro.nhwc import ConvShape
@@ -75,46 +75,56 @@ class TestShapeTablesConsistency:
 
 class TestEndToEndTrainingPath:
     def test_vgg_forward_uses_fused_kernel_results(self, rng):
-        """The dlframe Conv2D forward is literally conv2d_im2col_winograd."""
+        """Where the engine rule keeps Winograd (72 channels, OW 8), the
+        dlframe Conv2D forward is literally conv2d_im2col_winograd; where it
+        picks GEMM (3 channels), literally conv2d_gemm."""
         from repro.dlframe.layers import Conv2D
 
-        conv = Conv2D(3, 4, 3, engine="winograd", rng=np.random.default_rng(0))
-        x = rng.standard_normal((1, 8, 8, 3)).astype(np.float32)
-        via_layer = conv(Tensor(x)).data
-        direct_call = conv2d_im2col_winograd(x, conv.weight.data) + conv.bias.data
-        np.testing.assert_array_equal(via_layer, direct_call)
+        for c, engine, reference in (
+            (72, "winograd", lambda x, w: conv2d_im2col_winograd(x, w)),
+            (3, "gemm", lambda x, w: conv2d_gemm(x, w, ph=1, pw=1)),
+        ):
+            conv = Conv2D(c, 72, 3, engine="winograd", rng=np.random.default_rng(0))
+            assert conv.engine_at(8) == engine
+            x = rng.standard_normal((1, 8, 8, c)).astype(np.float32)
+            via_layer = conv(Tensor(x)).data
+            direct_call = reference(x, conv.weight.data) + conv.bias.data
+            np.testing.assert_array_equal(via_layer, direct_call)
 
     def test_overfit_one_batch_both_engines(self):
         """Both engines can drive a model to (near) zero loss on one batch —
-        the classic end-to-end autograd sanity check."""
-        train, _ = synthetic_cifar10(train=32, test=8, image=8, classes=4, noise=0.1)
-        for engine in ("winograd", "gemm"):
-            m = vgg16(classes=4, image=8, width_mult=0.25, engine=engine, seed=1)
+        the classic end-to-end autograd sanity check.  On 40x40 images the
+        engine rule keeps the first block (OW 40) on Winograd."""
+        train, _ = synthetic_cifar10(train=32, test=8, image=40, classes=4, noise=0.1)
+        for engine, winograd_convs in (("winograd", 2), ("gemm", 0)):
+            m = vgg16(classes=4, image=40, width_mult=0.125, engine=engine, seed=1)
             t = Trainer(m, Adam(m.parameters(), lr=3e-3), record_every=1)
             for _ in range(25):
                 loss = t.train_step(train.x[:32], train.y[:32])
             assert loss < 0.1, engine
+            geometries = conv_layer_geometries(m, train.x[:32].shape)
+            ran = sum(layer.effective_engine == "winograd" for layer, *_ in geometries)
+            assert ran == winograd_convs, engine
 
     def test_resnet_dispatch_consistency(self):
         """The §5.7 dispatch inside ResNet: strided convs report gemm, the
-        rest report the configured engine."""
+        rest report the engine the rule picked for the width they ran at —
+        Winograd for the stem and layer1 at OW 40, GEMM for the rest."""
         m = resnet18(width_mult=0.0625, engine="winograd")
-        from repro.dlframe.layers import Conv2D
-
-        engines = []
-
-        def collect(mod):
-            for v in vars(mod).values():
-                items = v if isinstance(v, (list, tuple)) else [v]
-                for item in items:
-                    if isinstance(item, Conv2D):
-                        engines.append((item.stride, item.effective_engine))
-                    elif hasattr(item, "__dict__"):
-                        collect(item)
-
-        collect(m)
-        for stride, engine in engines:
-            assert engine == ("gemm" if stride != 1 else "winograd")
+        x = np.zeros((1, 40, 40, 3), dtype=np.float32)
+        m.eval()
+        m(Tensor(x))
+        engines = [
+            (layer.stride, iw, layer.engine_at(iw), layer.effective_engine)
+            for layer, _, iw, _, _ in conv_layer_geometries(m, x.shape)
+        ]
+        for stride, iw, picked, ran in engines:
+            assert ran == picked
+            if stride != 1:
+                assert ran == "gemm"
+            else:
+                assert ran == ("winograd" if iw == 40 else "gemm")
+        assert sum(ran == "winograd" for *_, ran in engines) == 5
 
     def test_modeled_acceleration_structure(self):
         """Experiment-3 structure via the model: VGG16x5 > VGG16, both >= ~1."""

@@ -6,7 +6,7 @@ formulas, kept here as oracles."""
 import numpy as np
 import pytest
 
-from repro import runtime
+from repro import obs, runtime
 from repro.baselines.gemm import conv2d_gemm
 from repro.dlframe.autograd import Tensor, make_op
 from repro.dlframe.layers import (
@@ -21,6 +21,11 @@ from repro.dlframe.layers import (
     add,
 )
 from repro.serve import ModelRegistry
+
+
+#: Channels at which the engine rule keeps a 3x3 or 5x5 conv on Winograd
+#: for any output width above 4.
+WINO_C = 65
 
 
 def check_input_grad(layer, x0, seed_grad, f=None, rtol=2e-2, atol=2e-2):
@@ -53,27 +58,41 @@ class TestConv2D:
 
     def test_winograd_and_gemm_numerically_close(self, rng):
         r1, r2 = np.random.default_rng(1), np.random.default_rng(1)
-        cw = Conv2D(3, 4, 3, engine="winograd", rng=r1)
-        cg = Conv2D(3, 4, 3, engine="gemm", rng=r2)
-        x = rng.standard_normal((2, 8, 9, 3)).astype(np.float32)
+        cw = Conv2D(WINO_C, WINO_C, 3, engine="winograd", rng=r1)
+        cg = Conv2D(WINO_C, WINO_C, 3, engine="gemm", rng=r2)
+        assert cw.engine_at(9) == "winograd"
+        x = rng.standard_normal((2, 8, 9, WINO_C)).astype(np.float32)
         np.testing.assert_allclose(
             cw(Tensor(x)).data, cg(Tensor(x)).data, rtol=1e-4, atol=1e-4
         )
 
     @pytest.mark.parametrize("engine", ["winograd", "gemm"])
     def test_input_grad(self, rng, engine):
-        conv = Conv2D(2, 3, 3, engine=engine, rng=np.random.default_rng(1))
+        conv = Conv2D(WINO_C, WINO_C, 3, engine=engine, rng=np.random.default_rng(1))
+        assert conv.engine_at(5) == engine
+        x0 = rng.standard_normal((1, 2, 5, WINO_C)).astype(np.float32)
+        seed = rng.standard_normal((1, 2, 5, WINO_C)).astype(np.float32)
+        check_input_grad(conv, x0, seed)
+
+    def test_rule_picked_gemm_input_grad(self, rng):
+        """Few channels: the rule runs the forward on GEMM; the data grad
+        stays the Winograd deconvolution."""
+        conv = Conv2D(2, 3, 3, engine="winograd", rng=np.random.default_rng(1))
+        assert conv.engine_at(5) == "gemm"
         x0 = rng.standard_normal((1, 5, 5, 2)).astype(np.float32)
         seed = rng.standard_normal((1, 5, 5, 3)).astype(np.float32)
         check_input_grad(conv, x0, seed)
+        assert conv.effective_engine == "gemm"
 
     def test_weight_and_bias_grads(self, rng):
-        conv = Conv2D(2, 3, 3, engine="winograd", rng=np.random.default_rng(1))
-        x = Tensor(rng.standard_normal((1, 5, 5, 2)).astype(np.float32))
-        seed = rng.standard_normal((1, 5, 5, 3)).astype(np.float32)
-        conv(x).backward(seed)
-        np.testing.assert_allclose(conv.bias.grad, seed.sum(axis=(0, 1, 2)), rtol=1e-4)
-        assert conv.weight.grad.shape == conv.weight.shape
+        for c, engine in ((WINO_C, "winograd"), (2, "gemm")):
+            conv = Conv2D(c, c, 3, engine="winograd", rng=np.random.default_rng(1))
+            x = Tensor(rng.standard_normal((1, 5, 5, c)).astype(np.float32))
+            seed = rng.standard_normal((1, 5, 5, c)).astype(np.float32)
+            conv(x).backward(seed)
+            assert conv.effective_engine == engine
+            np.testing.assert_allclose(conv.bias.grad, seed.sum(axis=(0, 1, 2)), rtol=1e-4)
+            assert conv.weight.grad.shape == conv.weight.shape
 
     def test_strided_grads_match_gemm_reference(self, rng):
         """Strided path: forward vs direct, grads vs finite differences are
@@ -93,9 +112,13 @@ class TestConv2D:
         check_input_grad(conv, x0, seed)
 
     def test_kernel5_uses_gamma8(self, rng):
-        conv = Conv2D(2, 2, 5, engine="winograd", rng=np.random.default_rng(1))
-        x = Tensor(rng.standard_normal((1, 9, 9, 2)).astype(np.float32))
-        assert conv(x).shape == (1, 9, 9, 2)
+        conv = Conv2D(WINO_C, 2 * WINO_C, 5, engine="winograd", rng=np.random.default_rng(1))
+        x = Tensor(rng.standard_normal((1, 9, 9, WINO_C)).astype(np.float32))
+        with obs.capture():
+            assert conv(x).shape == (1, 9, 9, 2 * WINO_C)
+            spans = [r for r, _ in obs.get_tracer().iter_spans() if r.name == "conv2d"]
+        assert conv.effective_engine == "winograd"
+        assert spans and spans[0].attrs["alpha"] == 8
 
     def test_bad_engine(self):
         with pytest.raises(ValueError, match="engine"):
@@ -279,7 +302,7 @@ def _oracle_batchnorm_forward(self, x):
 
 def _oracle_conv_forward(self, x):
     xd, wd, p = x.data, self.weight.data, self.padding
-    if self.effective_engine == "winograd":
+    if self.engine_at(xd.shape[2]) == "winograd":
         y = runtime.convolve(xd, wd, ph=p, pw=p)
     else:
         y = conv2d_gemm(xd, wd, ph=p, pw=p, stride=self.stride)
@@ -413,10 +436,13 @@ class TestBitIdentity:
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("engine", ["winograd", "gemm"])
     def test_conv_bias_epilogue(self, rng, engine, stride):
-        conv = Conv2D(3, 10, 3, stride=stride, engine=engine, rng=np.random.default_rng(1))
+        c = WINO_C
+        conv = Conv2D(c, c, 3, stride=stride, engine=engine, rng=np.random.default_rng(1))
+        winograd = (engine, stride) == ("winograd", 1)
+        assert conv.engine_at(9) == ("winograd" if winograd else "gemm")
         conv.bias.data[:7] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-45, -1e-45]
-        conv.bias.data[7:] = rng.standard_normal(3)
-        x0 = rng.standard_normal((2, 8, 9, 3)).astype(np.float32)
+        conv.bias.data[7:] = rng.standard_normal(c - 7)
+        x0 = rng.standard_normal((2, 8, 9, c)).astype(np.float32)
         x0[0, 0, :3, 0] = [0.0, -0.0, 1e-45]
         want = _oracle_conv_forward(conv, Tensor(x0)).data
         _assert_bits_equal(conv(Tensor(x0)).data, want)

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from repro.dlframe import Adam, SGDM, Tensor, Trainer, synthetic_cifar10, synthetic_ilsvrc
+from repro.dlframe.layers import Conv2D, LeakyReLU, Sequential
 from repro.dlframe.models import build_vgg, resnet18, resnet34, vgg16, vgg16x5, vgg16x7, vgg19
-from repro.dlframe.trainer import measure_training_memory, smooth_losses
+from repro.dlframe.trainer import conv_layer_geometries, measure_training_memory, smooth_losses
 
 
-def tiny_vgg(engine="winograd", **kw):
-    return vgg16(classes=4, image=8, width_mult=0.0625, engine=engine, seed=7, **kw)
+def tiny_vgg(engine="winograd", image=8, **kw):
+    return vgg16(classes=4, image=image, width_mult=0.0625, engine=engine, seed=7, **kw)
 
 
 class TestVGGConstruction:
@@ -139,22 +140,38 @@ class TestTrainer:
 
     def test_winograd_and_gemm_converge_alike(self):
         """Experiment 3's core claim at miniature scale: same model, same
-        data, same seeds — the two engines' loss curves track each other."""
-        train, _ = synthetic_cifar10(train=96, test=8, image=8, classes=4, noise=0.2)
+        data, same seeds — the two engines' loss curves track each other.
+        On 40x40 images the engine rule keeps the first block (OW 40) on
+        Winograd."""
+        train, _ = synthetic_cifar10(train=96, test=8, image=40, classes=4, noise=0.2)
         recs = {}
         for engine in ("winograd", "gemm"):
-            m = tiny_vgg(engine)
+            m = tiny_vgg(engine, image=40)
             t = Trainer(m, Adam(m.parameters(), lr=1e-3), record_every=1)
             recs[engine] = t.fit(train, epochs=3, batch_size=32, seed=11)
+            geometries = conv_layer_geometries(m, (1, 40, 40, 3))
+            ran = sum(layer.effective_engine == "winograd" for layer, *_ in geometries)
+            assert ran == (2 if engine == "winograd" else 0)
         a = np.array(recs["winograd"].losses)
         b = np.array(recs["gemm"].losses)
         np.testing.assert_allclose(a, b, rtol=0.08, atol=0.05)
 
     def test_memory_model_winograd_smaller(self):
-        """Tables 4/5: the fused engine needs no im2col workspace."""
+        """Tables 4/5: the fused engine needs no im2col workspace.  The
+        second conv (72 channels at 8x8) is one the engine rule keeps on
+        Winograd, and it has the model's largest im2col matrix."""
+
+        def net(engine):
+            rng = np.random.default_rng(7)
+            return Sequential(
+                Conv2D(3, 72, 3, engine=engine, rng=rng),
+                LeakyReLU(),
+                Conv2D(72, 72, 3, engine=engine, rng=rng),
+            )
+
         shape = (32, 8, 8, 3)
-        mw = measure_training_memory(tiny_vgg("winograd"), shape)
-        mg = measure_training_memory(tiny_vgg("gemm"), shape)
+        mw = measure_training_memory(net("winograd"), shape)
+        mg = measure_training_memory(net("gemm"), shape)
         assert mw < mg
 
     def test_record_fields(self):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nhwc.tensor import ConvShape, col2im_nhwc, conv_output_size, im2col_nhwc, pad_nhwc
+from repro.nhwc.tensor import (
+    ConvShape,
+    col2im_nhwc,
+    conv_output_size,
+    im2col_nhwc,
+    im2col_nhwc_into,
+    pad_nhwc,
+)
 
 
 class TestConvShape:
@@ -99,6 +106,59 @@ class TestIm2col:
         cols = im2col_nhwc(x, 3, 2, 1, 0)
         y = (cols @ w.transpose(1, 2, 3, 0).reshape(-1, 4)).reshape(2, 7, 7, 4)
         np.testing.assert_allclose(y, conv2d_direct(x, w, ph=1, pw=0), rtol=1e-5, atol=1e-5)
+
+
+def _im2col_6d(x, fh, fw, ph, pw, stride):
+    """The former formula: one 6-D window view of the padded input, copied."""
+    n, ih, iw, ic = x.shape
+    oh = conv_output_size(ih, fh, ph, stride)
+    ow = conv_output_size(iw, fw, pw, stride)
+    xp = pad_nhwc(x, ph, pw)
+    sn, sh, sw, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, oh, ow, fh, fw, ic),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
+        writeable=False,
+    )
+    return windows.reshape(n * oh * ow, fh * fw * ic).copy()
+
+
+class TestIm2colRowWindows:
+    """The row-window copies build the former matrix bit for bit."""
+
+    @pytest.mark.parametrize("ic", [1, 3, 64])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_6d_formula(self, rng, stride, ic):
+        for ph, pw in ((0, 0), (1, 1), (2, 2), (0, 2), (2, 1)):
+            for fw in range(1, 10):
+                fh = (fw % 3) + 1
+                x = rng.standard_normal((2, 7, 11, ic)).astype(np.float32)
+                oh = conv_output_size(7, fh, ph, stride)
+                if oh < 1 or conv_output_size(11, fw, pw, stride) < 1:
+                    continue
+                want = _im2col_6d(x, fh, fw, ph, pw, stride)
+                got = im2col_nhwc(x, fh, fw, ph, pw, stride)
+                np.testing.assert_array_equal(
+                    got.view(np.uint32), want.view(np.uint32), err_msg=f"{fh}x{fw} p{ph},{pw}"
+                )
+
+    def test_non_contiguous_input_view(self, rng):
+        base = rng.standard_normal((3, 9, 14, 10)).astype(np.float32)
+        x = base[::2, 1:8, 2:13, 1:8]  # every axis strided or cut
+        assert not x.flags.c_contiguous
+        for stride in (1, 2):
+            np.testing.assert_array_equal(
+                im2col_nhwc(x, 3, 5, 1, 2, stride), _im2col_6d(x, 3, 5, 1, 2, stride)
+            )
+
+    def test_writes_into_a_strided_view_with_column_offset(self, rng):
+        """``im2col_nhwc_into`` fills a column slice in place, pads zeroed."""
+        x = rng.standard_normal((2, 6, 9, 4)).astype(np.float32)
+        full = _im2col_6d(x, 3, 3, 1, 1, 1).reshape(2, 6, 9, 3, 12)
+        out = np.full((2, 6, 5, 3, 12), np.nan, dtype=np.float32)
+        im2col_nhwc_into(out, x, 3, 3, 1, 1, 1, col0=4)
+        np.testing.assert_array_equal(out, full[:, :, 4:9])
 
 
 class TestCol2im:

@@ -18,10 +18,13 @@ import pytest
 
 from repro import obs, runtime
 from repro.analysis.engine import analyze_plan
+from repro.baselines.gemm import conv2d_gemm
+from repro.core import rowblocks
 from repro.core.boundary import Segment
-from repro.core.fused import conv2d_im2col_winograd, gemm_input_strip, winograd_segment
+from repro.core.fused import conv2d_im2col_winograd, winograd_segment
 from repro.core.kernels import get_kernel
 from repro.core.transforms import winograd_matrices
+from repro.nhwc.tensor import im2col_nhwc
 from repro.runtime import ExecutionConfig, cache_stats, clear_cache, configure
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
@@ -449,19 +452,78 @@ class TestStaticAnalysisOfCachedPlans:
             assert report.warnings == [], f"{exe.plan.reason}: {report.warnings}"
 
 
-class TestGemmStripViews:
-    def test_interior_strip_is_a_view(self, rng):
-        x = rng.standard_normal((2, 4, 20, 3)).astype(np.float32)
-        strip = gemm_input_strip(x, 10, 4, pw=1, fw=3)
-        assert np.shares_memory(strip, x)
-        np.testing.assert_array_equal(strip, x[:, :, 9:15, :])
+class TestGemmTailOperand:
+    """The tail's im2col rows go straight into the row-blocked operand."""
 
-    def test_edge_strip_copies_with_zero_padding(self, rng):
+    @staticmethod
+    def _old_formula(x, w, start, width):
+        # The columns' rows of the full im2col matrix, contracted in row blocks.
+        n, ih, iw, ic = x.shape
+        cols = im2col_nhwc(x, 3, 3, 1, 1).reshape(n, ih, iw, -1)[:, :, start : start + width]
+        a = rowblocks.fold_filters(w)
+        return rowblocks.matmul(cols.reshape(n * ih * width, -1), a, ih * width)
+
+    def test_interior_segment_matches_im2col_rows(self, rng):
         x = rng.standard_normal((2, 4, 20, 3)).astype(np.float32)
-        strip = gemm_input_strip(x, 0, 4, pw=1, fw=3)
-        assert not np.shares_memory(strip, x)
-        assert np.all(strip[:, :, 0, :] == 0)  # the implicit left pad column
-        np.testing.assert_array_equal(strip[:, :, 1:, :], x[:, :, :5, :])
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+        got = rowblocks.conv_matmul(x, rowblocks.fold_filters(w), 3, 3, 1, 1, col0=10, width=4)
+        want = self._old_formula(x, w, 10, 4).reshape(got.shape)
+        np.testing.assert_array_equal(got, want)
+
+    def test_edge_segment_matches_im2col_rows(self, rng):
+        x = rng.standard_normal((2, 4, 20, 3)).astype(np.float32)
+        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
+        for start in (0, 17):
+            got = rowblocks.conv_matmul(
+                x, rowblocks.fold_filters(w), 3, 3, 1, 1, col0=start, width=3
+            )
+            want = self._old_formula(x, w, start, 3).reshape(got.shape)
+            np.testing.assert_array_equal(got, want)
+
+
+class TestGemmAlgorithm:
+    """``algorithm="gemm"``: the engine rule's pick, compiled like any signature."""
+
+    CASES = [(3, 5, 23, 3, 4, 3), (2, 7, 7, 8, 8, 1), (5, 2, 2, 64, 64, 3), (1, 9, 11, 5, 6, 5)]
+
+    @pytest.mark.parametrize("n,ih,iw,ic,oc,k", CASES)
+    def test_bit_identical_to_conv2d_gemm_compiled_and_legacy(self, rng, n, ih, iw, ic, oc, k):
+        x = rng.standard_normal((n, ih, iw, ic)).astype(np.float32)
+        w = rng.standard_normal((oc, k, k, ic)).astype(np.float32)
+        want = conv2d_gemm(x, w, ph=k // 2, pw=k // 2)
+        np.testing.assert_array_equal(runtime.convolve(x, w, algorithm="gemm"), want)
+        with obs.capture():
+            with runtime.force_legacy():
+                got = runtime.convolve(x, w, algorithm="gemm")
+            assert obs.get_registry().counter("runtime.degraded.calls").total() == 1
+        np.testing.assert_array_equal(got, want)
+        configure(threads=2, workspace_bytes=1)
+        try:
+            np.testing.assert_array_equal(runtime.convolve(x, w, algorithm="gemm"), want)
+        finally:
+            configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+
+    def test_plan_is_one_gemm_segment_over_every_column(self, rng):
+        x = rng.standard_normal((1, 6, 13, 4)).astype(np.float32)
+        w = rng.standard_normal((4, 3, 3, 4)).astype(np.float32)
+        runtime.convolve(x, w, algorithm="gemm")
+        runtime.convolve(x, w)
+        exes = {exe.sig.algorithm: exe for exe in global_cache().executables()}
+        assert set(exes) == {"gemm", "winograd"}  # distinct signatures
+        gemm = exes["gemm"]
+        assert gemm.sig.label == "6x13x4-4.f3x3.gemm"
+        assert [(s.is_gemm, s.start, s.width) for s in gemm.plan.segments] == [(True, 0, 13)]
+        report = analyze_plan(gemm.plan)
+        assert report.errors == [] and report.warnings == []
+        bundle = gemm.build_bundle(w)
+        assert not bundle.u and bundle.gemm_operand.shape == (36, 4)
+        assert gemm.predicted_ns(2) > gemm.predicted_ns(1) > 0
+
+    def test_unknown_algorithm_rejected(self, rng):
+        x = rng.standard_normal((1, 6, 6, 2)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 2)).astype(np.float32)
+        with pytest.raises(ValueError, match="algorithm"):
+            runtime.convolve(x, w, algorithm="fft")
 
 
 class TestSegmentValidation:

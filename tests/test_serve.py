@@ -24,6 +24,7 @@ import pytest
 from repro import obs, runtime
 from repro.dlframe.autograd import Tensor, no_grad
 from repro.dlframe.serialization import save_weights
+from repro.dlframe.trainer import conv_layer_geometries
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.serve import (
@@ -52,6 +53,20 @@ def _fresh_runtime():
     global_cache().resize(DEFAULT_CAPACITY)
 
 
+#: A ResNet width at which the engine rule keeps layer3-4 (128 and 256
+#: channels at 8x8 and 4x4) on Winograd; at 0.125 every conv runs GEMM.
+WINO_WIDTH = 0.5
+
+
+def _runtime_convs(entry) -> int:
+    """Unit-stride convs: each runs in the runtime, Winograd or rule-picked
+    GEMM, and holds one frozen filter bundle per input width."""
+    return sum(
+        layer.stride == 1
+        for layer, *_ in conv_layer_geometries(entry.model, (1, 32, 32, 3))
+    )
+
+
 def _counter_total(name: str) -> float:
     metric = obs.get_registry().get(name)
     return metric.total() if metric is not None else 0.0
@@ -70,8 +85,8 @@ def _request(model: str, rows: np.ndarray, *, at: float = 0.0, deadline=None):
 class TestRegistry:
     def test_register_builds_and_warms(self):
         reg = ModelRegistry()
-        entry = reg.register("r18", arch="resnet18", width_mult=0.125)
-        assert entry.winograd_convs > 0
+        entry = reg.register("r18", arch="resnet18", width_mult=WINO_WIDTH)
+        assert 0 < entry.winograd_convs < entry.total_convs
         assert entry.executables_resolved > 0
         assert entry.per_row_workspace_bytes > 0
         assert entry.warmup_ms > 0
@@ -131,9 +146,10 @@ class TestWeightReload:
         path = str(tmp_path / "new_weights.npz")
         with obs.capture():
             reg = ModelRegistry()
-            entry = reg.register("r18", arch="resnet18", width_mult=0.125, seed=0)
-            # Warmup built exactly one filter transform per frozen conv.
-            assert _counter_total("runtime.filter_cache.misses") == entry.winograd_convs
+            entry = reg.register("r18", arch="resnet18", width_mult=WINO_WIDTH, seed=0)
+            # Warmup built exactly one filter bundle per frozen runtime conv.
+            assert 0 < entry.winograd_convs < _runtime_convs(entry)
+            assert _counter_total("runtime.filter_cache.misses") == _runtime_convs(entry)
 
             x = rng.standard_normal((2, 32, 32, 3)).astype(np.float32)
             before_y = entry.infer_rows(x)
@@ -145,7 +161,7 @@ class TestWeightReload:
 
             # Swap in differently-initialised weights of the same shape.
             donor = ModelRegistry().register(
-                "donor", arch="resnet18", width_mult=0.125, seed=1, warmup=False
+                "donor", arch="resnet18", width_mult=WINO_WIDTH, seed=1, warmup=False
             )
             save_weights(donor.model, path)
             reg.load_weights("r18", path, warmup=False)
@@ -156,7 +172,7 @@ class TestWeightReload:
             # Exactly one new miss per conv: new weights, same plans.
             assert (
                 _counter_total("runtime.filter_cache.misses") - misses1
-                == entry.winograd_convs
+                == _runtime_convs(entry)
             )
             misses2 = _counter_total("runtime.filter_cache.misses")
             entry.infer_rows(x)  # and hits thereafter
@@ -206,7 +222,8 @@ class TestFrozenServing:
         """11 same-signature convs in layer3 once thrashed the 4-slot filter
         cache; frozen layers hold their own transforms instead."""
         reg = ModelRegistry()
-        entry = reg.register("r34", arch="resnet34", width_mult=0.125)
+        entry = reg.register("r34", arch="resnet34", width_mult=WINO_WIDTH)
+        assert entry.winograd_convs > 0
         x = rng.standard_normal((2, 32, 32, 3)).astype(np.float32)
         entry.infer_rows(x)
         with obs.capture():
@@ -214,7 +231,7 @@ class TestFrozenServing:
             misses = _counter_total("runtime.filter_cache.misses")
             hits = _counter_total("runtime.filter_cache.hits")
         assert misses == 0
-        assert hits == entry.winograd_convs
+        assert hits == _runtime_convs(entry)
 
 
 # ---------------------------------------------------------------------------

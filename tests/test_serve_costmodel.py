@@ -16,6 +16,9 @@ from repro.serve.batching import DynamicBatcher, PendingRequest
 
 ARCH = "resnet18"
 WIDTH = 0.125
+#: A width at which the engine rule keeps layer3-4 on Winograd, so compiled
+#: executables run and the timing ledger has something to record.
+WINO_WIDTH = 0.5
 IMAGE = 32
 
 
@@ -181,9 +184,9 @@ class TestWorkspacePressure:
             BatchPolicy(max_workspace_byte_ns=-1.0)
 
 
-def _service(**config_kw) -> InferenceService:
+def _service(width_mult: float = WIDTH, **config_kw) -> InferenceService:
     service = InferenceService(config=SchedulerConfig(**config_kw))
-    service.registry.register("net", arch=ARCH, width_mult=WIDTH, image=IMAGE)
+    service.registry.register("net", arch=ARCH, width_mult=width_mult, image=IMAGE)
     return service
 
 
@@ -231,7 +234,7 @@ class TestSchedulerBatchCost:
 
     def test_v1_stats_exposes_perf_drift_report(self):
         async def scenario():
-            service = _service(default_timeout_ms=None)
+            service = _service(WINO_WIDTH, default_timeout_ms=None)
             async with service:
                 await service.infer("net", _x())
                 return service.stats()
@@ -246,7 +249,7 @@ class TestSchedulerBatchCost:
 
     def test_ledger_stays_empty_with_obs_off(self):
         async def scenario():
-            service = _service(default_timeout_ms=None)
+            service = _service(WINO_WIDTH, default_timeout_ms=None)
             async with service:
                 await service.infer("net", _x())
                 return service.stats()

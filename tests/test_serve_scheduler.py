@@ -39,6 +39,9 @@ from .conftest import admitted
 
 ARCH = "resnet18"
 WIDTH = 0.125
+#: A width at which the engine rule keeps layer3-4 on Winograd (at WIDTH
+#: every conv runs GEMM and no compiled executable is called).
+WINO_WIDTH = 0.5
 IMAGE = 32
 
 
@@ -58,9 +61,9 @@ def _counter_total(name: str) -> float:
     return metric.total() if metric is not None else 0.0
 
 
-def _service(**config_kw) -> InferenceService:
+def _service(width_mult: float = WIDTH, **config_kw) -> InferenceService:
     service = InferenceService(config=SchedulerConfig(**config_kw))
-    service.registry.register("net", arch=ARCH, width_mult=WIDTH, image=IMAGE)
+    service.registry.register("net", arch=ARCH, width_mult=width_mult, image=IMAGE)
     return service
 
 
@@ -233,10 +236,12 @@ class TestGracefulDegradation:
     def test_executable_failure_degrades_to_legacy(self, monkeypatch):
         async def scenario():
             service = _service(
+                WINO_WIDTH,
                 policy=BatchPolicy(max_batch_size=4, max_queue_delay_ms=2.0),
                 default_timeout_ms=30_000.0,
             )
             entry = service.registry.get("net")
+            assert entry.winograd_convs > 0
             xs = [_x(i) for i in range(3)]
             with runtime.force_legacy():
                 want = [entry.infer_rows(x[None])[0] for x in xs]

@@ -63,14 +63,36 @@ class TestMemoryModelDetails:
         assert (huge - big) > 0.8 * (big - small)
 
     def test_gemm_engine_charges_workspace(self):
-        mw = vgg16(classes=4, image=8, width_mult=0.0625, engine="winograd", seed=0)
-        mg = vgg16(classes=4, image=8, width_mult=0.0625, engine="gemm", seed=0)
+        def net(engine):
+            rng = np.random.default_rng(0)
+            return Sequential(
+                Conv2D(3, 72, 3, engine=engine, rng=rng),
+                LeakyReLU(),
+                Conv2D(72, 72, 3, engine=engine, rng=rng),
+            )
+
+        mw, mg = net("winograd"), net("gemm")
         shape = (16, 8, 8, 3)
         diff = measure_training_memory(mg, shape) - measure_training_memory(mw, shape)
-        # the gap is exactly the largest im2col buffer (same activations/params)
+        # The gap is exactly the gap between the largest row-blocked im2col
+        # operands (same activations/params).  The engine rule runs the
+        # 3-channel conv on GEMM in both, so the Winograd model still pays
+        # its (smaller) operand; the 72-channel conv is Winograd there.
         from repro.dlframe.trainer import _conv_workspace_bytes
 
-        assert diff == _conv_workspace_bytes(mg, shape)
+        ws_w, ws_g = _conv_workspace_bytes(mw, shape), _conv_workspace_bytes(mg, shape)
+        assert 0 < ws_w < ws_g
+        assert diff == ws_g - ws_w
+        # An 8x8 map is R = 64 rows per image: one image per 64-row block.
+        assert ws_g == 4 * 16 * 64 * 72 * 9
+
+    def test_rule_picked_gemm_charges_padded_row_blocks(self):
+        """A 2x2 map has R = 4 rows per image: blocks of 16 images, 64 rows,
+        so a batch of 3 is charged one whole 64-row block."""
+        m = Sequential(Conv2D(8, 8, 3, rng=np.random.default_rng(0)))
+        from repro.dlframe.trainer import _conv_workspace_bytes
+
+        assert _conv_workspace_bytes(m, (3, 2, 2, 8)) == 4 * 64 * 8 * 9
 
     def test_strided_resnet_charges_workspace_even_when_winograd(self):
         """ResNet's stride-2 convs run GEMM under either engine (§5.7), so
