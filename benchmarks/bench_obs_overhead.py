@@ -49,7 +49,7 @@ def test_obs_overhead(artifact):
     was_enabled = obs.enabled()
     try:
         obs.disable()
-        _run_calls(x, w, 5)  # warm caches / einsum paths
+        _run_calls(x, w, 5)  # warm caches and workspaces
         disabled_s = min(_run_calls(x, w) for _ in range(3))
 
         obs.enable()

@@ -99,8 +99,8 @@ def conv2d_im2col_winograd(
     legacy:
         ``False`` (default) resolves the call through the compiled-plan
         runtime (:mod:`repro.runtime`): cached boundary plan, transform
-        matrices, filter transforms and einsum paths, with the Winograd
-        stage gathered and input-transformed once per segment.  ``True``
+        matrices and filter transforms, with the Winograd stage gathered
+        and input-transformed once per chunk in a reused workspace.  ``True``
         forces the original interpreted path (re-planned per call, per-``fh``
         gather and input transform) — the reference the
         runtime is tested bit-identical against.  Both paths produce the
@@ -264,8 +264,9 @@ def winograd_segment(
             )  # (N, OH, T, alpha, IC) view
         with span("transform.input", fh_offset=f):
             blk = np.ascontiguousarray(tiles)  # (N, OH, T, alpha, IC)
-            # Input transform: V[k, ...] = sum_a DT[k, a] * blk[..., a, :].
-            vf = np.einsum("ka,nhtac->knhtc", mats.DT, blk, optimize=True)
+            # Input transform: V[k, ...] = sum_a DT[k, a] * blk[..., a, :],
+            # one GEMM over every tile column.
+            vf = rowblocks.dot(mats.DT, blk.transpose(3, 0, 1, 2, 4).reshape(alpha, -1))
             vf = vf.reshape(alpha, m_rows, ic)
             for b, i0, i1 in rowblocks.blocks(batch, rows_per_image):
                 v[:, b, : (i1 - i0) * rows_per_image, f * ic : (f + 1) * ic] = vf[
@@ -291,9 +292,9 @@ def winograd_segment(
                     )[:, :m_rows]
     # Output transform, once: y[j] = sum_k AT[j, k] m[k].
     with span("transform.output", kernel=kernel.name):
-        y = np.einsum("jk,kmo->mjo", mats.AT, m, optimize=True)
-    # (batch*oh*T, n, oc) -> (N, OH, T*n, OC)
-    return y.reshape(batch, oh, num_tiles * n_out, oc)
+        y = rowblocks.dot(mats.AT, m.reshape(alpha, -1)).reshape(n_out, m_rows, oc)
+    # (n, batch*oh*T, oc) -> (N, OH, T*n, OC)
+    return y.transpose(1, 0, 2).reshape(batch, oh, num_tiles * n_out, oc)
 
 
 def gemm_segment(

@@ -107,20 +107,29 @@ def extract_width_tiles(
 
 
 def _gather_padded_region(
-    x: np.ndarray, row_lo: int, rows: int, col_lo: int, cols: int
+    x: np.ndarray,
+    row_lo: int,
+    rows: int,
+    col_lo: int,
+    cols: int,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Copy ``rows x cols`` of the implicitly zero-padded input into a buffer."""
+    """Copy ``rows x cols`` of the implicitly zero-padded input into a buffer.
+
+    ``out`` (shape ``(N, rows, cols, IC)``) receives the region when given,
+    for a caller that reuses one buffer: only the strips that fall in the
+    padding are zeroed, so a reused buffer costs no full clear.
+    """
     batch, ih, iw, ic = x.shape
-    out = np.zeros((batch, rows, cols, ic), dtype=x.dtype)
-    src_r0 = max(row_lo, 0)
-    src_r1 = min(row_lo + rows, ih)
-    src_c0 = max(col_lo, 0)
-    src_c1 = min(col_lo + cols, iw)
-    if src_r0 < src_r1 and src_c0 < src_c1:
-        out[
-            :,
-            src_r0 - row_lo : src_r1 - row_lo,
-            src_c0 - col_lo : src_c1 - col_lo,
-            :,
-        ] = x[:, src_r0:src_r1, src_c0:src_c1, :]
+    if out is None:
+        out = np.empty((batch, rows, cols, ic), dtype=x.dtype)
+    r0 = min(max(-row_lo, 0), rows)
+    r1 = max(min(ih - row_lo, rows), r0)
+    c0 = min(max(-col_lo, 0), cols)
+    c1 = max(min(iw - col_lo, cols), c0)
+    out[:, :r0] = 0
+    out[:, r1:] = 0
+    out[:, r0:r1, :c0] = 0
+    out[:, r0:r1, c1:] = 0
+    out[:, r0:r1, c0:c1] = x[:, row_lo + r0 : row_lo + r1, col_lo + c0 : col_lo + c1]
     return out

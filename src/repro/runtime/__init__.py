@@ -1,12 +1,11 @@
 """Compiled-plan runtime: cached conv executables (compile once, run many).
 
 The interpreted path (:mod:`repro.core.fused`) re-derives the boundary
-plan, transform matrices, filter transforms and einsum contraction paths on
-every call.  This package compiles a conv *signature* — geometry, padding,
+plan, transform matrices and filter transforms on every call.  This package compiles a conv *signature* — geometry, padding,
 ``Gamma_alpha`` kernel selection and dtype — into a reusable
 :class:`ConvExecutable` held in a process-wide LRU (the analogue of cuDNN's
 descriptor-keyed heuristic/plan cache), and executes the Winograd stage
-with one gather + input transform per segment, accumulating at the
+with one gather + input transform per workspace chunk, accumulating at the
 caller's ``block_ic`` channel blocking — bit-identical to the interpreted
 path at the same ``block_ic``, with the default ``None`` running one GEMM
 per ``alpha`` state over the full ``(fh, ic)`` depth.

@@ -5,8 +5,7 @@ heuristic cache keyed on the descriptor, not the data pointers; this module
 is that layer for the reproduction.  A bounded LRU maps
 :class:`~repro.runtime.signature.ConvSignature` to its compiled
 :class:`~repro.runtime.executable.ConvExecutable`; hits skip planning,
-transform-matrix derivation, gather-descriptor layout and einsum path
-search entirely.  Hit/miss/eviction totals are exported both as a
+transform-matrix derivation and gather-descriptor layout entirely.  Hit/miss/eviction totals are exported both as a
 :class:`CacheStats` snapshot and as ``runtime.cache.*`` obs counters so the
 profiler CLIs can show plan-cache behaviour next to kernel timings.
 """

@@ -4,12 +4,12 @@
 :func:`repro.core.fused.conv2d_im2col_winograd`: same operands, same
 defaults, same error surface, bit-identical results — but the signature is
 resolved through the process-wide executable cache, so planning, transform
-matrices, gather descriptors, einsum paths and (per weight version) the
-filter transforms are all reused across calls.
+matrices, gather descriptors and (per weight version) the filter transforms
+are all reused across calls.
 
 :class:`ExecutionConfig` carries the execution knobs: ``threads`` enables
 the opt-in thread pool over (segment, batch-chunk) tasks for the training
-path, ``workspace_bytes`` bounds the per-chunk intermediate footprint.
+path, ``workspace_bytes`` sizes the chunks each segment streams through.
 Both only change dispatch, never arithmetic — results stay bit-identical.
 
 :func:`force_legacy` is the serving layer's graceful-degradation hatch: a
@@ -57,15 +57,28 @@ __all__ = [
     "legacy_forced",
 ]
 
-#: Default bound on per-chunk intermediates (gathered region + V + P).  Large
-#: batches are split so the transform-domain workspace stays cache-friendly
-#: instead of scaling with N.
-DEFAULT_WORKSPACE_BYTES = 256 * 1024 * 1024
+#: Default per-chunk budget for a segment's intermediates (gathered region,
+#: V, M, output transform), as estimated per image by
+#: ``ConvExecutable.per_row_workspace_bytes``.  Each segment streams through
+#: chunks of whole row blocks that fit it, never less than one block, in a
+#: per-thread workspace reused across chunks and calls; so the budget bounds
+#: what each thread retains, not only what one call touches.  2 MiB was
+#: chosen by a sweep (DESIGN.md, "Streaming chunks and the per-thread
+#: workspace").
+DEFAULT_WORKSPACE_BYTES = 2 * 1024 * 1024
 
 
 @dataclass
 class ExecutionConfig:
-    """Dispatch knobs for compiled execution (arithmetic-neutral)."""
+    """Dispatch knobs for compiled execution (arithmetic-neutral).
+
+    ``threads`` (0 or 1: serial) sizes the opt-in worker pool over
+    (segment, batch-chunk) tasks.  ``workspace_bytes`` is the per-chunk
+    budget: each segment runs in chunks of whole row blocks whose estimated
+    intermediates fit it (one block at least).  Every thread that runs a
+    chunk, the caller's or a pool worker, keeps one workspace grown to the
+    largest chunk it has run.
+    """
 
     threads: int = 0
     workspace_bytes: int = DEFAULT_WORKSPACE_BYTES

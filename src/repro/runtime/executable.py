@@ -14,7 +14,6 @@ re-derives on each call:
   stride-trick geometry of the Stage-1 Im2col mapping, including whether the
   region is interior (pure zero-copy view) or needs one zero-filled edge
   buffer,
-* memoized einsum contraction paths,
 * a small LRU of the §6.1.2 filter transforms ``U = G w`` (layout
   ``(alpha, FH, IC, OC)``, which reshapes to the ``(alpha, FH*IC, OC)``
   contraction operand without a copy) and of
@@ -24,7 +23,7 @@ re-derives on each call:
   :class:`FilterBundle`.
 
 Execution gathers all ``FH`` filter rows as one strided view, runs the
-input transform as one tensordot per segment and writes ``V`` once, in the
+input transform as one GEMM per chunk and writes ``V`` once, in the
 ``(alpha, M, FH*IC)`` layout of the contraction, straight into a row-block
 padded buffer (:mod:`repro.core.rowblocks`).  The transform-domain
 accumulation honours the caller's channel blocking ``block_ic`` (default
@@ -44,15 +43,22 @@ small layers) compiles to a plan of one GEMM segment spanning ``OW``: the
 tail's row-blocked im2col GEMM over every column, with the folded filters
 as its operand, and none of the Winograd state.
 
-Large batches are processed in bounded workspace chunks; an opt-in thread
-pool (see :class:`~repro.runtime.engine.ExecutionConfig`) dispatches chunks
-concurrently for the training path.  Chunks are cut on whole row blocks,
-so chunk boundaries never change the arithmetic and threaded results stay
-bit-identical to serial ones.
+Each segment streams through chunks of whole row blocks sized by the
+workspace budget (:class:`~repro.runtime.engine.ExecutionConfig`): a chunk
+runs gather → input transform → V → accumulate → output transform, the
+last one GEMM whose product is copied once, transposed, into its slice of
+``y``, before the next chunk starts.  Every chunk intermediate is a view
+into the calling thread's workspace (:func:`_workspace`), one flat buffer
+per thread reused across chunks and calls, so a warm call allocates only
+``y``.  An opt-in thread pool dispatches chunks concurrently for the
+training path, each worker in its own workspace.  Chunks are cut on whole
+row blocks, so chunk boundaries never change the arithmetic and threaded
+results stay bit-identical to serial ones.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable
@@ -67,7 +73,7 @@ from ..core.planner import ConvPlan
 from ..core.transforms import TransformMatrices, winograd_matrices
 from ..nhwc.tensor import ConvShape
 from ..nhwc.tiles import _gather_padded_region
-from ..obs import NULL_SPAN, counter_add, span, telemetry
+from ..obs import NULL_SPAN, counter_add, gauge_set, span, telemetry
 from ..obs.perfledger import record_execution
 from .signature import ConvSignature
 
@@ -88,6 +94,14 @@ FILTER_CACHE_SLOTS = 4
 #: Evenly spaced elements an unversioned lookup compares before the full
 #: bit compare, so a slot holding other weights is rejected cheaply.
 _SAMPLE_POINTS = 64
+
+#: This thread's chunk workspace: one flat byte buffer per thread (each
+#: caller thread and each pool worker), grown to the largest chunk the thread
+#: has run and reused by every later chunk and call (see :func:`_workspace`).
+_ARENA = threading.local()
+
+#: Byte alignment of every workspace view.
+_ALIGN = 64
 
 
 @dataclass(frozen=True)
@@ -272,7 +286,6 @@ class ConvExecutable:
         self._flock = threading.Lock()
         size = sig.oc * sig.fh * sig.fw * sig.ic
         self._sample = np.linspace(0, size - 1, min(size, _SAMPLE_POINTS), dtype=np.intp)
-        self._epaths: dict[tuple[str, tuple[tuple[int, ...], ...]], Any] = {}
         # (calibration generation, constant ns, per-row ns) — see predicted_ns.
         self._pred_cache: tuple[int, float, float] | None = None
 
@@ -371,16 +384,6 @@ class ConvExecutable:
             cached = (gen, p1 - per_row, per_row)
             self._pred_cache = cached
         return cached[1] + cached[2] * batch
-
-    # -- memoized einsum contraction paths ---------------------------------
-
-    def _einsum(self, subscripts: str, *ops: np.ndarray) -> np.ndarray:
-        key = (subscripts, tuple(op.shape for op in ops))
-        path = self._epaths.get(key)
-        if path is None:
-            path = np.einsum_path(subscripts, *ops, optimize=True)[0]
-            self._epaths[key] = path
-        return np.einsum(subscripts, *ops, optimize=path)
 
     # -- execution ---------------------------------------------------------
 
@@ -526,11 +529,13 @@ class ConvExecutable:
         )
 
     def _tasks(self, batch: int, cfg: "ExecutionConfig") -> list[_Task]:
-        """Split each segment into bounded-workspace batch chunks.
+        """Split each Winograd segment into bounded-workspace batch chunks.
 
         Chunks hold whole row blocks (a multiple of the segment's
         :func:`~repro.core.rowblocks.block_images`), so every chunk runs
-        exactly the blocks the unchunked call would and its bits match.
+        exactly the blocks the unchunked call would and its bits match.  A
+        GEMM segment (the §5.5 tail, or every column of a GEMM signature)
+        runs as one task over the whole batch.
         """
         tasks: list[_Task] = []
         for st in self._states:
@@ -557,7 +562,7 @@ class ConvExecutable:
     ) -> None:
         st = task.state
         if isinstance(st, _GemmSegment):
-            self._run_gemm(st, x, y, get_bundle, task)
+            self._run_gemm(st, x, y, get_bundle)
         else:
             self._run_winograd(st, x, y, get_bundle, task, block_ic)
 
@@ -577,6 +582,26 @@ class ConvExecutable:
         fh, ic, oc = sig.fh, sig.ic, sig.oc
         alpha, num_tiles = st.alpha, st.num_tiles
         mats = self.mats[st.scheme]
+        rows_per_image = self.oh * num_tiles
+        m_rows = nc * rows_per_image
+        block = ic if block_ic is None else min(block_ic, ic)
+        v_shape = rowblocks.blocked_shape((alpha,), nc, fh * ic, rows_per_image)
+        nb, mb = v_shape[1], v_shape[2]
+        # The output transform reads M as one (alpha, m_rows * OC) matrix: a
+        # view of the blocked product when its image rows are consecutive,
+        # else a compact copy (which is also the channel-blocked
+        # accumulator).
+        used = rowblocks.block_images(rows_per_image) * rows_per_image
+        compact = block < ic or (nb > 1 and mb != used)
+        tiles_shape = (alpha, nc, st.nrows, num_tiles, ic)
+        region_shape = None if st.interior else (nc, st.nrows, st.ncols, ic)
+        # Three slots, each reused by stages that run one after another.
+        (tiles, v, out), (region, vr, prod), (mc,) = _workspace(
+            self.dtype,
+            (tiles_shape, v_shape, (st.n, m_rows, oc)),
+            (region_shape, tiles_shape, (alpha, nb, mb, oc)),
+            ((alpha, m_rows, oc) if compact else None,),
+        )
         with span(
             "segment",
             kind="winograd",
@@ -606,7 +631,7 @@ class ConvExecutable:
                         :, st.row_lo : st.row_lo + st.nrows, st.col_lo : st.col_lo + st.ncols, :
                     ]
                 else:
-                    region = _gather_padded_region(xb, st.row_lo, st.nrows, st.col_lo, st.ncols)
+                    _gather_padded_region(xb, st.row_lo, st.nrows, st.col_lo, st.ncols, region)
                 sn, sh, sw, sc = region.strides
                 # Every gathered region row as width tiles, each row once:
                 # (N, rows, T, alpha, IC).  Filter rows share input rows
@@ -635,13 +660,13 @@ class ConvExecutable:
                         * ic
                         * self.dtype.itemsize,
                     )
-            rows_per_image = self.oh * num_tiles
-            m_rows = nc * rows_per_image
             with span("transform.input", kernel=st.kernel_name):
                 # VR[k, n, row, t, c] = sum_a DT[k, a] row_tiles[n, row, t, a, c]
-                # — a dot over ``a`` per element, bit-identical to the
-                # per-fh legacy einsum, computed once per input row.
-                vr = np.tensordot(mats.DT, row_tiles, axes=([1], [3]))
+                # — a dot over ``a`` per element, computed once per input
+                # row: the legacy path's transposed copy and GEMM, into the
+                # workspace.
+                tiles[...] = row_tiles.transpose(3, 0, 1, 2, 4)
+                rowblocks.dot(mats.DT, tiles.reshape(alpha, -1), out=vr.reshape(alpha, -1))
                 sk, svn, svh, svt, svc = vr.strides
                 # V[k, (n, h, t), (f, c)] = VR[k, n, h + f, t, c], written
                 # once, block by block, into the row-blocked contraction
@@ -652,41 +677,59 @@ class ConvExecutable:
                     strides=(sk, svn, svh, svt, svh, svc),
                     writeable=False,
                 )
-                v = rowblocks.blocked_operand(
-                    (alpha,), nc, fh * ic, rows_per_image, self.dtype
-                )
+                rowblocks.zero_pad_rows(v, nc, rows_per_image)
                 for b, i0, i1 in rowblocks.blocks(nc, rows_per_image):
                     dst = v[:, b, : (i1 - i0) * rows_per_image]
                     dst.reshape(alpha, i1 - i0, self.oh, num_tiles, fh, ic)[...] = (
                         images[:, i0:i1]
                     )
-            block = ic if block_ic is None else min(block_ic, ic)
             with span("accumulate", kernel=st.kernel_name, block_ic=block):
                 if block >= ic:
                     # One GEMM per alpha state over the full (fh, ic) depth.
-                    m = rowblocks.blocked_matmul(
-                        v, u.reshape(alpha, fh * ic, oc), rows_per_image
-                    )[:, :m_rows]
+                    rowblocks.blocked_product(v, u.reshape(alpha, fh * ic, oc), out=prod)
+                    if compact:
+                        self._unblock(prod, mc, nc, rows_per_image)
                 else:
                     # Channel-blocked accumulation replaying the legacy
                     # loop's (fh-major, block-minor) gemm sequence with
                     # identical per-gemm operand shapes, hence identical
                     # bits at the same block_ic.
-                    m = np.zeros((alpha, m_rows, oc), dtype=self.dtype)
+                    mc[...] = 0
                     for f in range(fh):
                         for c0 in range(0, ic, block):
                             c1 = min(c0 + block, ic)
-                            m += rowblocks.blocked_matmul(
-                                v[..., f * ic + c0 : f * ic + c1],
-                                u[:, f, c0:c1],
-                                rows_per_image,
-                            )[:, :m_rows]
+                            rowblocks.blocked_product(
+                                v[..., f * ic + c0 : f * ic + c1], u[:, f, c0:c1], out=prod
+                            )
+                            self._unblock(prod, mc, nc, rows_per_image, add=True)
+                m = mc if compact else prod
             with span("transform.output", kernel=st.kernel_name):
-                out = self._einsum("jk,kmo->mjo", mats.AT, m)
+                # y[j] = sum_k AT[j, k] M[k]: the legacy path's GEMM, into
+                # the workspace, then one transposed copy of the
+                # (n, image rows, OC) product into y's tiles.
+                rowblocks.dot(
+                    mats.AT, m.reshape(alpha, -1)[:, : m_rows * oc], out=out.reshape(st.n, -1)
+                )
+                # Splitting the width axis into (tile, column) is always a view.
+                dst = y[n0:n1, :, seg.start : seg.start + seg.width, :].reshape(
+                    nc, self.oh, num_tiles, st.n, oc
+                )
+                dst[...] = out.reshape(st.n, nc, self.oh, num_tiles, oc).transpose(
+                    1, 2, 3, 0, 4
+                )
             seg_span.set(tiles=self.oh * num_tiles * nc)
-            y[n0:n1, :, seg.start : seg.start + seg.width, :] = out.reshape(
-                nc, self.oh, num_tiles * st.n, oc
-            )
+
+    @staticmethod
+    def _unblock(
+        prod: np.ndarray, m: np.ndarray, images: int, rows_per_image: int, *, add: bool = False
+    ) -> None:
+        """Copy (or add) the image rows of a blocked product into ``m`` in image order."""
+        r = rows_per_image
+        for b, i0, i1 in rowblocks.blocks(images, r):
+            if add:
+                m[:, i0 * r : i1 * r] += prod[:, b, : (i1 - i0) * r]
+            else:
+                m[:, i0 * r : i1 * r] = prod[:, b, : (i1 - i0) * r]
 
     def _run_gemm(
         self,
@@ -694,15 +737,56 @@ class ConvExecutable:
         x: np.ndarray,
         y: np.ndarray,
         get_bundle: Callable[[], FilterBundle],
-        task: _Task,
     ) -> None:
         sig = self.sig
         seg = st.seg
+        batch = x.shape[0]
+        r = self.oh * seg.width
+        a_shape = rowblocks.blocked_shape((), batch, sig.fh * sig.fw * sig.ic, r)
+        (a,), (prod,) = _workspace(self.dtype, (a_shape,), (a_shape[:2] + (sig.oc,),))
         with span("segment", kind="gemm", start=seg.start, width=seg.width):
             if sig.algorithm == "winograd":
                 counter_add("gemm.tail_segments")
                 counter_add("gemm.tail_columns", seg.width)
-            y[:, :, seg.start : seg.start + seg.width, :] = rowblocks.conv_matmul(
-                x, get_bundle().gemm_operand, sig.fh, sig.fw, sig.ph, sig.pw,
-                col0=seg.start, width=seg.width,
+            rowblocks.conv_operand(
+                a, x, sig.fh, sig.fw, sig.ph, sig.pw, width=seg.width, col0=seg.start
             )
+            rowblocks.blocked_product(a, get_bundle().gemm_operand, out=prod)
+            dst = y[:, :, seg.start : seg.start + seg.width, :]
+            for b, i0, i1 in rowblocks.blocks(batch, r):
+                dst[i0:i1] = prod[b, : (i1 - i0) * r].reshape(
+                    i1 - i0, self.oh, seg.width, sig.oc
+                )
+
+
+def _workspace(
+    dtype: np.dtype, *slots: tuple[tuple[int, ...] | None, ...]
+) -> list[list[Any]]:
+    """``dtype`` views of the given shapes into this thread's workspace.
+
+    Arrays of one slot share memory (the caller is done with each before
+    it writes the next); slots never overlap.  A ``None`` shape yields
+    ``None``.  The workspace grows to the largest request its thread has
+    made and is reused by every later chunk and call, so a warm call
+    allocates only its output.
+    """
+    item = dtype.itemsize
+    nbytes = [[0 if s is None else math.prod(s) * item for s in slot] for slot in slots]
+    sizes = [-(-max(slot) // _ALIGN) * _ALIGN for slot in nbytes]
+    need = sum(sizes) + _ALIGN
+    buf = getattr(_ARENA, "buf", None)
+    if buf is None or buf.nbytes < need:
+        buf = np.empty(need, dtype=np.uint8)
+        _ARENA.buf = buf
+        gauge_set("runtime.workspace.bytes", need, thread=threading.current_thread().name)
+    off = -buf.ctypes.data % _ALIGN
+    views: list[list[Any]] = []
+    for slot, counts, size in zip(slots, nbytes, sizes):
+        views.append(
+            [
+                None if s is None else buf[off : off + n].view(dtype).reshape(s)
+                for s, n in zip(slot, counts)
+            ]
+        )
+        off += size
+    return views

@@ -12,7 +12,7 @@ request arrives:
 * **warms** the model: one forward pass per served input size resolves
   every unit-stride convolution to its cached
   :class:`~repro.runtime.executable.ConvExecutable` (plan + transform
-  matrices + gather descriptors + einsum paths, or the GEMM plan the
+  matrices + gather descriptors, or the GEMM plan the
   per-layer rule picks) and builds each frozen conv's filter operands, so
   the first real request does no set-up work, and each conv then reports
   the engine the rule ran it on (``winograd_convs`` counts those that ran
