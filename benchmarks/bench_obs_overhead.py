@@ -10,9 +10,10 @@ guards themselves.)
 
 The serve-path variant (``test_serve_telemetry_overhead``) measures the
 same contract one layer up: everything the one ``obs.enable()`` switch
-turns on (spans with W3C trace ids, windowed latency histograms, the
-timing ledger) plus SLO burn-rate tracking, against an untraced run of the
-identical closed-loop load, via the ``telemetry-smoke`` baseline suite.  It writes ``benchmarks/out/BENCH_telemetry.json`` — the
+turns on (spans with W3C trace ids, windowed latency histograms) plus
+SLO burn-rate tracking, against an untraced run of the identical
+closed-loop load, via the ``telemetry-smoke`` baseline suite.  It writes
+``benchmarks/out/BENCH_telemetry.json`` — the
 capture the committed root-level ``BENCH_telemetry_gate.json`` floors are
 distilled from.
 """

@@ -116,8 +116,9 @@ GUARDS: tuple[GuardSpec, ...] = (
         "repro.serve.registry",
         "RegisteredModel",
         "_lock",
-        ("weight_version",),
-        note="weight reloads vs describe(); model itself is frozen/eval",
+        ("weight_version", "_batch_ns"),
+        note="weight reloads vs describe(); batch times recorded by execute "
+        "workers, quoted on the loop; model itself is frozen/eval",
     ),
     GuardSpec(
         "repro.serve.scheduler",
@@ -169,13 +170,6 @@ GUARDS: tuple[GuardSpec, ...] = (
         "_lock",
         ("_metrics",),
         note="get-or-create instrument table",
-    ),
-    GuardSpec(
-        "repro.obs.perfledger",
-        "PerfLedger",
-        "_lock",
-        ("_entries", "_samples"),
-        note="LRU entries + raw-sample ring, recorded from worker threads",
     ),
 )
 

@@ -56,16 +56,6 @@ Suites
     committed ``BENCH_telemetry_gate.json`` pins only the
     machine-independent floors, so the CI gate reads "telemetry changes
     no bits and costs bounded throughput".
-``calib-smoke``
-    *Measured* prediction accuracy of the machine-calibrated cost model
-    (:mod:`repro.gpusim.calibrate`): times the pinned calibration shapes,
-    fits the per-machine coefficients in memory, and records mean/max
-    absolute prediction error (%) for the fitted model vs the hand-set
-    analytic constants on the same measurements.  The committed
-    ``BENCH_calib_gate.json`` pins only the machine-independent error-band
-    ceilings and the ``improvement.ratio`` (< 1.0: fitting must beat the
-    hand-set model), so the CI gate reads "calibration makes the cost
-    model strictly more truthful on this machine".
 ``full``
     Union of all of the above (modeled suites; wall-clock and serving are
     captured separately since they are machine-dependent).
@@ -120,10 +110,6 @@ _LOWER_BETTER_SUFFIXES = (
     "bytes",
     "gemm_tail.column_fraction",
     "gemm_tail.time_fraction",
-    # Predict-vs-measure observability: prediction error (%) and drift away
-    # from 1.0 both regress upward.
-    "error_pct",
-    "drift",
 )
 _HIGHER_BETTER_SUFFIXES = (
     "gflops",
@@ -570,44 +556,6 @@ def _telemetry_metrics() -> dict[str, float]:
     return out
 
 
-#: Repetitions per calib-smoke shape measurement (median recorded).
-CALIB_SMOKE_REPS = 3
-
-
-def _calib_metrics() -> dict[str, float]:
-    """Measured prediction accuracy of the machine-calibrated cost model.
-
-    Times the :data:`~repro.gpusim.calibrate.CALIB_SMOKE_SHAPES` convs on
-    this machine, fits the per-machine coefficients in memory (nothing is
-    activated or persisted — capture has no side effects on the process's
-    cost model), and records the mean/max absolute prediction error (%) of
-    the fitted model next to the hand-set analytic constants on the very
-    same measurements.  ``improvement.ratio`` is calibrated mean error over
-    uncalibrated mean error: < 1.0 means fitting beat the hand-set model,
-    and the committed ``BENCH_calib_gate.json`` pins machine-independent
-    ceilings on the error band rather than absolute nanoseconds.
-    """
-    from ..gpusim import calibrate
-
-    samples = calibrate.measure_suite(reps=CALIB_SMOKE_REPS)
-    model = calibrate.fit(samples)
-    out: dict[str, float] = {}
-    for s in samples:
-        out[f"calib/{s.label}/error_pct"] = calibrate.prediction_error_pct(model, s)
-    stats = model.stats
-    cal_mean = float(stats["mean_abs_error_pct"])
-    uncal_mean = float(stats["uncalibrated_mean_abs_error_pct"])
-    out["calib/calibrated.mean_abs_error_pct"] = cal_mean
-    out["calib/calibrated.max_abs_error_pct"] = float(stats["max_abs_error_pct"])
-    out["calib/uncalibrated.mean_abs_error_pct"] = uncal_mean
-    out["calib/uncalibrated.max_abs_error_pct"] = float(
-        stats["uncalibrated_max_abs_error_pct"]
-    )
-    out["calib/improvement.ratio"] = cal_mean / uncal_mean if uncal_mean > 0 else 0.0
-    out["calib/fitted"] = float(model.fitted)
-    return out
-
-
 SUITES = {
     "smoke": _smoke_metrics,
     "fig8": lambda: _figure_metrics("fig8"),
@@ -617,7 +565,6 @@ SUITES = {
     "wallclock-smoke": lambda: _wallclock_metrics(WALLCLOCK_SMOKE_INDICES),
     "serve-smoke": _serve_metrics,
     "telemetry-smoke": _telemetry_metrics,
-    "calib-smoke": _calib_metrics,
     "full": _full_metrics,
 }
 

@@ -16,7 +16,6 @@ from .gradients import (
     conv2d_filter_grad,
     conv2d_input_grad,
 )
-from .inference import PlannedConv2D
 from .kernels import (
     KernelId,
     default_alpha_for_width,
@@ -59,7 +58,6 @@ __all__ = [
     "conv1d_im2col_winograd",
     "conv3d_im2col_winograd",
     "deconv2d_im2col_winograd",
-    "PlannedConv2D",
     "conv2d_winograd_reference",
     "conv2d_input_grad",
     "conv2d_filter_grad",

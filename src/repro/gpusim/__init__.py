@@ -10,9 +10,6 @@ comparative structure of Experiment 1.
 
 from .autotune import TunedChoice, autotune_conv, clear_autotune_cache
 from .blocking import GridPlan, grid_for, iterations_per_block
-from .calibrate import CalibrationModel, calibration_path
-from .calibrate import activate as activate_calibration
-from .calibrate import deactivate as deactivate_calibration
 from .device import DEVICES, RTX3060TI, RTX4090, DeviceSpec
 from .occupancy import Occupancy, occupancy_for
 from .perfmodel import (
@@ -44,10 +41,6 @@ __all__ = [
     "TunedChoice",
     "autotune_conv",
     "clear_autotune_cache",
-    "CalibrationModel",
-    "calibration_path",
-    "activate_calibration",
-    "deactivate_calibration",
     "grid_for",
     "iterations_per_block",
     "PerfEstimate",

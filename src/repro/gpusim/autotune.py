@@ -5,19 +5,12 @@ candidate kernels per problem; the paper's Table 2 implicitly does the same
 ("the fastest benchmark algorithm").  This module does it with the
 performance model instead of wall clock: enumerate every admissible
 ``Gamma_alpha^{variant}`` for a problem, price each, and return the ranked
-list.  Decisions are cached per (shape, device, calibration epoch).
+list.  Decisions are cached per (shape, device, kernel set).
 
 Where the static planner (:func:`repro.core.planner.plan_convolution`)
 applies the paper's written selection rules, the autotuner *searches* — the
 two agree on most shapes, and the A3 ablation shapes are exactly where they
 differ interestingly.
-
-With ``use_calibration=True`` candidates are priced by the machine-fitted
-wallclock model (:mod:`repro.gpusim.calibrate`) instead of the analytic
-device model — picking the kernel that is fastest *on this machine's
-runtime* rather than on the modeled GPU.  The active calibration is used
-when one is activated; otherwise ``CALIB_<host>.json`` is loaded from the
-working directory if present, else the hand-set default coefficients.
 """
 
 from __future__ import annotations
@@ -27,7 +20,6 @@ from dataclasses import dataclass
 from ..core.kernels import KernelId, registered_kernels
 from ..core.planner import plan_convolution
 from ..nhwc.tensor import ConvShape
-from . import calibrate
 from .device import DeviceSpec
 from .perfmodel import PerfEstimate, estimate_conv
 
@@ -41,41 +33,17 @@ class TunedChoice:
     best: KernelId
     estimate: PerfEstimate
     ranking: tuple[tuple[KernelId, float], ...]  # (kernel, modeled ms), fastest first
-    #: Host key of the calibration that priced the ranking, or None when the
-    #: analytic device model did.
-    calibrated_by: str | None = None
 
     @property
     def gflops(self) -> float:
         return self.estimate.gflops
 
 
-#: (shape, device, calibration digest | None, activation epoch).  The digest
-#: — not the host name — identifies the pricing model: two calibration
-#: files for the *same* host with different coefficients (a re-fit loaded
-#: from disk mid-process, un-activated) must not share rankings, and the
-#: activation epoch alone cannot tell them apart because merely loading a
-#: file never bumps it.
-_CacheKey = tuple[ConvShape, str, str | None, int]
-_CACHE: dict[_CacheKey, TunedChoice] = {}
+_CACHE: dict[tuple[ConvShape, str, bool], TunedChoice] = {}
 
 
 def clear_autotune_cache() -> None:
     _CACHE.clear()
-
-
-def _calibration_for_ranking() -> calibrate.CalibrationModel:
-    """The wallclock model a calibrated ranking should use."""
-    active = calibrate.active_model()
-    if active is not None:
-        return active
-    path = calibrate.calibration_path()
-    if path.exists():
-        try:
-            return calibrate.CalibrationModel.load(path)
-        except ValueError:
-            pass
-    return calibrate.default_model()
 
 
 def autotune_conv(
@@ -83,16 +51,12 @@ def autotune_conv(
     device: DeviceSpec,
     *,
     include_extended: bool = False,
-    use_calibration: bool = False,
 ) -> TunedChoice:
     """Pick the modeled-fastest Gamma kernel for ``shape`` on ``device``.
 
     Every registered kernel whose filter width matches is priced (each with
     its own §5.5 boundary segmentation as the leading kernel); results are
-    cached.  The cache keys on the calibration *digest* and the activation
-    epoch, so both activating/swapping a calibration and loading a
-    different ``CALIB_<host>.json`` for the same host invalidate stale
-    rankings.
+    cached.
 
     Raises
     ------
@@ -101,13 +65,7 @@ def autotune_conv(
         unsupported width) — the caller should fall back to GEMM, exactly as
         the §5.7 dispatch does.
     """
-    machine = _calibration_for_ranking() if use_calibration else None
-    key: _CacheKey = (
-        shape,
-        device.name,
-        machine.digest if machine is not None else None,
-        calibrate.generation(),
-    )
+    key = (shape, device.name, include_extended)
     if key in _CACHE:
         return _CACHE[key]
     probe = plan_convolution(shape)
@@ -115,23 +73,19 @@ def autotune_conv(
         raise ValueError(f"no Winograd kernel admissible: {probe.reason}")
 
     candidates = [k for k in registered_kernels(include_extended) if k.r == shape.fw]
+    if not candidates:
+        raise ValueError(f"no registered kernel for r={shape.fw}; try include_extended=True")
     ranked: list[tuple[KernelId, float, PerfEstimate]] = []
     for kernel in candidates:
         plan = plan_convolution(shape, alpha=kernel.alpha, variant=kernel.variant)
         est = estimate_conv(shape, device, plan=plan)
-        cost_ms = (
-            machine.predict_conv_ns(shape, plan=plan) * 1e-6
-            if machine is not None
-            else est.time_ms
-        )
-        ranked.append((kernel, cost_ms, est))
+        ranked.append((kernel, est.time_ms, est))
     ranked.sort(key=lambda t: t[1])
     best_kernel, _, best_est = ranked[0]
     choice = TunedChoice(
         best=best_kernel,
         estimate=best_est,
         ranking=tuple((k, ms) for k, ms, _ in ranked),
-        calibrated_by=machine.host if machine is not None else None,
     )
     _CACHE[key] = choice
     return choice

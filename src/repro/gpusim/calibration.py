@@ -1,12 +1,9 @@
 """Calibration constants of the performance model — all in one place.
 
-Not to be confused with :mod:`repro.gpusim.calibrate` (no trailing
-``-ion``): **this** module is the hand-set *architectural* issue-efficiency
-fractions modeling the paper's GPUs, fixed once against Figures 8/9 and
-never fitted per machine; **that** module fits a linear wallclock cost
-model to the NumPy/BLAS substrate of whatever machine the repo runs on
-(``python -m repro.gpusim.calibrate fit``).  Constants here feed the
-device-side predictions; fits there feed the runtime-side predictions.
+These are hand-set *architectural* issue-efficiency fractions modeling the
+paper's GPUs, fixed once against Figures 8/9 and never fitted per machine.
+They feed the device-side predictions only; nothing here prices the host
+runtime, whose cost is measured as wallclock.
 
 The model in :mod:`repro.gpusim.perfmodel` is analytical: times come from
 counted arithmetic and bytes against datasheet peaks.  What cannot be derived

@@ -80,14 +80,6 @@ class PerfEstimate:
     time_ms: float
     gflops: float
     segments: tuple[SegmentEstimate, ...] = field(default_factory=tuple)
-    #: True when ``time_ms`` came from an activated machine calibration
-    #: (:mod:`repro.gpusim.calibrate`) instead of the analytic device model.
-    calibrated: bool = False
-
-    @property
-    def predicted_ns(self) -> float:
-        """``time_ms`` in ns — the quantity the timing ledger compares."""
-        return self.time_ms * 1e6
 
     @property
     def bound(self) -> str:
@@ -299,18 +291,7 @@ def estimate_conv(
         if include_filter_transpose:
             tbytes = filter_transposition_bytes(shape.oc, shape.fh, shape.fw, shape.ic)
             time_s += tbytes / (device.dram_bw_gbs * 1e9) + device.launch_overhead_us * 1e-6
-        # An explicitly activated machine calibration overrides the modeled
-        # device time with this machine's fitted wallclock prediction.  The
-        # segment breakdown stays analytic (it explains *where* time goes);
-        # only the total is re-based.  Never triggered by the mere presence
-        # of a CALIB_<host>.json — see repro.gpusim.calibrate.activate.
-        from .calibrate import active_model
-
-        machine = active_model()
-        calibrated = machine is not None
-        if machine is not None:
-            time_s = machine.predict_conv_ns(shape, plan=plan) * 1e-9
-        sp.set(time_ms=round(time_s * 1e3, 6), segments=len(segs), calibrated=calibrated)
+        sp.set(time_ms=round(time_s * 1e3, 6), segments=len(segs))
     observe("model.predicted_ns", time_s * 1e9, algorithm=name, device=device.name)
     return PerfEstimate(
         algorithm=name + ("" if include_filter_transpose else "*"),
@@ -319,7 +300,6 @@ def estimate_conv(
         time_ms=time_s * 1e3,
         gflops=shape.flops / time_s / 1e9,
         segments=tuple(segs),
-        calibrated=calibrated,
     )
 
 

@@ -11,9 +11,7 @@ Perfetto) plus text summaries.
 switch.  Under an active W3C trace context (:mod:`repro.obs.telemetry`,
 set per request by the serving layer) the same span also carries trace
 ids, so one request can be followed from the HTTP front through batching
-into the per-stage spans, all in one store and one Chrome trace.  The
-predict-vs-measure ledger (:mod:`repro.obs.perfledger`) is fed the conv
-span's own duration.
+into the per-stage spans, all in one store and one Chrome trace.
 
 Everything is **off by default** and near-free while disabled: call sites
 pay one module-global check, ``span()`` returns a shared no-op context
@@ -62,15 +60,6 @@ from .metrics import (
     observe,
     observe_windowed,
 )
-from .perfledger import (
-    DRIFT_BAND,
-    LedgerEntry,
-    LedgerSample,
-    PerfLedger,
-    get_ledger,
-    record_execution,
-    reset_ledger,
-)
 from .promexport import CONTENT_TYPE as PROMETHEUS_CONTENT_TYPE
 from .promexport import render_prometheus
 from .summary import aggregate, format_duration, render_tree
@@ -111,14 +100,6 @@ __all__ = [
     "observe",
     "observe_windowed",
     "metrics_json",
-    # predict-vs-measure timing ledger
-    "PerfLedger",
-    "LedgerEntry",
-    "LedgerSample",
-    "DRIFT_BAND",
-    "get_ledger",
-    "record_execution",
-    "reset_ledger",
     # request-scoped telemetry + exposition
     "telemetry",
     "render_prometheus",

@@ -15,11 +15,6 @@ Emits the JSON object format of the Trace Event specification:
 * every counter/gauge in the metrics registry becomes one counter
   (``"ph": "C"``) event stamped at the end of the trace, one series per
   label set (histograms export their sum, which Perfetto can still plot);
-* every raw sample in the predict-vs-measure timing ledger
-  (:mod:`repro.obs.perfledger`) becomes one ``perf.predicted_vs_measured``
-  counter event at the sample's own timestamp — two series (predicted /
-  measured ns) whose divergence is the model drift, visible right under
-  the spans that caused it;
 * process/thread-name metadata events label the timeline.
 
 The output round-trips through :mod:`repro.obs.report`, which rebuilds the
@@ -215,9 +210,6 @@ def chrome_trace(
     events.extend(_flow_events(spans, tracer.origin_s, pid, rows))
     end_ts = max((e["ts"] + e["dur"] for e in span_events), default=0.0)
     events.extend(_metric_events(registry, pid, end_ts))
-    from .perfledger import get_ledger, ledger_events
-
-    events.extend(ledger_events(pid, tracer.origin_s, get_ledger().samples()))
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -30,17 +30,16 @@ profiler also emits its quantities as ``kprof.*`` gauges/counters, which the
 Chrome-trace exporter merges into the span stream as counter tracks.
 
 With ``--measure`` the profiler additionally *runs* the convolution on
-this machine (the compiled NumPy runtime) and appends a predict-vs-measure
-section: the device-model time, the cost model's calibrated prediction
-(:mod:`repro.gpusim.calibrate` — the active calibration, a ``--calib``
-file, or the hand-set constants), the measured min/median wallclock, and
-the prediction error in percent.
+this machine (the compiled NumPy runtime) and appends a section with the
+modeled device time beside the measured median and min wallclock.  The
+two clocks are different machines (a modeled GPU, this host's BLAS), so
+no error is computed between them.
 
 CLI::
 
     python -m repro.obs.kernelprof --device rtx4090 --variant g8n6r3 \\
         --shape 128x96x96x64 [--star] [--json] [--trace-json out.json] \\
-        [--measure [--measure-reps 5] [--calib CALIB_host.json]]
+        [--measure [--measure-reps 5]]
 """
 
 from __future__ import annotations
@@ -500,71 +499,50 @@ def measure_conv(
     *,
     alpha: int | None = None,
     reps: int = 5,
-    calib: str | None = None,
     modeled_time_ms: float = 0.0,
-) -> dict[str, float | str]:
-    """Run the conv on this machine and score the cost model against it.
+) -> dict[str, float]:
+    """Run the conv on this machine and time it beside the modeled time.
 
-    Executes :func:`repro.runtime.convolve` (warm executable cache — the
-    same regime the timing ledger records) and compares the measured
-    median against the calibrated prediction: a ``--calib`` file when
-    given, else the process's active calibration, else the hand-set
-    constants.  ``error_pct`` is relative to the measured median — the
-    calib-smoke convention.
+    Executes :func:`repro.runtime.convolve` on a warm executable cache and
+    records the median and min wallclock of ``reps`` calls next to
+    ``modeled_time_ms``, the device model's time for the same shape.
     """
     import numpy as np
 
     from .. import runtime
     from ..bench.harness import measure_ns
-    from ..gpusim import calibrate
 
-    plan = plan_convolution(shape, alpha=alpha)
-    model = (
-        calibrate.CalibrationModel.load(calib)
-        if calib is not None
-        else calibrate.resolve_model()
-    )
-    predicted_ns = model.predict_conv_ns(shape, plan=plan)
     rng = np.random.default_rng(20260808)
     x = rng.standard_normal((shape.batch, shape.ih, shape.iw, shape.ic)).astype(
         np.float32
     )
     w = rng.standard_normal((shape.oc, shape.fh, shape.fw, shape.ic)).astype(np.float32)
     timing = measure_ns(lambda: runtime.convolve(x, w, alpha=alpha), reps=reps, warmup=1)
-    measured_ns = timing.median_ns
     return {
-        "source": f"fitted:{model.host}" if model.fitted else "hand-set",
         "reps": float(reps),
         "modeled_time_ms": modeled_time_ms,
-        "predicted_ms": predicted_ns / 1e6,
-        "measured_median_ms": measured_ns / 1e6,
+        "measured_median_ms": timing.median_ns / 1e6,
         "measured_min_ms": timing.min_ns / 1e6,
-        "error_pct": (
-            abs(predicted_ns - measured_ns) / measured_ns * 100.0 if measured_ns else 0.0
-        ),
     }
 
 
-def render_measured(measured: dict[str, float | str]) -> str:
-    """The predict-vs-measure text section ``--measure`` appends."""
+def render_measured(measured: dict[str, float]) -> str:
+    """The modeled-vs-measured text section ``--measure`` appends."""
     from ..bench.harness import banner, table
 
     return "\n".join(
         [
             banner(
-                "Predict vs measure (this machine)",
-                f"cost model: {measured['source']}  |  "
-                f"median of {int(float(measured['reps']))} reps, compiled runtime",
+                "Modeled vs measured (this machine)",
+                f"median of {int(measured['reps'])} reps, compiled runtime",
             ),
             table(
-                ["modeled (device)", "predicted", "measured median", "measured min", "error"],
+                ["modeled (device)", "measured median", "measured min"],
                 [
                     [
-                        f"{float(measured['modeled_time_ms']):.4f} ms",
-                        f"{float(measured['predicted_ms']):.4f} ms",
-                        f"{float(measured['measured_median_ms']):.4f} ms",
-                        f"{float(measured['measured_min_ms']):.4f} ms",
-                        f"{float(measured['error_pct']):.1f}%",
+                        f"{measured['modeled_time_ms']:.4f} ms",
+                        f"{measured['measured_median_ms']:.4f} ms",
+                        f"{measured['measured_min_ms']:.4f} ms",
                     ]
                 ],
             ),
@@ -662,7 +640,7 @@ def main(argv: list[str] | None = None) -> int:
         "--measure",
         action="store_true",
         help="also run the conv on this machine (compiled runtime) and report "
-        "the calibrated prediction vs measured wallclock",
+        "its measured wallclock beside the modeled device time",
     )
     parser.add_argument(
         "--measure-reps",
@@ -670,13 +648,6 @@ def main(argv: list[str] | None = None) -> int:
         default=5,
         metavar="N",
         help="measurement repetitions for --measure (median recorded, default 5)",
-    )
-    parser.add_argument(
-        "--calib",
-        metavar="PATH",
-        default=None,
-        help="CALIB_<host>.json for the --measure prediction (default: the "
-        "active calibration if any, else the hand-set constants)",
     )
     parser.add_argument(
         "--trace-json",
@@ -730,10 +701,9 @@ def main(argv: list[str] | None = None) -> int:
                 shape,
                 alpha=alpha,
                 reps=args.measure_reps,
-                calib=args.calib,
                 modeled_time_ms=profile.time_ms,
             )
-        except (ValueError, OSError) as exc:
+        except ValueError as exc:
             print(f"error: --measure failed: {exc}", file=sys.stderr)
             return 2
 

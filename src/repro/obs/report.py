@@ -6,10 +6,7 @@ tool emitting the Trace Event format) and prints
 * a per-span-name profile table — calls, cumulative time, self time,
   self % — with the hierarchy rebuilt purely from ``ts``/``dur``
   containment per thread, exactly as Perfetto nests its slices;
-* the top counters recorded in the trace's ``"C"`` events;
-* a predict-vs-measure drift summary when the trace carries the timing
-  ledger's ``perf.predicted_vs_measured`` track (samples, mean measured /
-  predicted ratio, band check — see :mod:`repro.obs.perfledger`).
+* the top counters recorded in the trace's ``"C"`` events.
 
 .. code-block:: bash
 
@@ -28,7 +25,6 @@ __all__ = [
     "load_events",
     "profile_events",
     "counter_rows",
-    "drift_summary",
     "render_report",
     "main",
 ]
@@ -111,41 +107,6 @@ def counter_rows(events: list[dict[str, Any]], top: int = 10) -> list[tuple[str,
     return rows[:top]
 
 
-def drift_summary(events: list[dict[str, Any]]) -> dict[str, float] | None:
-    """Predict-vs-measure drift over the trace's timing-ledger track.
-
-    Reads the ``perf.predicted_vs_measured`` counter events the Chrome
-    exporter merges from :mod:`repro.obs.perfledger`; returns ``None`` when
-    the trace carries none.  ``drift_ratio`` is total measured over total
-    predicted ns (1.0 = the cost model nails this machine), checked against
-    the ledger's default acceptance band.
-    """
-    from .perfledger import DRIFT_BAND
-
-    predicted = measured = 0.0
-    count = 0
-    for e in events:
-        if e.get("ph") != "C" or e.get("name") != "perf.predicted_vs_measured":
-            continue
-        args = e.get("args") or {}
-        p, m = args.get("predicted_ns"), args.get("measured_ns")
-        if not isinstance(p, (int, float)) or not isinstance(m, (int, float)):
-            continue
-        predicted += float(p)
-        measured += float(m)
-        count += 1
-    if not count:
-        return None
-    ratio = measured / predicted if predicted > 0 else 0.0
-    return {
-        "samples": float(count),
-        "predicted_ms": predicted / 1e6,
-        "measured_ms": measured / 1e6,
-        "drift_ratio": ratio,
-        "in_band": float(DRIFT_BAND[0] <= ratio <= DRIFT_BAND[1]),
-    }
-
-
 def _fmt_us(us: float) -> str:
     if us >= 1e6:
         return f"{us / 1e6:.3f} s"
@@ -193,25 +154,6 @@ def render_report(
             "enabled around the instrumented code, or profile with "
             "`python -m repro.obs.kernelprof --trace-json` to get kprof.* "
             "counter tracks)"
-        )
-    drift = drift_summary(events)
-    if drift is not None:
-        chunks.append("")
-        chunks.append(banner("Predict-vs-measure drift (timing ledger)"))
-        verdict = "in band" if drift["in_band"] else "OUT OF BAND — refit calibration"
-        chunks.append(
-            table(
-                ["samples", "predicted", "measured", "measured/predicted", "band check"],
-                [
-                    [
-                        f"{int(drift['samples'])}",
-                        _fmt_us(drift["predicted_ms"] * 1e3),
-                        _fmt_us(drift["measured_ms"] * 1e3),
-                        f"{drift['drift_ratio']:.3f}x",
-                        verdict,
-                    ]
-                ],
-            )
         )
     return "\n".join(chunks)
 

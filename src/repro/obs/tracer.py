@@ -11,7 +11,7 @@ accumulate stages), and what did the planner/model decide along the way
   no-op context manager without touching the tracer — hot paths pay one
   module-global check, which is what keeps the instrumented kernels within
   the < 2% overhead budget.  :func:`enable` is the only switch: it turns on
-  spans, metrics, the timing ledger and request traces together.
+  spans, metrics and request traces together.
 * Under an active trace context (:mod:`repro.obs.telemetry`) a span also
   carries W3C ``trace_id``/``span_id``/``parent_id`` ids, becomes the
   context for its body, and is indexed by trace id in the tracer's bounded
@@ -63,7 +63,7 @@ _ENABLED = False
 
 
 def enable() -> None:
-    """Turn spans, metrics, the timing ledger and request traces on."""
+    """Turn spans, metrics and request traces on."""
     global _ENABLED
     _ENABLED = True
 

@@ -24,7 +24,7 @@ cached executable.
 ``convolve(..., algorithm="gemm")`` runs the same conv as one row-blocked
 im2col GEMM instead (the per-layer pick of
 :func:`~repro.runtime.signature.conv_engine`), through the same cache,
-bundles, ledger and degradation hatch; its legacy path is
+bundles and degradation hatch; its legacy path is
 :func:`repro.baselines.gemm.conv2d_gemm`.  The default stays the paper's
 ``Gamma_alpha``.
 """
@@ -32,7 +32,6 @@ bundles, ledger and degradation hatch; its legacy path is
 from __future__ import annotations
 
 import contextlib
-import functools
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -42,10 +41,9 @@ import numpy as np
 
 from ..baselines.gemm import conv2d_gemm
 from ..core.fused import DEFAULT_BLOCK_IC
-from ..obs import NULL_SPAN, counter_add, span
-from ..obs.perfledger import record_execution
+from ..obs import counter_add, span
 from .cache import get_executable, global_cache
-from .executable import FilterBundle, compiled_plan
+from .executable import FilterBundle
 from .signature import ConvSignature
 
 __all__ = [
@@ -181,29 +179,6 @@ def configure(
     return _DEFAULT
 
 
-def _calibration_generation() -> int:
-    from ..gpusim import calibrate  # lazy: keep gpusim below runtime at import
-
-    return calibrate.generation()
-
-
-@functools.lru_cache(maxsize=128)
-def _legacy_coeffs(sig: ConvSignature, generation: int) -> tuple[float, float]:
-    """(constant ns, per-row ns) prediction for a degraded (legacy) call.
-
-    The legacy path deliberately shares no compiled state, so the affine
-    coefficients the executable caches are recomputed here from the plan —
-    memoized per signature and calibration generation.
-    """
-    from ..gpusim import calibrate
-
-    plan = compiled_plan(sig)
-    model = calibrate.resolve_model()
-    p1 = model.predict_ns(calibrate.conv_features(plan, 1))
-    p2 = model.predict_ns(calibrate.conv_features(plan, 2))
-    return 2.0 * p1 - p2, p2 - p1
-
-
 def convolve(
     x: np.ndarray,
     w: np.ndarray,
@@ -244,7 +219,7 @@ def convolve(
         from ..core.fused import conv2d_im2col_winograd  # lazy: import cycle
 
         counter_add("runtime.degraded.calls")
-        with span("degraded", path="legacy") as degraded_span:
+        with span("degraded", path="legacy"):
             if algorithm == "gemm":
                 _, fh, fw, _ = w.shape
                 y = conv2d_gemm(
@@ -256,23 +231,6 @@ def convolve(
                     x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
                     block_ic=block_ic, legacy=True,
                 )
-        # Degraded calls are ledgered too (path="legacy"), timed by the span
-        # around the legacy conv: the drift monitor is most interesting
-        # exactly when the compiled path is failing.
-        if degraded_span is not NULL_SPAN:
-            sig = ConvSignature.for_operands(
-                x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-                algorithm=algorithm,
-            )
-            const, per_row = _legacy_coeffs(sig, _calibration_generation())
-            record_execution(
-                signature=sig.label,
-                variant=sig.variant,
-                rows=x.shape[0],
-                path="legacy",
-                predicted_ns=const + per_row * x.shape[0],
-                measured_ns=degraded_span.duration_s * 1e9,
-            )
         return y
     sig = ConvSignature.for_operands(
         x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,

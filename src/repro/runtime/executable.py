@@ -73,8 +73,7 @@ from ..core.planner import ConvPlan
 from ..core.transforms import TransformMatrices, winograd_matrices
 from ..nhwc.tensor import ConvShape
 from ..nhwc.tiles import _gather_padded_region
-from ..obs import NULL_SPAN, counter_add, gauge_set, span, telemetry
-from ..obs.perfledger import record_execution
+from ..obs import counter_add, gauge_set, span, telemetry
 from .signature import ConvSignature
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -286,8 +285,6 @@ class ConvExecutable:
         self._flock = threading.Lock()
         size = sig.oc * sig.fh * sig.fw * sig.ic
         self._sample = np.linspace(0, size - 1, min(size, _SAMPLE_POINTS), dtype=np.intp)
-        # (calibration generation, constant ns, per-row ns) — see predicted_ns.
-        self._pred_cache: tuple[int, float, float] | None = None
 
     # -- filter-transform cache ---------------------------------------------
 
@@ -359,32 +356,6 @@ class ConvExecutable:
         with self._flock:
             return len(self._filters)
 
-    # -- predicted wallclock (timing-ledger / serve cost model) ------------
-
-    def predicted_ns(self, batch: int) -> float:
-        """Predicted wallclock ns of one call at ``batch`` rows.
-
-        Priced by the machine cost model (:mod:`repro.gpusim.calibrate`:
-        the activated calibration, else the hand-set default coefficients).
-        Every fit term is affine in the batch, so two model evaluations at
-        batch 1 and 2 yield ``(constant, per_row)`` and every later batch
-        size is one multiply-add — cheap enough for the serve scheduler's
-        flush decisions and the per-call ledger.  Cached against the
-        calibration generation so activating a fit invalidates it.
-        """
-        from ..gpusim import calibrate
-
-        cached = self._pred_cache
-        gen = calibrate.generation()
-        if cached is None or cached[0] != gen:
-            model = calibrate.resolve_model()
-            p1 = model.predict_ns(calibrate.conv_features(self.plan, 1))
-            p2 = model.predict_ns(calibrate.conv_features(self.plan, 2))
-            per_row = p2 - p1
-            cached = (gen, p1 - per_row, per_row)
-            self._pred_cache = cached
-        return cached[1] + cached[2] * batch
-
     # -- execution ---------------------------------------------------------
 
     def __call__(
@@ -453,7 +424,7 @@ class ConvExecutable:
             variant=sig.variant,
             segments=len(tasks),
             plan_segments=len(self._states),
-        ) as conv_span:
+        ):
             counter_add("conv.calls")
             counter_add(
                 "conv.flops",
@@ -486,17 +457,6 @@ class ConvExecutable:
             else:
                 for task in tasks:
                     self._run_task(task, x, y, get_bundle, block_ic)
-        # Predict-vs-measure ledger: with observability on, the conv span's
-        # own clock reads are the measurement (no extra reads when off).
-        if conv_span is not NULL_SPAN:
-            record_execution(
-                signature=sig.label,
-                variant=sig.variant,
-                rows=batch,
-                path="compiled",
-                predicted_ns=self.predicted_ns(batch),
-                measured_ns=conv_span.duration_s * 1e9,
-            )
         return y
 
     def per_row_workspace_bytes(self) -> int:

@@ -10,9 +10,8 @@ gathered volume, so the same executable serves every batch of a shape
 not the batch pointer).
 
 Validation lives here so the functional API
-(:func:`repro.core.fused.conv2d_im2col_winograd`), the runtime entry point
-(:func:`repro.runtime.convolve`) and the frozen-inference wrapper
-(:class:`repro.core.inference.PlannedConv2D`) all raise identical errors.
+(:func:`repro.core.fused.conv2d_im2col_winograd`) and the runtime entry
+point (:func:`repro.runtime.convolve`) raise identical errors.
 """
 
 from __future__ import annotations
@@ -102,7 +101,7 @@ class ConvSignature:
 
     @property
     def label(self) -> str:
-        """Compact human-readable key for metrics/ledger labels."""
+        """Compact human-readable key of the signature."""
         algo = "gemm" if self.algorithm == "gemm" else f"a{self.alpha}.{self.variant}"
         return f"{self.ih}x{self.iw}x{self.ic}-{self.oc}.f{self.fh}x{self.fw}.{algo}"
 

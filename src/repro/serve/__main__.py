@@ -59,7 +59,7 @@ def _add_policy_args(p: argparse.ArgumentParser) -> None:
                    help="default request deadline (default 1000)")
     p.add_argument("--telemetry", action="store_true",
                    help="enable instrumentation (obs.enable): spans, request "
-                        "traces, the timing ledger and /metrics content")
+                        "traces and /metrics content")
     p.add_argument("--slo-target-ms", type=float, default=None, metavar="MS",
                    help="enable SLO tracking: latency target in ms")
     p.add_argument("--slo-error-budget", type=float, default=0.01,

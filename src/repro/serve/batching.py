@@ -22,23 +22,20 @@ checked per bucket:
 ``max_workspace_bytes``
     Budget on ``rows x per_row_workspace_bytes`` per dispatch (the
     registry measures per-row bytes from the warmed executables), capping
-    coalescing for large-activation models before memory does.  With a
-    cost model, ``max_workspace_byte_ns`` refines this into a *pressure*
-    budget (bytes × predicted residency ns): byte-heavy-but-cheap buckets
-    coalesce further, byte-heavy-and-slow buckets cap earlier.
+    coalescing for large-activation models before memory does.
 deadline pressure (``predicted_batch_ns``)
-    When the owner supplies a predicted batch cost (the registry's
-    machine-calibrated per-row model), a bucket holding deadlined requests
-    flushes as soon as ``now + predicted(batch) >= earliest deadline`` —
-    waiting any longer would, by the cost model's own account, make the
-    response late.  Without the cost model a deadlined request waits the
-    full queue delay and may expire in the queue; with it, the batcher
-    trades batch fill for an on-time dispatch.
+    When the owner supplies a batch quote (the registry's latest measured
+    wallclock of a batch that size), a bucket holding deadlined requests
+    flushes as soon as ``now + quote(batch) >= earliest deadline`` —
+    waiting any longer would, by the last measured batch, make the
+    response late.  Without a quote a deadlined request waits the full
+    queue delay and may expire in the queue; with it, the batcher trades
+    batch fill for an on-time dispatch.
 
 Requests never split across batches: a request is the unit of response.
 Each popped :class:`Batch` carries its flush ``trigger`` and the
 ``predicted_ns`` quoted for it, so the scheduler can emit
-``serve.flush.predicted_ns`` and compare prediction against the measured
+``serve.flush.predicted_ns`` and compare the quote against the measured
 execution.
 """
 
@@ -67,15 +64,6 @@ class BatchPolicy:
     max_batch_size: int = 8
     max_queue_delay_ms: float = 2.0
     max_workspace_bytes: int | None = None
-    #: Calibrated refinement of the raw-bytes budget: bound each dispatch's
-    #: workspace *pressure* — bytes held × predicted residency time,
-    #: ``rows · per_row_bytes · predicted_batch_ns(rows)`` (byte·ns) — so a
-    #: bucket whose rows are byte-heavy but *cheap* (short residency) may
-    #: coalesce past the raw-bytes cap, while byte-heavy *slow* buckets are
-    #: capped earlier.  Consulted only when the batcher also has both the
-    #: per-row bytes and the cost model; it then replaces the raw-bytes cap
-    #: (which remains the fallback).
-    max_workspace_byte_ns: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -87,10 +75,6 @@ class BatchPolicy:
         if self.max_workspace_bytes is not None and self.max_workspace_bytes < 1:
             raise ValueError(
                 f"max_workspace_bytes must be >= 1, got {self.max_workspace_bytes}"
-            )
-        if self.max_workspace_byte_ns is not None and self.max_workspace_byte_ns <= 0:
-            raise ValueError(
-                f"max_workspace_byte_ns must be > 0, got {self.max_workspace_byte_ns}"
             )
 
 
@@ -129,10 +113,10 @@ class Batch:
     key: BucketKey
     requests: list[PendingRequest]
     #: Which flush trigger popped this batch: "size", "delay", "deadline"
-    #: (cost-model pressure) or "drain".
+    #: (quoted deadline pressure) or "drain".
     trigger: str = "size"
-    #: Predicted execution ns quoted by the cost model at flush time
-    #: (0.0 when the batcher has no cost model).
+    #: Execution ns quoted at flush time (0.0 when the batcher has no
+    #: quote).
     predicted_ns: float = 0.0
 
     @property
@@ -195,50 +179,26 @@ class DynamicBatcher:
         # Model name -> measured per-row workspace (the registry's warmup
         # number); absent/zero disables the workspace trigger for that model.
         self._per_row_bytes = per_row_bytes
-        # (model, rows) -> predicted dispatch ns (the registry's calibrated
-        # cost model); absent disables the deadline-pressure trigger.
+        # (model, rows) -> quoted dispatch ns (the registry's measured batch
+        # times); absent disables the deadline-pressure trigger.
         self._predicted_batch_ns = predicted_batch_ns
         self._buckets: "OrderedDict[BucketKey, _Bucket]" = OrderedDict()
 
     # -- capacity ------------------------------------------------------------
 
     def max_rows_for(self, model: str) -> int:
-        """Row cap per batch: ``max_batch_size`` tightened by the budget.
-
-        With a cost model and a ``max_workspace_byte_ns`` budget the cap is
-        pressure-derived — the largest row count whose
-        ``rows · per_row_bytes · predicted(rows)`` stays within budget —
-        replacing the raw-bytes cap: bytes a dispatch holds only briefly
-        are cheaper than the same bytes held across a slow batch, so a
-        cheap-but-large-bytes bucket no longer flushes early.  Without the
-        cost model (or the knob) the raw ``max_workspace_bytes`` cap
-        applies as before.
-        """
+        """Row cap per batch: ``max_batch_size`` tightened by the budget."""
         cap = self.policy.max_batch_size
         per_row = 0
         if self._per_row_bytes is not None:
             per_row = self._per_row_bytes(model)
-        pressure_budget = self.policy.max_workspace_byte_ns
-        if (
-            pressure_budget is not None
-            and per_row > 0
-            and self._predicted_batch_ns is not None
-        ):
-            rows = 1
-            while (
-                rows < cap
-                and per_row * (rows + 1) * self.predicted_ns(model, rows + 1)
-                <= pressure_budget
-            ):
-                rows += 1
-            return rows
         budget = self.policy.max_workspace_bytes
         if budget is not None and per_row > 0:
             cap = min(cap, max(1, budget // per_row))
         return cap
 
     def predicted_ns(self, model: str, rows: int) -> float:
-        """Cost-model quote for dispatching ``rows`` now (0.0 = no model)."""
+        """Quote for dispatching ``rows`` now (0.0 = no quote)."""
         if self._predicted_batch_ns is None or rows <= 0:
             return 0.0
         return max(0.0, float(self._predicted_batch_ns(model, rows)))
@@ -279,8 +239,8 @@ class DynamicBatcher:
 
         A full bucket yields as many full batches as it holds; a bucket
         whose oldest request has waited ``max_queue_delay_ms`` — or whose
-        earliest deadline the cost model predicts the next dispatch would
-        otherwise miss — flushes entirely (in row-capped chunks).
+        earliest deadline the quote says the next dispatch would otherwise
+        miss — flushes entirely (in row-capped chunks).
         Oversized single requests (more rows than the cap) always dispatch
         alone rather than being split.
         """
@@ -342,9 +302,9 @@ class DynamicBatcher:
 
         The soonest of (a) the oldest request in any bucket reaching
         ``max_queue_delay_ms`` (flush due), (b) the earliest queued request
-        deadline (expiry due) and (c) with a cost model, each deadline
-        minus the predicted dispatch time of its bucket (the last instant a
-        flush can still predictably make that deadline) — the scheduler
+        deadline (expiry due) and (c) with a quote, each deadline minus the
+        quoted dispatch time of its bucket (the last instant a flush can
+        still predictably make that deadline) — the scheduler
         sleeps exactly until this instant, so deadlines are enforced on
         time even when their bucket is nowhere near its delay flush.
         """

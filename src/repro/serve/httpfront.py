@@ -29,6 +29,7 @@ import numpy as np
 from ..obs import enabled, telemetry
 from ..obs.telemetry import TraceContext
 from .errors import BadRequest, ServeError
+from .scheduler import check_timeout_ms
 
 __all__ = ["JsonHttpServer", "handle_infer_request", "REASONS"]
 
@@ -215,7 +216,9 @@ async def handle_infer_request(
             x = np.asarray(payload["inputs"], dtype=np.float32)
         except (TypeError, ValueError) as exc:
             raise BadRequest(f"inputs are not a numeric array: {exc}") from exc
-        timeout_ms = payload.get("timeout_ms", "default")
+        timeout_ms = (
+            check_timeout_ms(payload["timeout_ms"]) if "timeout_ms" in payload else "default"
+        )
         t0 = time.perf_counter()
         out = await infer(str(payload["model"]), x, timeout_ms=timeout_ms, trace=trace)
     except ServeError as exc:

@@ -15,9 +15,9 @@ Two canonical load models:
 Both produce a :class:`LoadgenResult`: throughput, p50/p95/p99/mean/max
 latency, per-error-kind counts, the scheduler's batch-size histogram —
 the distribution that shows whether dynamic batching actually coalesced —
-and the scheduler's predicted-vs-actual batch cost summary over exactly
+and the scheduler's quoted-vs-measured batch cost summary over exactly
 the batches this run flushed (count + mean absolute error %), the serving
-edge's view of how well the calibrated cost model priced its work.
+edge's view of how well earlier measured batches priced later ones.
 
 Inputs are deterministic per request id (seeded from ``(seed, rid)``), so
 two runs over the same id set see identical payloads — which is what lets

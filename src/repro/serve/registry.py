@@ -20,6 +20,9 @@ request arrives:
 * measures the model's **per-row workspace** from the executables the
   warmup resolved (:meth:`~repro.runtime.executable.ConvExecutable.per_row_workspace_bytes`),
   which the dynamic batcher's workspace-budget flush trigger consumes;
+* seeds the model's **batch quote** with the warm-up's wallclock.  Every
+  batch the scheduler executes then records its own measured time, and
+  :meth:`RegisteredModel.predicted_batch_ns` quotes from those records;
 * tracks a **weight version** per model, bumped by
   :meth:`ModelRegistry.load_weights`, which re-freezes the model: each
   conv transforms the new weights exactly once (on the reload's warmup or
@@ -114,10 +117,8 @@ class RegisteredModel:
     executables_resolved: int = 0
     per_row_workspace_bytes: int = 0
     warmup_ms: float = 0.0
-    #: Affine predicted batch cost (conv portion, from the machine cost
-    #: model): one dispatch of ``k`` rows ≈ ``call + row * k``.
-    predicted_row_ns: float = 0.0
-    predicted_call_ns: float = 0.0
+    #: Latest measured wallclock ns of one served batch, by row count.
+    _batch_ns: dict[int, float] = field(default_factory=dict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     # -- request validation -------------------------------------------------
@@ -158,15 +159,27 @@ class RegisteredModel:
         with span("serve.model", model=self.name, rows=rows.shape[0]), no_grad():
             return self.model(Tensor(rows)).data
 
-    def predicted_batch_ns(self, rows: int) -> float:
-        """Predicted wallclock ns of dispatching ``rows`` as one batch.
+    def record_batch_ns(self, rows: int, ns: float) -> None:
+        """Record the measured wallclock of one ``rows``-row batch."""
+        with self._lock:
+            self._batch_ns[rows] = ns
 
-        The calibrated (or hand-set) machine cost model summed over the
-        model's warmed conv executables.  The scheduler's deadline-pressure
-        flush and the predicted-vs-actual batch cost stats both consume
-        this.
+    def predicted_batch_ns(self, rows: int) -> float:
+        """Quoted wallclock ns of dispatching ``rows`` as one batch.
+
+        The latest measured batch of ``rows`` rows.  A row count that has
+        not run yet is quoted the largest measurement at any smaller row
+        count, since a batch never gets cheaper by adding rows.  Before any
+        batch has run, row count 1 holds the registration warm-up; with no
+        measurement at or below ``rows`` the quote is 0.0.  The scheduler's
+        deadline-pressure flush and its quote-vs-measured batch cost stats
+        both consume this.
         """
-        return self.predicted_call_ns + self.predicted_row_ns * rows
+        with self._lock:
+            exact = self._batch_ns.get(rows)
+            if exact is not None:
+                return exact
+            return max((ns for k, ns in self._batch_ns.items() if k < rows), default=0.0)
 
     # -- introspection ------------------------------------------------------
 
@@ -183,8 +196,6 @@ class RegisteredModel:
             "executables_resolved": self.executables_resolved,
             "per_row_workspace_bytes": self.per_row_workspace_bytes,
             "warmup_ms": self.warmup_ms,
-            "predicted_row_ns": self.predicted_row_ns,
-            "predicted_call_ns": self.predicted_call_ns,
             "parameters": self.model.num_parameters(),
         }
 
@@ -260,11 +271,12 @@ class ModelRegistry:
         """Pre-resolve every conv through the runtime executable cache.
 
         One forward per registered input shape: the executable cache takes
-        the plan/transform/einsum misses, each frozen conv builds its filter
+        the plan and transform misses, each frozen conv builds its filter
         operands (one ``runtime.filter_cache.misses`` per unit-stride conv
         and input width), and the executables the pass resolved (Winograd
-        and GEMM alike) yield the measured per-row workspace and the cost
-        coefficients the batcher budgets with.
+        and GEMM alike) yield the measured per-row workspace.  The pass's
+        wallclock seeds the one-row batch quote: it is a cold forward, so
+        it overstates a warm one until the first one-row batch replaces it.
         """
         before = {id(e) for e in runtime.global_cache().executables()}
         t0 = time.perf_counter()
@@ -274,6 +286,7 @@ class ModelRegistry:
             entry.infer_rows(zeros)
             per_row_floor = max(per_row_floor, zeros[0].nbytes)
         entry.warmup_ms = (time.perf_counter() - t0) * 1e3
+        entry.record_batch_ns(1, entry.warmup_ms * 1e6)
         fresh = [
             e for e in runtime.global_cache().executables() if id(e) not in before
         ]
@@ -284,27 +297,6 @@ class ModelRegistry:
             # to a documented input-scaled heuristic.
             default=per_row_floor * _FALLBACK_WORKSPACE_FACTOR,
         )
-        if fresh:
-            # Conv fit terms are affine in the batch, so summing each
-            # executable's (constant, per-row) coefficients prices any
-            # batch size in O(1) — the cost the batcher's deadline-pressure
-            # flush consults per wakeup.
-            p1 = sum(e.predicted_ns(1) for e in fresh)
-            p2 = sum(e.predicted_ns(2) for e in fresh)
-            entry.predicted_row_ns = max(0.0, p2 - p1)
-            entry.predicted_call_ns = max(0.0, p1 - (p2 - p1))
-        else:
-            # Warm cache: measure instead — two post-warmup forwards give
-            # the same affine decomposition from wallclock.
-            h, w, c = entry.input_shapes[0]
-            t1 = time.perf_counter_ns()
-            entry.infer_rows(np.zeros((1, h, w, c), dtype=entry.dtype))
-            t2 = time.perf_counter_ns()
-            entry.infer_rows(np.zeros((2, h, w, c), dtype=entry.dtype))
-            t3 = time.perf_counter_ns()
-            per_row = max(0.0, float((t3 - t2) - (t2 - t1)))
-            entry.predicted_row_ns = per_row
-            entry.predicted_call_ns = max(0.0, float(t2 - t1) - per_row)
         counter_add("serve.warmup.executables", entry.executables_resolved)
 
     # -- weight lifecycle ---------------------------------------------------

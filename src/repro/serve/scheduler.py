@@ -30,6 +30,8 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import math
+import numbers
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -51,10 +53,28 @@ from ..obs.telemetry import TraceContext
 from ..runtime import default_config, force_legacy
 from ..runtime.engine import ExecutionConfig
 from .batching import Batch, BatchPolicy, DynamicBatcher, PendingRequest
-from .errors import DeadlineExceeded, QueueFull, ServiceStopped
+from .errors import BadRequest, DeadlineExceeded, QueueFull, ServiceStopped
 from .registry import ModelRegistry
 
-__all__ = ["Scheduler", "SchedulerConfig", "SchedulerStats"]
+__all__ = ["Scheduler", "SchedulerConfig", "SchedulerStats", "check_timeout_ms"]
+
+
+def check_timeout_ms(value: object) -> float | None:
+    """A request's ``timeout_ms`` as a float, or ``None`` for no deadline.
+
+    Anything but ``None`` or a finite real number (bools, strings, lists,
+    NaN, infinities) is a :class:`BadRequest`.  Zero and negative values
+    are valid deadlines that have already passed.
+    """
+    if value is None:
+        return None
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, numbers.Real)
+        or not math.isfinite(value)
+    ):
+        raise BadRequest(f"timeout_ms must be null or a finite number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -98,8 +118,8 @@ class SchedulerStats:
     batch_sizes: dict[int, int] = field(default_factory=dict)
     #: Flush-trigger histogram: "size" / "delay" / "deadline" / "drain".
     batch_triggers: dict[str, int] = field(default_factory=dict)
-    #: Predicted-vs-actual batch cost accounting (the cost model's report
-    #: card at the serving edge).
+    #: Quoted-vs-measured batch cost accounting: how well each batch's
+    #: quote (:meth:`RegisteredModel.predicted_batch_ns`) matched its run.
     cost_batches: int = 0
     cost_abs_err_pct_sum: float = 0.0
     cost_predicted_ns_sum: float = 0.0
@@ -118,12 +138,12 @@ class SchedulerStats:
 
     @property
     def mean_cost_error_pct(self) -> float:
-        """Mean absolute predicted-vs-measured batch cost error, percent."""
+        """Mean absolute quoted-vs-measured batch cost error, percent."""
         return self.cost_abs_err_pct_sum / self.cost_batches if self.cost_batches else 0.0
 
     @property
     def cost_drift_ratio(self) -> float:
-        """Measured over predicted execution ns across all costed batches."""
+        """Measured over quoted execution ns across all costed batches."""
         if self.cost_predicted_ns_sum <= 0.0:
             return 0.0
         return self.cost_measured_ns_sum / self.cost_predicted_ns_sum
@@ -279,6 +299,11 @@ class Scheduler:
             raise ServiceStopped("scheduler is not running")
         entry = self.registry.get(model)
         rows, squeeze = entry.validate(x)
+        timeout = (
+            self.config.default_timeout_ms
+            if timeout_ms == "default"
+            else check_timeout_ms(timeout_ms)
+        )
         if trace is None and enabled():
             cur = telemetry.current()
             trace = cur.child() if cur is not None else telemetry.start_trace()
@@ -298,10 +323,8 @@ class Scheduler:
             raise QueueFull(
                 f"queue full ({depth}/{self.config.max_queue_depth} requests); retry later"
             )
-        if timeout_ms == "default":
-            timeout_ms = self.config.default_timeout_ms
         now = time.monotonic()
-        deadline = None if timeout_ms is None else now + float(timeout_ms) / 1e3  # type: ignore[arg-type]
+        deadline = None if timeout is None else now + timeout / 1e3
         req = PendingRequest(
             model=model,
             rows=rows,
@@ -362,20 +385,14 @@ class Scheduler:
                 )
         if not live:
             return
-        dropped = len(live) != len(batch.requests)
-        batch = Batch(
-            key=batch.key,
-            requests=live,
-            trigger=batch.trigger,
-            predicted_ns=batch.predicted_ns,
-        )
-        if dropped:
-            # Expiry shrank the batch; re-cost it for the surviving rows.
+        if len(live) != len(batch.requests):
+            # Expiry shrank the batch; re-quote it for the surviving rows.
+            rows = sum(r.nrows for r in live)
             batch = Batch(
                 key=batch.key,
                 requests=live,
                 trigger=batch.trigger,
-                predicted_ns=self._batcher.predicted_ns(batch.key[0], batch.rows),
+                predicted_ns=self._batcher.predicted_ns(batch.key[0], rows),
             )
         bid = next(self._batch_seq)
         dispatched = time.monotonic()
@@ -420,13 +437,8 @@ class Scheduler:
         # span; the runtime's transform/gemm/tail spans nest under this one
         # via the contextvar the ``activate`` scope sets in this thread.
         bctx = telemetry.start_trace() if enabled() else None
-        predicted_ns = batch.predicted_ns
-        if predicted_ns <= 0.0:
-            # Drain-path batches (and schedulers built without a cost
-            # callback) arrive uncosted; price them here so the ledgered
-            # predicted-vs-actual summary covers every executed batch.
-            predicted_ns = entry.predicted_batch_ns(batch.rows)
         # Batch cost is clocked here, not by the span: it runs untraced too.
+        # The measurement prices the next batch of this many rows.
         t0 = time.perf_counter_ns()
         with telemetry.activate(bctx), span(
             "serve.batch",
@@ -458,23 +470,18 @@ class Scheduler:
                 bspan.set(degraded=True)
                 with span("serve.batch.degraded", model=batch.key[0]), force_legacy():
                     out = entry.infer_rows(stacked)
-        self._record_batch_cost(
-            batch, predicted_ns, float(time.perf_counter_ns() - t0)
-        )
+        measured_ns = float(time.perf_counter_ns() - t0)
+        entry.record_batch_ns(batch.rows, measured_ns)
+        self._record_batch_cost(batch, measured_ns)
         return out
 
-    def _record_batch_cost(
-        self, batch: Batch, predicted_ns: float, measured_ns: float
-    ) -> None:
-        """Score the cost model against one executed batch.
+    def _record_batch_cost(self, batch: Batch, measured_ns: float) -> None:
+        """Score one executed batch's quote against its measured wallclock.
 
-        Error is relative to *measured* wallclock — the same convention as
-        :func:`repro.gpusim.calibrate.prediction_error_pct` — so the serve
-        summary and the calib-smoke suite speak in the same units.  Serve
-        batches are deliberately NOT written to the timing ledger: the
-        per-conv records land there from inside the executables this batch
-        runs, and double counting would skew the drift report.
+        Error is relative to the measured time.  The quote was taken at
+        flush, before this batch's own measurement replaced it.
         """
+        predicted_ns = batch.predicted_ns
         err_pct = (
             abs(measured_ns - predicted_ns) / measured_ns * 100.0
             if measured_ns > 0.0

@@ -44,7 +44,6 @@ import time
 import numpy as np
 
 from ..obs import PROMETHEUS_CONTENT_TYPE, render_prometheus
-from ..obs.perfledger import get_ledger
 from ..obs.telemetry import TraceContext
 from .errors import ServeError
 from .httpfront import JsonHttpServer, handle_infer_request
@@ -116,11 +115,6 @@ class InferenceService:
             "queue_depth": self.scheduler.queue_depth,
             "scheduler": self.scheduler.stats().as_dict(),
             "models": self.registry.describe(),
-            # Predict-vs-measure drift over every conv this process executed
-            # (the timing ledger): tracked keys, executions, in-band
-            # fraction, worst offender.  Empty but well-formed when obs is
-            # off — the ledger only fills while instrumentation is enabled.
-            "perf": get_ledger().drift_report(),
         }
         slo = self.scheduler.slo_status()
         if slo is not None:

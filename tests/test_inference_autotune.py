@@ -1,91 +1,117 @@
-"""Tests for PlannedConv2D (pre-transformed inference) and the autotuner."""
+"""Tests for frozen-bundle inference and the autotuner.
+
+A frozen caller transforms its filters once (§6.1.2) with
+:func:`repro.runtime.build_filter_bundle` and passes the result as
+``runtime.convolve(..., bundle=...)`` on every call, as a frozen
+``dlframe`` ``Conv2D`` does.
+"""
 
 import numpy as np
 import pytest
 
 from repro import obs, runtime
-from repro.core import PlannedConv2D, conv2d_im2col_winograd
+from repro.core import conv2d_im2col_winograd
+from repro.core.boundary import plan_width_segments
+from repro.core.kernels import default_alpha_for_width, get_kernel
 from repro.gpusim import RTX3060TI, RTX4090, autotune_conv, clear_autotune_cache
 from repro.nhwc import ConvShape
+from repro.runtime import FilterBundle, build_filter_bundle
 
 
-class TestPlannedConv2D:
+def frozen_bundle(w: np.ndarray, iw: int) -> FilterBundle:
+    """``w``'s operands for every Winograd scheme of the plan at width ``iw``."""
+    fw = w.shape[2]
+    ow = iw + 2 * (fw // 2) - fw + 1
+    primary = get_kernel(default_alpha_for_width(fw), fw, "base")
+    schemes = [
+        (seg.kernel.spec.n, seg.kernel.spec.r)  # type: ignore[union-attr]
+        for seg in plan_width_segments(ow, fw, primary=primary)
+        if not seg.is_gemm
+    ]
+    return build_filter_bundle(w, schemes, w.dtype)
+
+
+class TestFrozenBundle:
     @pytest.mark.parametrize("r,iw", [(3, 13), (5, 16), (2, 9), (9, 20), (7, 30)])
     def test_bitwise_identical_to_functional(self, rng, r, iw):
         """Pre-transforming must not change a single bit: same matrices,
         same accumulation order."""
         w = rng.standard_normal((4, r, r, 5)).astype(np.float32)
         x = rng.standard_normal((2, 11, iw, 5)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=iw)
-        np.testing.assert_array_equal(planned(x), conv2d_im2col_winograd(x, w))
+        got = runtime.convolve(x, w, bundle=frozen_bundle(w, iw))
+        np.testing.assert_array_equal(got, conv2d_im2col_winograd(x, w))
 
     def test_reusable_across_batches(self, rng):
         w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=12)
+        bundle = frozen_bundle(w, 12)
         for batch in (1, 3, 8):
             x = rng.standard_normal((batch, 8, 12, 4)).astype(np.float32)
-            assert planned(x).shape == (batch, 8, 12, 3)
+            np.testing.assert_array_equal(
+                runtime.convolve(x, w, bundle=bundle), conv2d_im2col_winograd(x, w)
+            )
 
     def test_heights_are_free(self, rng):
-        """Only the width is baked into the plan; heights vary per call."""
+        """Only the width shapes the bundle; one serves every height."""
         w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=12)
+        bundle = frozen_bundle(w, 12)
         for ih in (5, 9, 17):
             x = rng.standard_normal((1, ih, 12, 4)).astype(np.float32)
-            assert planned(x).shape[1] == ih
-
-    def test_wrong_width_rejected(self, rng):
-        planned = PlannedConv2D(rng.standard_normal((2, 3, 3, 2)).astype(np.float32), iw=12)
-        with pytest.raises(ValueError, match="width"):
-            planned(rng.standard_normal((1, 8, 13, 2)).astype(np.float32))
+            np.testing.assert_array_equal(
+                runtime.convolve(x, w, bundle=bundle), conv2d_im2col_winograd(x, w)
+            )
 
     def test_wrong_channels_rejected(self, rng):
-        planned = PlannedConv2D(rng.standard_normal((2, 3, 3, 2)).astype(np.float32), iw=12)
+        w = rng.standard_normal((2, 3, 3, 2)).astype(np.float32)
+        x = rng.standard_normal((1, 8, 12, 3)).astype(np.float32)
         with pytest.raises(ValueError, match="channel"):
-            planned(rng.standard_normal((1, 8, 12, 3)).astype(np.float32))
+            runtime.convolve(x, w, bundle=frozen_bundle(w, 12))
 
     def test_transformed_bytes_accounting(self, rng):
         """U holds FH x alpha x IC x OC floats per distinct scheme."""
         w = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=12)  # OW=12, n=6 divides: one scheme
-        assert planned.transformed_filter_bytes == 3 * 8 * 5 * 4 * 4
+        bundle = frozen_bundle(w, 12)  # OW=12, n=6 divides: one scheme
+        assert bundle.transformed_filter_bytes == 3 * 8 * 5 * 4 * 4
 
     def test_boundary_plan_with_multiple_schemes(self, rng):
         """An OW needing Gamma_8 + Gamma_4 segments pre-transforms both."""
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=10)  # OW=10 = 6 + 4
-        assert len(planned._u) == 2
+        bundle = frozen_bundle(w, 10)  # OW=10 = 6 + 4
+        assert len(bundle.u) == 2
         x = rng.standard_normal((1, 6, 10, 3)).astype(np.float32)
-        np.testing.assert_array_equal(planned(x), conv2d_im2col_winograd(x, w))
+        np.testing.assert_array_equal(
+            runtime.convolve(x, w, bundle=bundle), conv2d_im2col_winograd(x, w)
+        )
 
     def test_honours_force_legacy(self, rng):
         w = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
         x = rng.standard_normal((2, 7, 13, 5)).astype(np.float32)
-        planned = PlannedConv2D(w, iw=13)
+        bundle = frozen_bundle(w, 13)
         with obs.capture():
             with runtime.force_legacy():
-                got = planned(x)
+                got = runtime.convolve(x, w, bundle=bundle)
             degraded = obs.get_registry().counter("runtime.degraded.calls").total()
         assert degraded == 1
         np.testing.assert_array_equal(got, conv2d_im2col_winograd(x, w, legacy=True))
 
-    def test_filters_are_copied_at_construction(self, rng):
-        """Mutating the caller's filters afterwards changes neither path."""
+    def test_bundle_owns_its_operands(self, rng):
+        """Mutating the source filters after the build leaves the bundle as
+        it was: a frozen caller keeps the weights it froze."""
         w = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
         x = rng.standard_normal((2, 7, 13, 5)).astype(np.float32)
         want = conv2d_im2col_winograd(x, w, legacy=True)
-        planned = PlannedConv2D(w, iw=13)
-        assert not np.shares_memory(planned.w, w)
+        bundle = frozen_bundle(w, 13)
+        frozen = w.copy()
         w *= 2.0
-        np.testing.assert_array_equal(planned(x), want)
-        with runtime.force_legacy():
-            np.testing.assert_array_equal(planned(x), want)
+        np.testing.assert_array_equal(runtime.convolve(x, frozen, bundle=bundle), want)
 
     def test_validation(self, rng):
+        x = rng.standard_normal((1, 6, 10, 2)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 2)).astype(np.float32)
+        bundle = frozen_bundle(w, 10)
         with pytest.raises(ValueError, match="4D"):
-            PlannedConv2D(np.zeros((3, 3, 2), "f4"), iw=10)
+            runtime.convolve(x, w[0], bundle=bundle)
         with pytest.raises(ValueError, match="pw"):
-            PlannedConv2D(np.zeros((2, 3, 3, 2), "f4"), iw=10, pw=4)
+            runtime.convolve(x, w, pw=4, bundle=bundle)
 
 
 class TestAutotune:
@@ -115,49 +141,18 @@ class TestAutotune:
         b = autotune_conv(s, RTX4090)
         assert a is not b
 
+    def test_cache_keyed_by_kernel_set(self):
+        """A ranking over the extended kernels is not served to a caller
+        that asked for the base set (r=10 has only extended kernels)."""
+        s = ConvShape.from_ofm(8, 24, 24, 64, r=10)
+        assert autotune_conv(s, RTX3060TI, include_extended=True).best.r == 10
+        with pytest.raises(ValueError, match="include_extended"):
+            autotune_conv(s, RTX3060TI)
+
     def test_rejects_non_winograd_problems(self):
         s = ConvShape(batch=1, ih=16, iw=16, ic=8, oc=8, fh=3, fw=3, ph=1, pw=1, stride=2)
         with pytest.raises(ValueError, match="stride"):
             autotune_conv(s, RTX3060TI)
-
-    def test_digest_identifies_the_pricing_not_the_host(self):
-        from repro.gpusim import calibrate
-
-        a = calibrate.CalibrationModel(host="h", coeffs=dict(calibrate.DEFAULT_COEFFS))
-        b = calibrate.CalibrationModel(host="h", coeffs=dict(calibrate.DEFAULT_COEFFS))
-        assert a.digest == b.digest  # content-addressed, not identity
-        refit = {**calibrate.DEFAULT_COEFFS, "contract_flop": 99.0}
-        assert calibrate.CalibrationModel(host="h", coeffs=refit).digest != a.digest
-        assert (
-            calibrate.CalibrationModel(host="other", coeffs=dict(calibrate.DEFAULT_COEFFS)).digest
-            != a.digest
-        )
-
-    def test_reloaded_refit_for_same_host_invalidates_cached_rankings(
-        self, tmp_path, monkeypatch
-    ):
-        # The staleness bug this guards against: _CACHE used to key on the
-        # activation epoch alone, but loading a different CALIB_<host>.json
-        # from the working directory never bumps it — a re-fit landing on
-        # disk mid-process kept serving rankings priced by the old model.
-        from repro.gpusim import calibrate
-
-        monkeypatch.chdir(tmp_path)
-        host = calibrate.host_key()
-        shape = ConvShape.from_ofm(32, 24, 24, 64, r=3)
-        calibrate.CalibrationModel(
-            host=host, coeffs=dict(calibrate.DEFAULT_COEFFS), fitted=True
-        ).save(calibrate.calibration_path())
-        first = autotune_conv(shape, RTX3060TI, use_calibration=True)
-        assert autotune_conv(shape, RTX3060TI, use_calibration=True) is first
-
-        refit = {k: v * 3.0 for k, v in calibrate.DEFAULT_COEFFS.items()}
-        calibrate.CalibrationModel(host=host, coeffs=refit, fitted=True).save(
-            calibrate.calibration_path()
-        )
-        second = autotune_conv(shape, RTX3060TI, use_calibration=True)
-        assert second is not first  # digest changed; stale ranking not served
-        assert second.ranking[0][1] == pytest.approx(3.0 * first.ranking[0][1])
 
     def test_never_slower_than_static_planner(self):
         """Search can only improve on the written selection rules."""

@@ -26,7 +26,7 @@ from repro.core.kernels import get_kernel
 from repro.core.transforms import winograd_matrices
 from repro.nhwc.tensor import im2col_nhwc
 from repro.runtime import ExecutionConfig, cache_stats, clear_cache, configure
-from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
+from repro.runtime.cache import DEFAULT_CAPACITY, get_executable, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.runtime.executable import FILTER_CACHE_SLOTS
 from repro.runtime.signature import ConvSignature
@@ -153,17 +153,22 @@ class TestBitIdenticalEquivalence:
         with pytest.raises(ValueError, match="block_ic"):
             runtime.convolve(x, w, block_ic=0)
 
-    def test_planned_conv2d_honours_block_ic(self, rng):
-        """The frozen-inference wrapper keeps its legacy channel blocking."""
-        from repro.core.inference import PlannedConv2D
-
+    def test_frozen_bundle_honours_block_ic(self, rng):
+        """A caller-held filter bundle keeps the legacy channel blocking."""
         x = rng.standard_normal((1, 6, 19, 96)).astype(np.float32)
         w = rng.standard_normal((5, 3, 3, 96)).astype(np.float32)
+        exe = get_executable(ConvSignature.for_operands(x, w))
+        schemes = [
+            (seg.kernel.spec.n, seg.kernel.spec.r)  # type: ignore[union-attr]
+            for seg in exe.plan.segments
+            if not seg.is_gemm
+        ]
+        bundle = runtime.build_filter_bundle(w, schemes, w.dtype)
         np.testing.assert_array_equal(
-            PlannedConv2D(w, 19)(x), conv2d_im2col_winograd(x, w, legacy=True)
+            runtime.convolve(x, w, bundle=bundle), conv2d_im2col_winograd(x, w, legacy=True)
         )
         np.testing.assert_array_equal(
-            PlannedConv2D(w, 19, block_ic=8)(x),
+            runtime.convolve(x, w, block_ic=8, bundle=bundle),
             conv2d_im2col_winograd(x, w, legacy=True, block_ic=8),
         )
 
@@ -517,7 +522,6 @@ class TestGemmAlgorithm:
         assert report.errors == [] and report.warnings == []
         bundle = gemm.build_bundle(w)
         assert not bundle.u and bundle.gemm_operand.shape == (36, 4)
-        assert gemm.predicted_ns(2) > gemm.predicted_ns(1) > 0
 
     def test_unknown_algorithm_rejected(self, rng):
         x = rng.standard_normal((1, 6, 6, 2)).astype(np.float32)

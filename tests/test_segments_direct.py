@@ -36,8 +36,8 @@ class TestWinogradSegment:
         assert rel_err(got, truth[:, :, 6:18, :]) < TOL_BY_ALPHA[8]
 
     def test_explicit_mats_injection(self, problem):
-        """Callers may pre-build transform matrices (the PlannedConv2D
-        optimisation); results are identical."""
+        """Callers may pre-build transform matrices (as the compiled
+        runtime does); results are identical."""
         x, w, truth = problem
         seg = Segment(kernel=get_kernel(8, 3), start=0, width=18)
         mats = winograd_matrices(6, 3, dtype="float32")

@@ -245,7 +245,6 @@ class TestBatchPolicy:
             {"max_batch_size": 0},
             {"max_queue_delay_ms": -1.0},
             {"max_workspace_bytes": 0},
-            {"max_workspace_byte_ns": 0.0},
         ],
     )
     def test_validation(self, kw):

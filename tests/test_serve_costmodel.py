@@ -1,24 +1,24 @@
-"""Tests for the serving cost model: deadline-pressure flushing and the
-scheduler's predicted-vs-actual batch cost accounting."""
+"""Tests for serving batch quotes: measured-wallclock pricing,
+deadline-pressure flushing and the scheduler's quoted-vs-measured batch
+cost accounting."""
 
 from __future__ import annotations
 
 import asyncio
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import obs, runtime
-from repro.obs.perfledger import reset_ledger
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.serve import BatchPolicy, InferenceService, SchedulerConfig, closed_loop
 from repro.serve.batching import DynamicBatcher, PendingRequest
+from repro.serve.registry import RegisteredModel
 
 ARCH = "resnet18"
 WIDTH = 0.125
-#: A width at which the engine rule keeps layer3-4 on Winograd, so compiled
-#: executables run and the timing ledger has something to record.
-WINO_WIDTH = 0.5
 IMAGE = 32
 
 
@@ -29,14 +29,12 @@ def _fresh():
     obs.disable()
     obs.reset()
     obs.get_registry().reset()
-    reset_ledger()
     yield
     runtime.clear_cache()
     runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     obs.disable()
     obs.reset()
     obs.get_registry().reset()
-    reset_ledger()
 
 
 def _req(now: float, deadline: float | None, rows: int = 1) -> PendingRequest:
@@ -47,6 +45,107 @@ def _req(now: float, deadline: float | None, rows: int = 1) -> PendingRequest:
         enqueued_at=now,
         deadline=deadline,
     )
+
+
+class TestMeasuredQuote:
+    """A model's batch quote is its latest measured batch, fed here by hand."""
+
+    def _entry(self, warmup_ms: float = 0.0) -> RegisteredModel:
+        entry = RegisteredModel(name="m", model=None, input_shapes=((4, 4, 2),))  # type: ignore[arg-type]
+        if warmup_ms:
+            entry.warmup_ms = warmup_ms
+            entry.record_batch_ns(1, warmup_ms * 1e6)
+        return entry
+
+    def test_quote_is_the_latest_measurement_at_that_row_count(self):
+        entry = self._entry()
+        entry.record_batch_ns(3, 9e6)
+        assert entry.predicted_batch_ns(3) == 9e6
+        entry.record_batch_ns(3, 7e6)  # latest, not the max or the mean
+        assert entry.predicted_batch_ns(3) == 7e6
+
+    def test_unrun_row_count_never_quotes_below_a_smaller_one(self):
+        entry = self._entry()
+        entry.record_batch_ns(1, 5e6)
+        entry.record_batch_ns(2, 8e6)
+        entry.record_batch_ns(6, 20e6)
+        assert entry.predicted_batch_ns(4) == 8e6  # largest at 1..3 rows
+        assert entry.predicted_batch_ns(7) == 20e6
+        entry.record_batch_ns(2, 30e6)  # a slow 2-row batch lifts every larger quote
+        assert entry.predicted_batch_ns(4) == 30e6
+        assert entry.predicted_batch_ns(7) == 30e6
+        assert entry.predicted_batch_ns(6) == 20e6  # measured rows quote themselves
+
+    def test_warmup_seeds_the_quote_before_any_batch(self):
+        entry = self._entry(warmup_ms=12.5)
+        assert entry.predicted_batch_ns(1) == 12.5e6
+        assert entry.predicted_batch_ns(8) == 12.5e6
+        entry.record_batch_ns(1, 4e6)  # the first served batch replaces the seed
+        assert entry.predicted_batch_ns(1) == 4e6
+        assert entry.predicted_batch_ns(8) == 4e6
+
+    def test_no_measurement_quotes_zero(self):
+        entry = self._entry()
+        assert entry.predicted_batch_ns(1) == 0.0
+        entry.record_batch_ns(4, 1e6)
+        assert entry.predicted_batch_ns(2) == 0.0
+
+    def test_concurrent_records_and_quotes(self):
+        """Execute workers record while the loop quotes: no lost update and
+        no quote taken over a dict that changes under it."""
+        entry = self._entry()
+        errors: list[BaseException] = []
+        done = threading.Event()
+
+        def quote() -> None:
+            try:
+                while not done.is_set():
+                    entry.predicted_batch_ns(64)
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        def record(worker: int) -> None:
+            for rows in range(1 + worker, 200, 4):
+                entry.record_batch_ns(rows, float(rows))
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=quote)
+            writers = [threading.Thread(target=record, args=(i,)) for i in range(4)]
+            reader.start()
+            for t in writers:
+                t.start()
+            for t in writers:
+                t.join(timeout=30.0)
+            done.set()
+            reader.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+        assert errors == []
+        assert [entry.predicted_batch_ns(k) for k in range(1, 200)] == [
+            float(k) for k in range(1, 200)
+        ]
+
+    def test_registration_seeds_from_the_timed_warmup(self):
+        service = _service()
+        entry = service.registry.get("net")
+        assert entry.warmup_ms > 0.0
+        assert entry.predicted_batch_ns(1) == entry.warmup_ms * 1e6
+
+    def test_served_batches_replace_the_seed(self):
+        async def scenario():
+            service = _service(default_timeout_ms=None)
+            seed = service.registry.get("net").predicted_batch_ns(1)
+            async with service:
+                await service.infer("net", _x())
+            return seed, service.registry.get("net"), service.scheduler.stats()
+
+        seed, entry, stats = asyncio.run(scenario())
+        # The one batch was quoted the seed and then priced the next one.
+        assert stats.cost_predicted_ns_sum == seed
+        assert entry.predicted_batch_ns(1) == stats.cost_measured_ns_sum
 
 
 class TestDeadlinePressure:
@@ -113,80 +212,9 @@ class TestDeadlinePressure:
         assert batch.predicted_ns == pytest.approx(3e6)
 
 
-class TestWorkspacePressure:
-    """The byte·ns refinement of the raw-bytes workspace cap."""
-
-    MB = 1 << 20
-
-    def _batcher(self, policy: BatchPolicy, cost_ns: float) -> DynamicBatcher:
-        return DynamicBatcher(
-            policy,
-            per_row_bytes=lambda model: self.MB,
-            predicted_batch_ns=lambda model, rows: cost_ns,
-        )
-
-    def test_cheap_bucket_coalesces_past_the_raw_bytes_cap(self):
-        # 1 MB/row against a 2 MB raw cap would stop at 2 rows; the rows
-        # are cheap (1 ms residency), so the pressure budget lets the
-        # bucket fill the full wave instead.
-        policy = BatchPolicy(
-            max_batch_size=8,
-            max_workspace_bytes=2 * self.MB,
-            max_workspace_byte_ns=1e13,
-        )
-        assert self._batcher(policy, cost_ns=1e6).max_rows_for("m") == 8
-
-    def test_slow_bucket_caps_earlier_than_the_raw_cap_would(self):
-        # Same bytes, 100x the residency: the pressure budget now binds
-        # below even the raw-bytes cap.
-        policy = BatchPolicy(
-            max_batch_size=8,
-            max_workspace_bytes=4 * self.MB,
-            max_workspace_byte_ns=1e13,
-        )
-        assert self._batcher(policy, cost_ns=1e8).max_rows_for("m") == 1
-
-    def test_cheap_but_large_bytes_bucket_no_longer_flushes_early(self):
-        # The regression this knob exists for: under the raw-bytes cap a
-        # cheap 1 MB/row bucket flushed at 2 rows; with the pressure
-        # budget the same traffic coalesces until the wave is full.
-        raw = BatchPolicy(max_batch_size=8, max_queue_delay_ms=10_000.0,
-                          max_workspace_bytes=2 * self.MB)
-        pressured = BatchPolicy(max_batch_size=8, max_queue_delay_ms=10_000.0,
-                                max_workspace_bytes=2 * self.MB,
-                                max_workspace_byte_ns=1e13)
-        old = self._batcher(raw, cost_ns=1e6)
-        new = self._batcher(pressured, cost_ns=1e6)
-        for i in range(2):
-            old.add(_req(now=100.0, deadline=None))
-            new.add(_req(now=100.0, deadline=None))
-        assert len(old.take_ready(now=100.0)) == 1  # raw cap: early flush
-        assert new.take_ready(now=100.0) == []  # pressure: keep filling
-        for i in range(6):
-            new.add(_req(now=100.0, deadline=None))
-        (batch,) = new.take_ready(now=100.0)
-        assert batch.rows == 8
-        assert batch.trigger == "size"
-
-    def test_knob_without_cost_model_falls_back_to_raw_bytes(self):
-        policy = BatchPolicy(
-            max_batch_size=8,
-            max_workspace_bytes=3 * self.MB,
-            max_workspace_byte_ns=1e13,
-        )
-        batcher = DynamicBatcher(policy, per_row_bytes=lambda model: self.MB)
-        assert batcher.max_rows_for("m") == 3
-
-    def test_knob_validation(self):
-        with pytest.raises(ValueError, match="max_workspace_byte_ns"):
-            BatchPolicy(max_workspace_byte_ns=0.0)
-        with pytest.raises(ValueError, match="max_workspace_byte_ns"):
-            BatchPolicy(max_workspace_byte_ns=-1.0)
-
-
-def _service(width_mult: float = WIDTH, **config_kw) -> InferenceService:
+def _service(**config_kw) -> InferenceService:
     service = InferenceService(config=SchedulerConfig(**config_kw))
-    service.registry.register("net", arch=ARCH, width_mult=width_mult, image=IMAGE)
+    service.registry.register("net", arch=ARCH, width_mult=WIDTH, image=IMAGE)
     return service
 
 
@@ -231,35 +259,6 @@ class TestSchedulerBatchCost:
 
         mutated, fresh = asyncio.run(scenario())
         assert fresh.cost_batches == mutated.cost_batches - 100  # ... not the source
-
-    def test_v1_stats_exposes_perf_drift_report(self):
-        async def scenario():
-            service = _service(WINO_WIDTH, default_timeout_ms=None)
-            async with service:
-                await service.infer("net", _x())
-                return service.stats()
-
-        obs.enable()
-        stats = asyncio.run(scenario())
-        perf = stats["perf"]
-        assert perf["tracked_keys"] > 0
-        assert perf["executions"] > 0
-        assert 0.0 <= perf["in_band_fraction"] <= 1.0
-        assert "worst" in perf
-
-    def test_ledger_stays_empty_with_obs_off(self):
-        async def scenario():
-            service = _service(WINO_WIDTH, default_timeout_ms=None)
-            async with service:
-                await service.infer("net", _x())
-                return service.stats()
-
-        stats = asyncio.run(scenario())
-        assert stats["perf"]["tracked_keys"] == 0
-        # Batch-cost accounting is always-on (plain counters, no clocks
-        # beyond two perf_counter_ns reads per batch).
-        assert stats["scheduler"]["batch_cost"]["count"] > 0
-
 
 class TestLoadgenBatchCost:
     def test_result_carries_run_scoped_cost_summary(self):

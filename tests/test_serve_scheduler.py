@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import time
 
 import numpy as np
 import pytest
@@ -22,6 +21,7 @@ from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.runtime.executable import ConvExecutable
 from repro.serve import (
+    BadRequest,
     BatchPolicy,
     DeadlineExceeded,
     InferenceService,
@@ -65,21 +65,6 @@ def _service(width_mult: float = WIDTH, **config_kw) -> InferenceService:
     service = InferenceService(config=SchedulerConfig(**config_kw))
     service.registry.register("net", arch=ARCH, width_mult=width_mult, image=IMAGE)
     return service
-
-
-def _measured_quote(service: InferenceService) -> None:
-    """Price the model's batches at one measured warm forward.
-
-    The hand-set cost model can quote a fraction of the real forward time,
-    which lets a deadline-pressure flush fire too late to meet its deadline
-    on a slow or busy machine.
-    """
-    entry = service.registry.get("net")
-    x = _x()[None]
-    t0 = time.perf_counter_ns()
-    entry.infer_rows(x)
-    entry.predicted_call_ns = float(time.perf_counter_ns() - t0)
-    entry.predicted_row_ns = 0.0
 
 
 def _x(seed: int = 0) -> np.ndarray:
@@ -174,13 +159,13 @@ class TestDeadlines:
         async def scenario():
             # A bucket that will never fill and would only delay-flush after
             # a minute.  The deadline-pressure flush dispatches at
-            # deadline − predicted cost, so the deadline is *met* rather
-            # than enforced post-mortem.
+            # deadline − quote, and the quote is the registration warm-up (a
+            # cold forward, so no faster than a warm one), so the deadline
+            # is *met* rather than enforced post-mortem.
             service = _service(
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=60_000.0),
                 default_timeout_ms=None,
             )
-            _measured_quote(service)
             async with service:
                 t0 = asyncio.get_running_loop().time()
                 y = await service.infer("net", _x(), timeout_ms=500.0)
@@ -220,7 +205,6 @@ class TestDeadlines:
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=60_000.0),
                 default_timeout_ms=500.0,
             )
-            _measured_quote(service)
             async with service:
                 await service.infer("net", _x())  # timeout_ms="default"
             return service.scheduler.stats()
@@ -398,6 +382,45 @@ class TestHttpEndpoint:
         assert head.startswith(b"HTTP/1.1 400 ")
         assert b"Connection: close" in head
         assert b"Content-Length" in json.loads(body)["error"].encode()
+
+    @pytest.mark.parametrize(
+        "timeout_ms,status,kind",
+        [
+            ("abc", 400, BadRequest),
+            ([1], 400, BadRequest),
+            (float("nan"), 400, BadRequest),
+            (True, 400, BadRequest),
+            (0, 504, DeadlineExceeded),
+            (-5.0, 504, DeadlineExceeded),
+        ],
+        ids=["string", "list", "nan", "bool", "zero", "negative"],
+    )
+    def test_timeout_ms_is_validated(self, timeout_ms, status, kind):
+        """Only null or a finite number is a timeout; one that has already
+        passed is a deadline miss, not a bad request, and nothing is left
+        pending either way."""
+
+        async def scenario():
+            service = _service(default_timeout_ms=30_000.0)
+            x = _x()
+            async with service:
+                with pytest.raises(kind):
+                    await service.infer("net", x, timeout_ms=timeout_ms)
+                host, port = await service.serve_http("127.0.0.1", 0)
+                reader, writer = await asyncio.open_connection(host, port)
+                got = await self._roundtrip(
+                    reader, writer, "POST", "/v1/infer",
+                    {"model": "net", "inputs": x.tolist(), "timeout_ms": timeout_ms},
+                )
+                writer.close()
+                left = service.scheduler.queue_depth
+            return got, left, service.scheduler.stats()
+
+        (got_status, body), left, stats = asyncio.run(scenario())
+        assert (got_status, body["kind"]) == (status, kind.__name__)
+        assert left == 0
+        assert stats.completed == stats.failed == 0
+        assert stats.submitted == stats.expired == (2 if kind is DeadlineExceeded else 0)
 
     def test_oversized_content_length_is_413_and_closes(self):
         # The bytes after the head would have been parsed as a second
