@@ -41,8 +41,8 @@ def conv2d_gemm(
 
     * ``"blas"`` — one library matmul per row block
       (:func:`repro.core.rowblocks.conv_matmul`, ``OH*OW`` rows per image,
-      so no row's bits depend on the batch), the im2col rows written from
-      NHWC row windows straight into the blocked operand; BLAS blocks the
+      so no row's bits depend on the batch), the im2col rows written by one
+      strided window copy straight into the blocked operand; BLAS blocks the
       sum, so rounding error is better than a strict sequential chain.
     * ``"sequential"`` — accumulate GK in order, ``seq_chunk`` columns at a
       time, rounding to the output dtype after every partial.  With the

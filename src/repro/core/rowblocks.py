@@ -210,14 +210,17 @@ def conv_operand(
     width: int,
     stride: int = 1,
     col0: int = 0,
+    slab: np.ndarray | None = None,
 ) -> np.ndarray:
     """Write the im2col rows of output columns ``[col0, col0 + width)`` into ``buf``.
 
     ``x`` is ``(N, IH, IW, IC)`` and ``buf`` the ``(nb, Mb, FH*FW*IC)``
     blocked operand of its ``N`` images (:func:`blocked_shape`), fresh or
-    reused: the rows are written from NHWC row windows straight into their
-    block rows and the pad rows are zeroed, so the matrix is materialised
-    once, with no padded copy of ``x`` and no repacking.  Returns ``buf``.
+    reused: the rows are written by one strided window copy per block
+    group straight into their block rows (:func:`im2col_nhwc_into`, which
+    borders the input window in ``slab`` when given) and the pad rows are
+    zeroed, so the matrix is materialised once, with no repacking.
+    Returns ``buf``.
     """
     n, ih, iw, ic = x.shape
     oh = conv_output_size(ih, fh, ph, stride)
@@ -229,9 +232,9 @@ def conv_operand(
     full, rest = divmod(n, k)
     if full:
         xs = x[: full * k].reshape(full, k, ih, iw, ic)
-        im2col_nhwc_into(images[:full], xs, fh, fw, ph, pw, stride, col0)
+        im2col_nhwc_into(images[:full], xs, fh, fw, ph, pw, stride, col0, slab)
     if rest:
-        im2col_nhwc_into(images[full, :rest], x[full * k :], fh, fw, ph, pw, stride, col0)
+        im2col_nhwc_into(images[full, :rest], x[full * k :], fh, fw, ph, pw, stride, col0, slab)
     return buf
 
 

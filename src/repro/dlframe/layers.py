@@ -27,7 +27,7 @@ from ..core import rowblocks
 from ..core.gradients import conv2d_filter_grad, conv2d_input_grad
 from ..nhwc.tensor import conv_output_size
 from ..obs import span
-from ..runtime import ConvSignature, FilterBundle, conv_engine, get_executable
+from ..runtime import ConvExecutable, ConvSignature, FilterBundle, conv_engine, get_executable
 from ..runtime import convolve as runtime_convolve
 from .autograd import Tensor, make_op
 from .initializers import kaiming_uniform
@@ -189,8 +189,10 @@ class Conv2D(Module):
         )
         self.bias = Parameter(np.zeros(oc, dtype=np.float32), name="conv.bias") if bias else None
         self._frozen = False
-        # Frozen filter operands per input width (the plan depends on OW).
+        # Frozen filter operands per input width (the plan depends on OW),
+        # and the executable of each input size a frozen forward has run.
         self._bundles: dict[int, FilterBundle] = {}
+        self._executables: dict[tuple[int, int], ConvExecutable] = {}
         # Engine run at each input width served so far.
         self._served: dict[int, str] = {}
 
@@ -226,31 +228,45 @@ class Conv2D(Module):
 
     def _frozen_forward(self, xd: np.ndarray, wd: np.ndarray, algorithm: str) -> np.ndarray:
         ph = pw = self.padding
-        # Captured once: a concurrent re-freeze swaps in a new dict, so a
-        # bundle built here from the old weights never lands in it.
-        bundles = self._bundles
-        bundle = bundles.get(xd.shape[2])
-        if bundle is None:
+        # Captured once: a concurrent re-freeze swaps in new dicts, so
+        # operands built here from the old weights never land in them.
+        bundles, executables = self._bundles, self._executables
+        ih, iw = xd.shape[1:3]
+        bundle = bundles.get(iw)
+        if self.stride != 1:
+            # The baseline GEMM (§5.7) on filters folded once.
+            if bundle is None:
+                bundle = bundles[iw] = FilterBundle(u={}, gemm_operand=rowblocks.fold_filters(wd))
+            k = self.kernel
+            return rowblocks.conv_matmul(xd, bundle.gemm_operand, k, k, ph, pw, stride=self.stride)
+        exe = executables.get((ih, iw))
+        if exe is None:
             sig = ConvSignature.for_operands(xd, wd, ph=ph, pw=pw, algorithm=algorithm)
-            bundle = bundles[xd.shape[2]] = get_executable(sig).build_bundle(wd)
-        return runtime_convolve(xd, wd, ph=ph, pw=pw, bundle=bundle, algorithm=algorithm)
+            exe = executables[(ih, iw)] = get_executable(sig)
+        if bundle is None:
+            bundle = bundles[iw] = exe.build_bundle(wd)
+        return runtime_convolve(
+            xd, wd, ph=ph, pw=pw, bundle=bundle, algorithm=algorithm, executable=exe
+        )
 
     def freeze(self) -> "Conv2D":
         """Enter frozen-inference mode (§6.1.2's pre-transposition, here:
         pre-transformed filters).  The filter operands (Winograd ``U``, or
-        the folded GEMM matrix where the rule picks GEMM) are computed once
-        per input width at first use, from the weights at that time;
+        the folded GEMM matrix where the rule picks GEMM or the layer is
+        strided) are computed once per input width at first use, from the
+        weights at that time, and the executable once per input size;
         freezing again or any ``train()`` discards them (weights are
-        assumed fixed while frozen)."""
+        assumed fixed while frozen).  An ``engine="gemm"`` layer stays the
+        unfrozen baseline."""
         self.eval()
         self._frozen = True
-        self._bundles = {}
+        self._bundles, self._executables = {}, {}
         return self
 
     def train(self, mode: bool = True) -> "Conv2D":
         if mode:
             self._frozen = False
-            self._bundles = {}
+            self._bundles, self._executables = {}, {}
         return super().train(mode)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -265,13 +281,14 @@ class Conv2D(Module):
             "layer.conv2d", engine=engine, ic=self.ic, oc=self.oc,
             kernel=self.kernel, stride=stride, frozen=frozen,
         ):
-            if self.engine == "gemm" or stride != 1:
-                y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
-            elif frozen:
+            if frozen and self.engine != "gemm":
                 # Frozen: the layer holds its filter operands per input
-                # width and hands them to the runtime, so a call does no
-                # filter work at all.
+                # width and its executable per input size, and hands both
+                # to the runtime, so a call does no filter work and no
+                # signature resolution.
                 y = self._frozen_forward(xd, wd, engine)
+            elif self.engine == "gemm" or stride != 1:
+                y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
             else:
                 # Compiled-plan runtime, Winograd or (the rule's pick) GEMM:
                 # the (shape, dtype, algorithm) signature hits the

@@ -9,6 +9,7 @@ Dragon-Alpha's dispatch described in Section 5.7).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +20,7 @@ __all__ = [
     "pad_nhwc",
     "im2col_nhwc",
     "im2col_nhwc_into",
+    "im2col_slab_shape",
     "col2im_nhwc",
 ]
 
@@ -153,6 +155,35 @@ def im2col_nhwc(x: np.ndarray, fh: int, fw: int, ph: int, pw: int, stride: int =
     return cols.reshape(n * oh * ow, fh * fw * ic)
 
 
+def im2col_slab_shape(
+    x_shape: tuple[int, ...],
+    fh: int,
+    fw: int,
+    ph: int,
+    pw: int,
+    stride: int = 1,
+    col0: int = 0,
+    width: int | None = None,
+) -> tuple[int, ...] | None:
+    """Shape of the zero-bordered slab :func:`im2col_nhwc_into` copies ``x`` into.
+
+    ``None`` when output columns ``[col0, col0 + width)`` (``width``
+    defaults to every column from ``col0`` on) read no padding, so the
+    windows are cut from ``x`` itself.  A caller that reuses memory passes
+    a buffer of at least this many elements as ``slab=``.
+    """
+    *lead, ih, iw, ic = x_shape
+    oh = conv_output_size(ih, fh, ph, stride)
+    if width is None:
+        width = conv_output_size(iw, fw, pw, stride) - col0
+    # Padded-input rows [-ph, rows - ph) and columns [c0, c0 + cols) hold
+    # every tap of the segment's output pixels.
+    rows, cols, c0 = (oh - 1) * stride + fh, (width - 1) * stride + fw, col0 * stride - pw
+    if ph == 0 and c0 >= 0 and c0 + cols <= iw:
+        return None
+    return (*lead, rows, cols, ic)
+
+
 def im2col_nhwc_into(
     out: np.ndarray,
     x: np.ndarray,
@@ -162,6 +193,7 @@ def im2col_nhwc_into(
     pw: int,
     stride: int = 1,
     col0: int = 0,
+    slab: np.ndarray | None = None,
 ) -> None:
     """Write the im2col rows of output columns ``[col0, col0 + W)`` into ``out``.
 
@@ -169,48 +201,48 @@ def im2col_nhwc_into(
     with any strides, typically a view into a row-blocked GEMM operand, so
     the matrix is written where the contraction reads it.  In NHWC an output
     pixel's ``(fw, ic)`` window within one filter row is one contiguous
-    ``FW*IC`` run of an input row (§4.1), so per ``fh`` the interior columns
-    take a single strided row-window copy.  Edge columns, whose window
-    crosses the implicit padding, copy their in-range taps and zero the
-    rest, and output rows whose filter row falls in the padding are zeroed:
-    ``x`` is never padded.
+    ``FW*IC`` run of an input row (§4.1).  When the columns read any
+    padding, the input window they read is copied once into a slab whose
+    border strips are zeroed (the implicit padding, and nothing else of the
+    slab is cleared); the whole matrix is then one strided window copy out
+    of the slab, or out of ``x`` itself when no padding is read.  ``slab``
+    is scratch memory of at least :func:`im2col_slab_shape` elements, fresh
+    when omitted.
     """
     *lead, ih, iw, ic = x.shape
     oh, width = out.shape[-4], out.shape[-3]
-    o = out.view()
-    o.shape = out.shape[:-1] + (fw, ic)  # raises rather than copy
     s = stride
-    nl = len(lead)
-    lead_strides = x.strides[:nl]
-    sh, sw, sc = x.strides[nl:]
-    # Interior columns: every tap inside the input.
-    ja = min(max(-(-pw // s) - col0, 0), width)
-    jb = min(max((iw - fw + pw) // s + 1 - col0, ja), width)
-    for f in range(fh):
-        # Output rows whose input row ``r*s + f - ph`` lies inside the input.
-        r0 = min(max(-(-(ph - f) // s), 0), oh)
-        r1 = max(min((ih - 1 - f + ph) // s + 1, oh), r0)
-        o[..., :r0, :, f, :, :] = 0
-        o[..., r1:, :, f, :, :] = 0
-        if r0 == r1:
-            continue
-        i0 = r0 * s + f - ph
-        rows = slice(i0, i0 + (r1 - r0 - 1) * s + 1, s)
-        if ja < jb:
-            base = x[..., i0:, (col0 + ja) * s - pw :, :]
-            o[..., r0:r1, ja:jb, f, :, :] = np.lib.stride_tricks.as_strided(
-                base,
-                shape=(*lead, r1 - r0, jb - ja, fw, ic),
-                strides=(*lead_strides, sh * s, sw * s, sw, sc),
-                writeable=False,
-            )
-        for j in (*range(ja), *range(jb, width)):
-            c = (col0 + j) * s - pw  # input column of tap 0
-            t0 = max(0, -c)
-            t1 = max(t0, min(fw, iw - c))
-            o[..., r0:r1, j, f, :t0, :] = 0
-            o[..., r0:r1, j, f, t1:, :] = 0
-            o[..., r0:r1, j, f, t0:t1, :] = x[..., rows, c + t0 : c + t1, :]
+    c0 = col0 * s - pw  # input column of the segment's first tap
+    shape = im2col_slab_shape(x.shape, fh, fw, ph, pw, s, col0, width)
+    if shape is None:
+        src = x[..., c0:, :]
+    else:
+        rows, cols = shape[-3:-1]
+        if slab is None:
+            slab = np.empty(shape, dtype=out.dtype)
+        src = slab.reshape(-1)[: math.prod(shape)].reshape(shape)
+        # Slab rows [top, bot) and columns [left, right) hold input pixels;
+        # the strips around them are the padding the windows read.
+        top, bot = min(ph, rows), min(ph + ih, rows)
+        left, right = min(max(-c0, 0), cols), max(min(iw - c0, cols), 0)
+        src[..., :top, :, :] = 0
+        src[..., bot:, :, :] = 0
+        src[..., top:bot, :left, :] = 0
+        src[..., top:bot, right:, :] = 0
+        src[..., top:bot, left:right, :] = x[..., : bot - top, c0 + left : c0 + right, :]
+    sh, sw, sc = src.strides[-3:]
+    if sw == ic * sc:  # a window is one run of its source row
+        dst, win, step = out, (fw * ic,), (sc,)
+    else:
+        dst = out.view()
+        dst.shape = out.shape[:-1] + (fw, ic)  # raises rather than copy
+        win, step = (fw, ic), (sw, sc)
+    dst[...] = np.lib.stride_tricks.as_strided(
+        src,
+        shape=(*lead, oh, width, fh, *win),
+        strides=(*src.strides[:-3], sh * s, sw * s, sh, *step),
+        writeable=False,
+    )
 
 
 def col2im_nhwc(

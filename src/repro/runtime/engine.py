@@ -43,7 +43,7 @@ from ..baselines.gemm import conv2d_gemm
 from ..core.fused import DEFAULT_BLOCK_IC
 from ..obs import counter_add, span
 from .cache import get_executable, global_cache
-from .executable import FilterBundle
+from .executable import ConvExecutable, FilterBundle
 from .signature import ConvSignature
 
 __all__ = [
@@ -193,6 +193,7 @@ def convolve(
     bundle: FilterBundle | None = None,
     config: ExecutionConfig | None = None,
     algorithm: str = "winograd",
+    executable: ConvExecutable | None = None,
 ) -> np.ndarray:
     """Unit-stride conv through the compiled-plan runtime.
 
@@ -205,7 +206,9 @@ def convolve(
     setting; an integer replays the channel-blocked loop.
     ``version`` optionally names the weight version to key the
     filter-transform cache by instead of comparing the weights, and
-    ``bundle`` supplies pre-resolved filter operands (frozen inference).
+    ``bundle`` supplies pre-resolved filter operands and ``executable``
+    the executable of this call's signature (frozen inference: no
+    signature resolution, no cache lookup).
     ``algorithm="gemm"`` runs the conv as one row-blocked im2col GEMM
     (bit-identical to ``conv2d_gemm``; ``alpha``, ``variant`` and
     ``block_ic`` do not apply).
@@ -232,9 +235,11 @@ def convolve(
                     block_ic=block_ic, legacy=True,
                 )
         return y
-    sig = ConvSignature.for_operands(
-        x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-        algorithm=algorithm,
-    )
-    exe = get_executable(sig)
+    exe = executable
+    if exe is None:
+        sig = ConvSignature.for_operands(
+            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
+            algorithm=algorithm,
+        )
+        exe = get_executable(sig)
     return exe(x, w, version=version, bundle=bundle, config=config, block_ic=block_ic)

@@ -41,7 +41,11 @@ same ``block_ic`` (asserted across the registry in
 A GEMM signature (:func:`~repro.runtime.signature.conv_engine`'s pick for
 small layers) compiles to a plan of one GEMM segment spanning ``OW``: the
 tail's row-blocked im2col GEMM over every column, with the folded filters
-as its operand, and none of the Winograd state.
+as its operand, and none of the Winograd state.  A GEMM segment builds its
+operand with one strided window copy out of a zero-bordered slab in the
+workspace (:func:`~repro.nhwc.tensor.im2col_nhwc_into`); when its blocks
+hold whole images and no pad rows and it spans every column, the GEMM
+writes straight into ``y``.
 
 Each segment streams through chunks of whole row blocks sized by the
 workspace budget (:class:`~repro.runtime.engine.ExecutionConfig`): a chunk
@@ -71,7 +75,7 @@ from ..core.fused import DEFAULT_BLOCK_IC
 from ..core.kernels import get_kernel
 from ..core.planner import ConvPlan
 from ..core.transforms import TransformMatrices, winograd_matrices
-from ..nhwc.tensor import ConvShape
+from ..nhwc.tensor import ConvShape, im2col_slab_shape
 from ..nhwc.tiles import _gather_padded_region
 from ..obs import counter_add, gauge_set, span, telemetry
 from .signature import ConvSignature
@@ -101,6 +105,10 @@ _ARENA = threading.local()
 
 #: Byte alignment of every workspace view.
 _ALIGN = 64
+
+#: Distinct workspace requests (signature, segment, chunk rows) whose views
+#: a thread keeps; past this many its view table starts over.
+_VIEW_REQUESTS = 256
 
 
 @dataclass(frozen=True)
@@ -547,12 +555,12 @@ class ConvExecutable:
         block = ic if block_ic is None else min(block_ic, ic)
         v_shape = rowblocks.blocked_shape((alpha,), nc, fh * ic, rows_per_image)
         nb, mb = v_shape[1], v_shape[2]
-        # The output transform reads M as one (alpha, m_rows * OC) matrix: a
-        # view of the blocked product when its image rows are consecutive,
-        # else a compact copy (which is also the channel-blocked
-        # accumulator).
-        used = rowblocks.block_images(rows_per_image) * rows_per_image
-        compact = block < ic or (nb > 1 and mb != used)
+        # The output transform reads M as one contiguous (alpha, m_rows * OC)
+        # matrix: the blocked product itself when it holds image rows only,
+        # else a compact copy in the workspace (which is also the
+        # channel-blocked accumulator).  A strided view of image rows would
+        # make the transform GEMM copy its operand into a fresh array.
+        compact = block < ic or m_rows != nb * mb
         tiles_shape = (alpha, nc, st.nrows, num_tiles, ic)
         region_shape = None if st.interior else (nc, st.nrows, st.ncols, ic)
         # Three slots, each reused by stages that run one after another.
@@ -703,15 +711,30 @@ class ConvExecutable:
         batch = x.shape[0]
         r = self.oh * seg.width
         a_shape = rowblocks.blocked_shape((), batch, sig.fh * sig.fw * sig.ic, r)
-        (a,), (prod,) = _workspace(self.dtype, (a_shape,), (a_shape[:2] + (sig.oc,),))
+        nb, mb = a_shape[:2]
+        # Every block holds k whole images and no pad rows, and the segment
+        # spans y's rows: the blocked product is y itself.
+        direct = seg.width == self.ow and nb * mb == batch * r
+        slab_shape = im2col_slab_shape(
+            x.shape, sig.fh, sig.fw, sig.ph, sig.pw, col0=seg.start, width=seg.width
+        )
+        # The slab is read only while ``a`` is built, before ``prod`` is written.
+        (a,), (slab, prod) = _workspace(
+            self.dtype, (a_shape,), (slab_shape, None if direct else (nb, mb, sig.oc))
+        )
         with span("segment", kind="gemm", start=seg.start, width=seg.width):
             if sig.algorithm == "winograd":
                 counter_add("gemm.tail_segments")
                 counter_add("gemm.tail_columns", seg.width)
             rowblocks.conv_operand(
-                a, x, sig.fh, sig.fw, sig.ph, sig.pw, width=seg.width, col0=seg.start
+                a, x, sig.fh, sig.fw, sig.ph, sig.pw, width=seg.width, col0=seg.start,
+                slab=slab,
             )
-            rowblocks.blocked_product(a, get_bundle().gemm_operand, out=prod)
+            operand = get_bundle().gemm_operand
+            if direct:
+                rowblocks.blocked_product(a, operand, out=y.reshape(nb, mb, sig.oc))
+                return
+            rowblocks.blocked_product(a, operand, out=prod)
             dst = y[:, :, seg.start : seg.start + seg.width, :]
             for b, i0, i1 in rowblocks.blocks(batch, r):
                 dst[i0:i1] = prod[b, : (i1 - i0) * r].reshape(
@@ -728,19 +751,25 @@ def _workspace(
     it writes the next); slots never overlap.  A ``None`` shape yields
     ``None``.  The workspace grows to the largest request its thread has
     made and is reused by every later chunk and call, so a warm call
-    allocates only its output.
+    allocates only its output.  The views of each request are kept until
+    the workspace grows, so a repeated request builds none.
     """
+    key = (dtype, slots)
+    buf = getattr(_ARENA, "buf", None)
+    if buf is not None:
+        views = _ARENA.views.get(key)
+        if views is not None:
+            return views
     item = dtype.itemsize
     nbytes = [[0 if s is None else math.prod(s) * item for s in slot] for slot in slots]
     sizes = [-(-max(slot) // _ALIGN) * _ALIGN for slot in nbytes]
     need = sum(sizes) + _ALIGN
-    buf = getattr(_ARENA, "buf", None)
     if buf is None or buf.nbytes < need:
         buf = np.empty(need, dtype=np.uint8)
-        _ARENA.buf = buf
+        _ARENA.buf, _ARENA.views = buf, {}
         gauge_set("runtime.workspace.bytes", need, thread=threading.current_thread().name)
     off = -buf.ctypes.data % _ALIGN
-    views: list[list[Any]] = []
+    views = []
     for slot, counts, size in zip(slots, nbytes, sizes):
         views.append(
             [
@@ -749,4 +778,7 @@ def _workspace(
             ]
         )
         off += size
+    if len(_ARENA.views) >= _VIEW_REQUESTS:
+        _ARENA.views.clear()
+    _ARENA.views[key] = views
     return views

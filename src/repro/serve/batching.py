@@ -42,6 +42,7 @@ execution.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable
@@ -68,9 +69,10 @@ class BatchPolicy:
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {self.max_batch_size}")
-        if self.max_queue_delay_ms < 0:
+        # NaN passes a plain ``< 0`` check and would never flush a bucket.
+        if not (math.isfinite(self.max_queue_delay_ms) and self.max_queue_delay_ms >= 0):
             raise ValueError(
-                f"max_queue_delay_ms must be >= 0, got {self.max_queue_delay_ms}"
+                f"max_queue_delay_ms must be finite and >= 0, got {self.max_queue_delay_ms}"
             )
         if self.max_workspace_bytes is not None and self.max_workspace_bytes < 1:
             raise ValueError(

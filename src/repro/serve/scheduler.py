@@ -99,6 +99,10 @@ class SchedulerConfig:
             raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
         if self.execute_threads < 1:
             raise ValueError(f"execute_threads must be >= 1, got {self.execute_threads}")
+        # A NaN default never expires; a non-positive one expires every request.
+        t = self.default_timeout_ms
+        if t is not None and not (math.isfinite(t) and t > 0):
+            raise ValueError(f"default_timeout_ms must be None or finite and > 0, got {t}")
 
 
 @dataclass

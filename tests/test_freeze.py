@@ -5,6 +5,7 @@ import pytest
 
 from repro import obs, runtime
 from repro.baselines.gemm import conv2d_gemm
+from repro.core import rowblocks
 from repro.core import conv2d_im2col_winograd
 from repro.dlframe import Adam, Tensor, Trainer, conv_layer_geometries, synthetic_cifar10
 from repro.dlframe.layers import Conv2D
@@ -158,6 +159,37 @@ class TestModelFreeze:
         m.freeze()
         np.testing.assert_array_equal(m(Tensor(x)).data, want)
         assert _winograd_convs(m, x.shape) == 5  # the stem and layer1
+
+    @pytest.mark.parametrize("width_mult, image", [(0.125, 32), (0.0625, WINO_IMAGE)])
+    def test_frozen_model_honours_force_legacy(self, rng, width_mult, image):
+        """A frozen ResNet-18 (every conv GEMM at width 0.125, Winograd
+        blocks at the wider image) under ``force_legacy()``: one degraded
+        call per unit-stride conv, the strided ones stay on the baseline
+        GEMM, and the bits equal the compiled forward's."""
+        m = resnet18(classes=4, width_mult=width_mult, seed=1).freeze()
+        x = rng.standard_normal((2, image, image, 3)).astype(np.float32)
+        want = m(Tensor(x)).data  # resolves every frozen executable
+        unit = sum(layer.stride == 1 for layer, *_ in conv_layer_geometries(m, x.shape))
+        assert 0 < unit < sum(1 for _ in conv_layer_geometries(m, x.shape))
+        with obs.capture():
+            with runtime.force_legacy():
+                got = m(Tensor(x)).data
+            degraded = obs.get_registry().counter("runtime.degraded.calls").total()
+        assert degraded == unit
+        np.testing.assert_array_equal(got, want)
+
+    def test_frozen_strided_conv_folds_once(self, rng, monkeypatch):
+        """A frozen strided conv folds its filters on its first call only and
+        returns the baseline GEMM's bits."""
+        conv = Conv2D(8, 16, 3, stride=2, rng=np.random.default_rng(0)).freeze()
+        x = rng.standard_normal((3, 9, 9, 8)).astype(np.float32)
+        want = conv2d_gemm(x, conv.weight.data, ph=1, pw=1, stride=2) + conv.bias.data
+        np.testing.assert_array_equal(conv(Tensor(x)).data, want)
+        folds = []
+        fold = rowblocks.fold_filters
+        monkeypatch.setattr(rowblocks, "fold_filters", lambda w: folds.append(w) or fold(w))
+        np.testing.assert_array_equal(conv(Tensor(x)).data, want)
+        assert not folds
 
     def test_freeze_sets_eval_everywhere(self):
         m = vgg16(classes=4, image=8, width_mult=0.0625, seed=1).freeze()

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.nhwc.tensor import (
@@ -11,6 +11,7 @@ from repro.nhwc.tensor import (
     conv_output_size,
     im2col_nhwc,
     im2col_nhwc_into,
+    im2col_slab_shape,
     pad_nhwc,
 )
 
@@ -159,6 +160,73 @@ class TestIm2colRowWindows:
         out = np.full((2, 6, 5, 3, 12), np.nan, dtype=np.float32)
         im2col_nhwc_into(out, x, 3, 3, 1, 1, 1, col0=4)
         np.testing.assert_array_equal(out, full[:, :, 4:9])
+
+
+class TestBorderedIm2col:
+    """The bordered-slab build equals the padded 6-D oracle bit for bit."""
+
+    @given(
+        fh=st.integers(1, 7),
+        fw=st.integers(1, 7),
+        pads=st.tuples(st.floats(0, 0.999), st.floats(0, 0.999)),
+        stride=st.integers(1, 3),
+        ih=st.integers(1, 12),
+        iw=st.integers(1, 14),
+        ic=st.integers(1, 5),
+        n=st.integers(1, 7),
+        k=st.integers(1, 4),
+        cols=st.tuples(st.floats(0, 0.999), st.floats(0, 1)),
+        tail=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    def test_matches_padded_oracle(self, fh, fw, pads, stride, ih, iw, ic, n, k, cols, tail):
+        """Every filter size 1..7 with pads 0..F-1 and strides 1..3, on a
+        column range (a narrow tail when ``tail``), written through the
+        ``(full, k)`` and ``rest`` lead views of a row-blocked operand as
+        :func:`~repro.core.rowblocks.conv_operand` does.  ``out`` and the
+        shared slab start as NaN, so every element must be written."""
+        ph, pw = int(pads[0] * fh), int(pads[1] * fw)
+        oh = conv_output_size(ih, fh, ph, stride)
+        ow = conv_output_size(iw, fw, pw, stride)
+        assume(oh >= 1 and ow >= 1)
+        if tail:
+            width = 1 + int(cols[1] * min(ow - 1, 2))
+            col0 = ow - width
+        else:
+            col0 = int(cols[0] * ow)
+            width = max(1, int(cols[1] * (ow - col0)))
+        rng = np.random.default_rng(fh * 7 + fw * 13 + ih * 17 + iw)
+        x = rng.standard_normal((n, ih, iw, ic)).astype(np.float32)
+        want = _im2col_6d(x, fh, fw, ph, pw, stride).reshape(n, oh, ow, fh, fw * ic)
+        want = want[:, :, col0 : col0 + width]
+
+        got = np.full((n, oh, width, fh, fw * ic), np.nan, dtype=np.float32)
+        im2col_nhwc_into(got, x, fh, fw, ph, pw, stride, col0)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+        # Blocked lead views: k images per block, a pad row after each block.
+        r, depth = oh * width, fh * fw * ic
+        full, rest = divmod(n, k)
+        buf = np.full((full + (rest > 0), k * r + 1, depth), np.nan, dtype=np.float32)
+        images = buf[:, : k * r].reshape(buf.shape[0], k, oh, width, fh, fw * ic)
+        shape = im2col_slab_shape(x.shape, fh, fw, ph, pw, stride, col0, width)
+        slab = None if shape is None else np.full(shape, np.nan, dtype=np.float32)
+        if full:
+            xs = x[: full * k].reshape(full, k, ih, iw, ic)
+            im2col_nhwc_into(images[:full], xs, fh, fw, ph, pw, stride, col0, slab)
+        if rest:
+            im2col_nhwc_into(images[full, :rest], x[full * k :], fh, fw, ph, pw, stride, col0, slab)
+        blocked = images.reshape(-1, *images.shape[2:])[:n]
+        np.testing.assert_array_equal(blocked.view(np.uint32), want.view(np.uint32))
+        assert np.isnan(buf[:, k * r :]).all()  # pad rows are the caller's
+
+    def test_reads_x_directly_without_padding(self, rng):
+        """A segment that reads no padding needs no slab."""
+        x = rng.standard_normal((2, 6, 9, 4)).astype(np.float32)
+        assert im2col_slab_shape(x.shape, 3, 3, 0, 0) is None
+        assert im2col_slab_shape(x.shape, 3, 3, 0, 1, col0=1, width=5) is None
+        assert im2col_slab_shape(x.shape, 3, 3, 0, 1, col0=0, width=5) == (2, 6, 7, 4)
+        assert im2col_slab_shape(x.shape, 3, 3, 1, 0) == (2, 8, 9, 4)
 
 
 class TestCol2im:

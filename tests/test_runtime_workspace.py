@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import obs, runtime
+from repro.baselines.gemm import conv2d_gemm
 from repro.core.fused import conv2d_im2col_winograd
 from repro.runtime import ExecutionConfig, executable
 
@@ -48,8 +49,8 @@ def _warm_peak(call) -> tuple[np.ndarray, int]:
 
 @pytest.mark.parametrize("threads", [0, 2])
 def test_warm_call_allocates_only_y(threads):
-    """Γ8(6,3) at 8x64x64x64 streams eight one-image chunks and a GEMM tail;
-    warm, the only array a call allocates is ``y``."""
+    """Γ8(6,3) at 8x64x64x64 streams eight one-image chunks and a
+    Γ4(2,3) tail; warm, the only array a call allocates is ``y``."""
     x, w = _operands(0, 8, 64, 64)
     cfg = ExecutionConfig(threads=threads)
     try:
@@ -58,6 +59,34 @@ def test_warm_call_allocates_only_y(threads):
         y, peak = _warm_peak(lambda: runtime.convolve(x, w, ph=1, pw=1, alpha=8, config=cfg))
     finally:
         cfg.shutdown()
+    assert peak < y.nbytes + SLACK_BYTES, (peak, y.nbytes)
+    want = conv2d_im2col_winograd(x, w, ph=1, pw=1, alpha=8, legacy=True)
+    np.testing.assert_array_equal(y, want)
+
+
+@pytest.mark.parametrize(
+    "batch, side, ch",
+    [
+        (8, 32, 8),  # whole blocks: the product is written straight into y
+        (3, 4, 16),  # four images per block, the last one short: a copy out
+    ],
+)
+def test_warm_gemm_signature_allocates_only_y(batch, side, ch):
+    """A conv the rule sends to GEMM borders its input in the workspace and
+    allocates only ``y`` once warm."""
+    x, w = _operands(4, batch, side, ch)
+    assert runtime.conv_engine(ch, ch, 3, 3, side) == "gemm"
+    y, peak = _warm_peak(lambda: runtime.convolve(x, w, ph=1, pw=1, algorithm="gemm"))
+    assert peak < y.nbytes + SLACK_BYTES, (peak, y.nbytes)
+    np.testing.assert_array_equal(y, conv2d_gemm(x, w, ph=1, pw=1))
+
+
+def test_warm_gemm_tail_allocates_only_y():
+    """61 columns run as ten Γ8(6,3) tiles and a one-column GEMM tail."""
+    x, w = _operands(5, 8, 61, 64)
+    sig = runtime.ConvSignature.for_operands(x, w, ph=1, pw=1, alpha=8)
+    assert [seg.is_gemm for seg in runtime.get_executable(sig).plan.segments] == [False, True]
+    y, peak = _warm_peak(lambda: runtime.convolve(x, w, ph=1, pw=1, alpha=8))
     assert peak < y.nbytes + SLACK_BYTES, (peak, y.nbytes)
     want = conv2d_im2col_winograd(x, w, ph=1, pw=1, alpha=8, legacy=True)
     np.testing.assert_array_equal(y, want)

@@ -244,12 +244,25 @@ class TestBatchPolicy:
         [
             {"max_batch_size": 0},
             {"max_queue_delay_ms": -1.0},
+            {"max_queue_delay_ms": float("nan")},
+            {"max_queue_delay_ms": float("inf")},
             {"max_workspace_bytes": 0},
         ],
     )
     def test_validation(self, kw):
         with pytest.raises(ValueError):
             BatchPolicy(**kw)
+
+
+class TestSchedulerConfig:
+    @pytest.mark.parametrize("timeout", [float("nan"), float("inf"), -1.0, 0.0])
+    def test_rejects_default_timeout(self, timeout):
+        with pytest.raises(ValueError, match="default_timeout_ms"):
+            SchedulerConfig(default_timeout_ms=timeout)
+
+    @pytest.mark.parametrize("timeout", [None, 0.5, 1000.0])
+    def test_accepts_default_timeout(self, timeout):
+        assert SchedulerConfig(default_timeout_ms=timeout).default_timeout_ms == timeout
 
 
 class TestDynamicBatcher:
