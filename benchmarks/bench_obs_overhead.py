@@ -12,10 +12,8 @@ The serve-path variant (``test_serve_telemetry_overhead``) measures the
 same contract one layer up: everything the one ``obs.enable()`` switch
 turns on (spans with W3C trace ids, windowed latency histograms) plus
 SLO burn-rate tracking, against an untraced run of the identical
-closed-loop load, via the ``telemetry-smoke`` baseline suite.  It writes
-``benchmarks/out/BENCH_telemetry.json`` — the
-capture the committed root-level ``BENCH_telemetry_gate.json`` floors are
-distilled from.
+closed-loop load through :func:`repro.serve.closed_loop`.  The interleaved
+wall-clock cost of tracing is perfbench's ``obs.trace_overhead_frac``.
 """
 
 from __future__ import annotations
@@ -93,40 +91,66 @@ def test_obs_overhead(artifact):
     assert enabled_s < disabled_s * 3.0
 
 
+def _serve_closed_loop(slo):
+    """48 requests from 16 closed-loop clients (several full 8-row
+    batches) against a fresh resnet18 (w=0.125) service."""
+    import asyncio
+
+    from repro.serve import BatchPolicy, InferenceService, SchedulerConfig, closed_loop
+
+    async def run():
+        service = InferenceService(
+            config=SchedulerConfig(
+                policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=2.0),
+                default_timeout_ms=None,
+                slo=slo,
+            )
+        )
+        service.registry.register("resnet18", width_mult=0.125)
+        async with service:
+            return await closed_loop(
+                service,
+                "resnet18",
+                requests=48,
+                concurrency=16,
+                collect_outputs=True,
+            )
+
+    return asyncio.run(run())
+
+
 def test_serve_telemetry_overhead(artifact):
     """Serve-path telemetry cost: traced vs untraced closed-loop serving."""
-    from repro.bench.baseline import suite_metrics, write_baseline
+    from repro.obs.slo import SLOConfig
 
-    metrics = suite_metrics("telemetry-smoke")
-    ratio = metrics["telemetry/resnet18/overhead.ratio"]
+    was_enabled = obs.enabled()
+    try:
+        obs.disable()
+        off = _serve_closed_loop(None)
+        obs.enable()
+        on = _serve_closed_loop(SLOConfig(latency_target_ms=10_000.0, error_rate_target=0.01))
+    finally:
+        obs.enable() if was_enabled else obs.disable()
+    assert not on.errors and not off.errors, (on.errors, off.errors)
+    ratio = off.requests_per_sec / on.requests_per_sec
+    bit_identical = on.outputs.keys() == off.outputs.keys() and all(
+        np.array_equal(on.outputs[rid], off.outputs[rid]) for rid in on.outputs
+    )
+    traced = len(on.trace_ids) / on.completed
     lines = [
         "closed-loop resnet18 (w=0.125), telemetry on vs off:",
-        f"  off: {metrics['telemetry/resnet18/off.requests_per_sec']:8.1f} req/s  "
-        f"p99 {metrics['telemetry/resnet18/off.p99.time_ms']:.2f} ms",
-        f"  on:  {metrics['telemetry/resnet18/on.requests_per_sec']:8.1f} req/s  "
-        f"p99 {metrics['telemetry/resnet18/on.p99.time_ms']:.2f} ms",
+        f"  off: {off.requests_per_sec:8.1f} req/s  p99 {off.latency_ms(99):.2f} ms",
+        f"  on:  {on.requests_per_sec:8.1f} req/s  p99 {on.latency_ms(99):.2f} ms",
         f"  overhead ratio (off/on): {ratio:.3f}x",
-        f"  bit identical: {metrics['telemetry/resnet18/bit_identical']:.0f}  "
-        f"traced: {metrics['telemetry/resnet18/traced_fraction']:.2f}  "
-        f"attributed: {metrics['telemetry/resnet18/attributed_fraction']:.2f}",
-        f"  windowed p50/p99 ms: {metrics['telemetry/resnet18/window.p50.time_ms']:.2f}"
-        f"/{metrics['telemetry/resnet18/window.p99.time_ms']:.2f}",
+        f"  bit identical: {bit_identical:d}  traced: {traced:.2f}  "
+        f"attributed: {len(on.queued_ms) / on.completed:.2f}",
     ]
     artifact("serve_telemetry_overhead", "\n".join(lines))
 
-    out_dir = pathlib.Path(__file__).parent / "out"
-    write_baseline(
-        out_dir / "BENCH_telemetry.json",
-        metrics,
-        tag="telemetry",
-        suite="telemetry-smoke",
-    )
-
     # Numerics must be untouched; the throughput bound is deliberately loose
-    # here (CI machines are noisy) — the real floor lives in the committed
-    # BENCH_telemetry_gate.json the CI gate compares against.
-    assert metrics["telemetry/resnet18/bit_identical"] == 1.0
-    assert metrics["telemetry/resnet18/traced_fraction"] == 1.0
+    # (CI machines are noisy).
+    assert bit_identical
+    assert traced == 1.0
     assert ratio < 3.0
 
 

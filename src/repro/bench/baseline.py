@@ -10,7 +10,7 @@ moves beyond a configurable tolerance **in its bad direction**:
 * ``gflops``, occupancy, pipeline utilisation, roofline %%-of-ceiling … are
   *higher-better*: a drop is a regression, a rise is an improvement;
 * ``time_ms``, bank-conflict degree, wave count, tail loss, GEMM-tail
-  fractions, measured overhead … are *lower-better*: a rise regresses.
+  fractions, overhead … are *lower-better*: a rise regresses.
 
 Suites
 ------
@@ -25,40 +25,12 @@ Suites
 ``table2``
     The Table 2 speedup-band endpoints (min/max over each panel's shapes)
     against the best cuDNN candidate.
-``wallclock`` / ``wallclock-smoke``
-    *Measured* (not modeled) wall-clock of the compiled-plan runtime
-    (:func:`repro.runtime.convolve`) against the legacy interpreted path
-    (``conv2d_im2col_winograd(..., legacy=True)``) on the Figure 8
-    ``Gamma_8(6,3)`` panel geometries (batch scaled to 1 for NumPy), with a
-    bit-identity check per shape.  ``wallclock-smoke`` is the four-shape CI
-    subset; the committed ``BENCH_wallclock_gate.json`` pins only the
-    ``speedup``/``bit_identical`` floors (1.0), so the CI gate reads "fused
-    not slower than legacy, outputs bit-identical" without pinning absolute
-    times to one machine.
-``serve-smoke``
-    *Measured* end-to-end serving throughput: a closed-loop load against
-    :mod:`repro.serve` with dynamic batching (``max_batch_size=8``) vs the
-    same request set served one-at-a-time (``max_batch_size=1``), plus
-    p50/p99 latency, the batch-size histogram, and a ``bit_identical``
-    flag comparing every batched response against its serial twin.  The
-    committed ``BENCH_serve_gate.json`` pins only the machine-independent
-    floors (``batch_speedup`` >= 2, ``bit_identical`` == 1), so the CI
-    gate reads "dynamic batching at least doubles throughput without
-    changing a single bit".
-``telemetry-smoke``
-    *Measured* cost of the full request-telemetry stack: the serve-smoke
-    closed loop with tracing + windowed latency histograms + SLO burn-rate
-    tracking enabled vs everything disabled, over the same deterministic
-    request set.  Records the throughput ``overhead.ratio`` (off/on,
-    lower-better), a ``bit_identical`` flag comparing every traced
-    response against its untraced twin, and coverage flags (every request
-    traced and server-attributed, windowed quantiles ordered).  The
-    committed ``BENCH_telemetry_gate.json`` pins only the
-    machine-independent floors, so the CI gate reads "telemetry changes
-    no bits and costs bounded throughput".
 ``full``
-    Union of all of the above (modeled suites; wall-clock and serving are
-    captured separately since they are machine-dependent).
+    Union of all of the above.
+
+Every suite is modeled, so a recompute gives the same numbers on any
+machine.  Measured wall-clock lives in ``python -m perfbench compare``,
+which runs the parent and the candidate in interleaved pairs.
 
 CLI::
 
@@ -308,263 +280,11 @@ def _full_metrics() -> dict[str, float]:
     return out
 
 
-#: Repetitions per (shape, path) wall-clock measurement; the median rep is
-#: recorded (robust against scheduler noise on shared CI runners).
-WALLCLOCK_REPS = 5
-
-#: Indices into the Figure 8 ``Gamma_8(6,3)`` panel used by the CI smoke
-#: subset — one shape per channel depth, each legacy-side < ~150 ms.
-WALLCLOCK_SMOKE_INDICES = (2, 4, 6, 8)
-
-
-def wallclock_shapes() -> list[tuple[int, int, int, int]]:
-    """The Figure 8 ``Gamma_8(6,3)`` geometries as ``(N, IH, IW, C)``.
-
-    Spatial dims and channel depths are the paper's (ofm == ifm for 3x3
-    same-padding); the batch is scaled to 1 so the NumPy measurement stays
-    CI-sized.  ``IC == OC`` on this panel.
-    """
-    from .shapes import FIG8_PANELS
-
-    _, _, ofms = FIG8_PANELS["Gamma_8(6,3)"]
-    return [(1, oh, ow, oc) for (_, oh, ow, oc) in ofms]
-
-
-def _wallclock_metrics(
-    indices: tuple[int, ...] | None = None, reps: int = WALLCLOCK_REPS
-) -> dict[str, float]:
-    """Measured fused-vs-legacy wall-clock on the Fig 8 3x3 shapes.
-
-    Per shape: median-of-``reps`` wall-clock of the legacy interpreted path
-    (as shipped before the runtime: re-planned per call, default channel
-    blocking) and of the compiled runtime (warm executable cache — the
-    compile-once-execute-many regime the plan cache exists for), the
-    ``speedup`` ratio, and a ``bit_identical`` flag comparing the runtime
-    output against the legacy path.  Both sides run at their defaults,
-    which share the same channel blocking (``DEFAULT_BLOCK_IC``, full depth)
-    and row blocks, hence the same accumulation order: the flag asserts
-    exact bit equality of what callers actually get.
-    """
-    import statistics
-
-    import numpy as np
-
-    from .. import runtime
-    from ..core.fused import conv2d_im2col_winograd
-    from .harness import measure_ns
-
-    def median_ms(fn) -> float:
-        # One warm-up rep covers executable compile + filter transform on
-        # the first call; measure_ns is the repo-wide perf_counter_ns
-        # convention (see repro.bench.harness).
-        return measure_ns(fn, reps=reps, warmup=1).median_ms
-
-    shapes = wallclock_shapes()
-    if indices is not None:
-        shapes = [shapes[i] for i in indices]
-    rng = np.random.default_rng(20240806)
-    out: dict[str, float] = {}
-    speedups: list[float] = []
-    all_exact = 1.0
-    for batch, ih, iw, c in shapes:
-        x = rng.standard_normal((batch, ih, iw, c)).astype(np.float32)
-        w = rng.standard_normal((c, 3, 3, c)).astype(np.float32)
-        ref = conv2d_im2col_winograd(x, w, alpha=8, legacy=True)
-        got = runtime.convolve(x, w, alpha=8)
-        exact = float(np.array_equal(ref, got))
-        t_legacy = median_ms(lambda: conv2d_im2col_winograd(x, w, alpha=8, legacy=True))
-        t_fused = median_ms(lambda: runtime.convolve(x, w, alpha=8))
-        speedup = t_legacy / t_fused
-        speedups.append(speedup)
-        all_exact = min(all_exact, exact)
-        prefix = f"wallclock/g8n6r3/{batch}x{ih}x{iw}x{c}"
-        out[f"{prefix}/legacy_time_ms"] = t_legacy
-        out[f"{prefix}/fused_time_ms"] = t_fused
-        out[f"{prefix}/speedup"] = speedup
-        out[f"{prefix}/bit_identical"] = exact
-    out["wallclock/median_speedup"] = statistics.median(speedups)
-    out["wallclock/bit_identical"] = all_exact
-    return out
-
-
-#: serve-smoke load shape: enough requests for several full batches, small
-#: enough for CI.  Concurrency 16 keeps the 8-row buckets saturated.
-SERVE_SMOKE_REQUESTS = 48
-SERVE_SMOKE_MAX_BATCH = 8
-SERVE_SMOKE_CONCURRENCY = 16
-
-
-def _serve_metrics() -> dict[str, float]:
-    """Measured dynamic-batching vs serial serving on resnet18 (w=0.125).
-
-    Two closed loops over the *same* deterministic request set (payloads
-    seeded per request id): one through the dynamic batcher, one with
-    ``max_batch_size=1`` — the serving twin of the wallclock suite's
-    fused-vs-legacy comparison.  ``batch_speedup`` is the throughput ratio
-    and ``bit_identical`` asserts every batched response equals its serial
-    counterpart exactly.  Serial dispatch runs 1-row forwards unpadded, so
-    the flag rests on the row-block contract of :mod:`repro.core.rowblocks`:
-    no row's bits depend on the batch it shares.
-    """
-    import asyncio
-
-    import numpy as np
-
-    from ..serve import BatchPolicy, InferenceService, SchedulerConfig, closed_loop
-
-    async def run(max_batch: int, concurrency: int):
-        service = InferenceService(
-            config=SchedulerConfig(
-                policy=BatchPolicy(max_batch_size=max_batch, max_queue_delay_ms=2.0),
-                default_timeout_ms=None,
-            )
-        )
-        service.registry.register("resnet18", width_mult=0.125)
-        async with service:
-            return await closed_loop(
-                service,
-                "resnet18",
-                requests=SERVE_SMOKE_REQUESTS,
-                concurrency=concurrency,
-                collect_outputs=True,
-            )
-
-    batched = asyncio.run(run(SERVE_SMOKE_MAX_BATCH, SERVE_SMOKE_CONCURRENCY))
-    serial = asyncio.run(run(1, 1))
-    if batched.errors or serial.errors:
-        raise RuntimeError(
-            f"serve-smoke runs must complete cleanly, got errors "
-            f"batched={batched.errors} serial={serial.errors}"
-        )
-    bit_identical = float(
-        batched.outputs.keys() == serial.outputs.keys()
-        and all(
-            np.array_equal(batched.outputs[rid], serial.outputs[rid])
-            for rid in batched.outputs
-        )
-    )
-    out: dict[str, float] = {}
-    for label, result in (("batched", batched), ("serial", serial)):
-        prefix = f"serve/resnet18/{label}"
-        out[f"{prefix}.requests_per_sec"] = result.requests_per_sec
-        out[f"{prefix}.p50.time_ms"] = result.latency_ms(50)
-        out[f"{prefix}.p99.time_ms"] = result.latency_ms(99)
-        out[f"{prefix}.mean_batch_size"] = result.mean_batch_size
-        for size, count in sorted(result.batch_size_histogram.items()):
-            out[f"{prefix}.batch_hist.{size}"] = float(count)
-    out["serve/resnet18/batch_speedup"] = (
-        batched.requests_per_sec / serial.requests_per_sec
-        if serial.requests_per_sec
-        else 0.0
-    )
-    out["serve/resnet18/bit_identical"] = bit_identical
-    return out
-
-
-def _telemetry_metrics() -> dict[str, float]:
-    """Measured telemetry-on vs telemetry-off serving on resnet18 (w=0.125).
-
-    The serve-smoke closed loop twice over the same deterministic request
-    set and batching policy: once with the full observability stack on
-    (obs spans, request traces fanning into batch traces, windowed latency
-    histograms, a tight-but-passing SLO tracker) and once with everything
-    off.  ``overhead.ratio`` is off-throughput / on-throughput — 1.0 means
-    telemetry is free, and the committed gate bounds how far above 1.0 CI
-    tolerates.  ``bit_identical`` asserts instrumentation never touches
-    the numerics; the coverage flags assert the telemetry actually
-    happened (every completed request traced and server-attributed,
-    windowed p50 <= p99 over a non-empty window).
-    """
-    import asyncio
-
-    import numpy as np
-
-    from .. import obs
-    from ..obs.metrics import get_registry
-    from ..obs.slo import SLOConfig
-    from ..serve import BatchPolicy, InferenceService, SchedulerConfig, closed_loop
-
-    async def run(telemetry_on: bool):
-        slo = (
-            SLOConfig(latency_target_ms=10_000.0, error_rate_target=0.01)
-            if telemetry_on
-            else None
-        )
-        service = InferenceService(
-            config=SchedulerConfig(
-                policy=BatchPolicy(
-                    max_batch_size=SERVE_SMOKE_MAX_BATCH, max_queue_delay_ms=2.0
-                ),
-                default_timeout_ms=None,
-                slo=slo,
-            )
-        )
-        service.registry.register("resnet18", width_mult=0.125)
-        async with service:
-            return await closed_loop(
-                service,
-                "resnet18",
-                requests=SERVE_SMOKE_REQUESTS,
-                concurrency=SERVE_SMOKE_CONCURRENCY,
-                collect_outputs=True,
-            )
-
-    was_enabled = obs.enabled()
-    try:
-        obs.disable()
-        off = asyncio.run(run(False))
-        obs.enable()
-        on = asyncio.run(run(True))
-    finally:
-        obs.enable() if was_enabled else obs.disable()
-    if on.errors or off.errors:
-        raise RuntimeError(
-            f"telemetry-smoke runs must complete cleanly, got errors "
-            f"on={on.errors} off={off.errors}"
-        )
-    bit_identical = float(
-        on.outputs.keys() == off.outputs.keys()
-        and all(np.array_equal(on.outputs[rid], off.outputs[rid]) for rid in on.outputs)
-    )
-    hist = get_registry().get("serve.latency.window_ms")
-    if hist is not None and hasattr(hist, "quantile"):
-        p50 = hist.quantile(0.50, model="resnet18")
-        p99 = hist.quantile(0.99, model="resnet18")
-        quantiles_ok = float(0.0 < p50 <= p99)
-    else:
-        p50 = p99 = 0.0
-        quantiles_ok = 0.0
-    out: dict[str, float] = {}
-    for label, result in (("on", on), ("off", off)):
-        prefix = f"telemetry/resnet18/{label}"
-        out[f"{prefix}.requests_per_sec"] = result.requests_per_sec
-        out[f"{prefix}.p50.time_ms"] = result.latency_ms(50)
-        out[f"{prefix}.p99.time_ms"] = result.latency_ms(99)
-    out["telemetry/resnet18/overhead.ratio"] = (
-        off.requests_per_sec / on.requests_per_sec if on.requests_per_sec else float("inf")
-    )
-    out["telemetry/resnet18/bit_identical"] = bit_identical
-    out["telemetry/resnet18/traced_fraction"] = (
-        len(on.trace_ids) / on.completed if on.completed else 0.0
-    )
-    out["telemetry/resnet18/attributed_fraction"] = (
-        len(on.queued_ms) / on.completed if on.completed else 0.0
-    )
-    out["telemetry/resnet18/window.p50.time_ms"] = p50
-    out["telemetry/resnet18/window.p99.time_ms"] = p99
-    out["telemetry/resnet18/window_quantiles_ordered"] = quantiles_ok
-    return out
-
-
 SUITES = {
     "smoke": _smoke_metrics,
     "fig8": lambda: _figure_metrics("fig8"),
     "fig9": lambda: _figure_metrics("fig9"),
     "table2": _table2_metrics,
-    "wallclock": _wallclock_metrics,
-    "wallclock-smoke": lambda: _wallclock_metrics(WALLCLOCK_SMOKE_INDICES),
-    "serve-smoke": _serve_metrics,
-    "telemetry-smoke": _telemetry_metrics,
     "full": _full_metrics,
 }
 

@@ -5,12 +5,13 @@ keep their output uniform: a title block naming the artifact, aligned
 columns, an ASCII sparkline for "figure" series, and a paper-vs-measured
 footer so EXPERIMENTS.md rows can be pasted from bench output.
 
-:func:`measure_ns` is the single wallclock primitive every suite times
-with: ``time.perf_counter_ns`` (monotonic, ns resolution — never
-``time.time``, which steps under NTP), warmup reps excluded, and both min
-and median reported.  Median is what baselines pin (robust to one noisy
-rep on shared CI runners); min is the contention-free floor calibration
-and profiling compare against.
+:func:`measure_ns` is the wallclock primitive of the kernel profiler's
+measured column (``python -m repro.obs.kernelprof --measure``):
+``time.perf_counter_ns`` (monotonic, ns resolution — never ``time.time``,
+which steps under NTP), warmup reps excluded, and both min and median
+reported.  Median is robust to one noisy rep on a shared runner; min is
+the contention-free floor.  Wall-clock comparisons between two versions of
+the code belong to ``python -m perfbench compare``.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ Stage 2 (Winograd)
         y[tile] = A^T acc
 
     On the GPU the channel loop is blocked by ``BK = 8`` columns (the
-    cache-blocking of §5.1) so the tiles fit SMEM.  Here the default
+    cache-blocking of §5.1) so the tiles fit SMEM.  The host path
     accumulates the whole ``(fh, ic)`` depth in one GEMM per ``alpha``
-    state; an explicit ``block_ic`` replays a BK-style blocked loop.  Every
-    GEMM runs in the signature-fixed row blocks of
+    state.  Every GEMM runs in the signature-fixed row blocks of
     :mod:`repro.core.rowblocks`, the host analogue of the kernels' BM tiles.
 
 Boundary columns are handled by the §5.5 segmentation: the planner splits OW
@@ -49,12 +48,6 @@ from .transforms import TransformMatrices, winograd_matrices
 
 __all__ = ["conv2d_im2col_winograd", "winograd_segment", "gemm_segment"]
 
-#: Channel-block depth of the accumulation.  ``None`` accumulates the full
-#: ``(fh, ic)`` depth in one GEMM per ``alpha`` state (the paper's single
-#: transform-domain accumulator per tile); an integer replays the GPU
-#: kernels' BK-blocked IC loop, one GEMM per ``(fh, block)``.
-DEFAULT_BLOCK_IC: int | None = None
-
 
 def conv2d_im2col_winograd(
     x: np.ndarray,
@@ -65,7 +58,6 @@ def conv2d_im2col_winograd(
     alpha: int | None = None,
     variant: str = "base",
     dtype: np.dtype | type = np.float32,
-    block_ic: int | None = DEFAULT_BLOCK_IC,
     legacy: bool = False,
 ) -> np.ndarray:
     """Unit-stride 2D convolution via fused Im2col-Winograd.
@@ -90,12 +82,6 @@ def conv2d_im2col_winograd(
         single code path with the performance model.
     dtype:
         Computation dtype (``float32`` matches the paper's kernels).
-    block_ic:
-        Channel block depth of the accumulation loop, honoured bit-for-bit
-        on both paths (the compiled runtime replays the same blocked gemm
-        sequence).  ``None`` (the default) or ``block_ic >= IC`` folds the
-        full ``(fh, ic)`` depth into one GEMM per ``alpha`` state — the
-        fastest setting.
     legacy:
         ``False`` (default) resolves the call through the compiled-plan
         runtime (:mod:`repro.runtime`): cached boundary plan, transform
@@ -103,8 +89,9 @@ def conv2d_im2col_winograd(
         and input-transformed once per chunk in a reused workspace.  ``True``
         forces the original interpreted path (re-planned per call, per-``fh``
         gather and input transform) — the reference the
-        runtime is tested bit-identical against.  Both paths produce the
-        same bits at the same ``block_ic``.
+        runtime is tested bit-identical against.  Both paths run one GEMM
+        per ``alpha`` state over the full ``(fh, ic)`` depth, so they
+        produce the same bits.
 
     Returns
     -------
@@ -113,10 +100,7 @@ def conv2d_im2col_winograd(
     if not legacy:
         from ..runtime import convolve  # lazy: runtime imports core at load
 
-        return convolve(
-            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-            block_ic=block_ic,
-        )
+        return convolve(x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype)
     if x.ndim != 4 or w.ndim != 4:
         raise ValueError(f"expected 4D x and w, got ndim {x.ndim} and {w.ndim}")
     if x.shape[3] != w.shape[3]:
@@ -185,7 +169,7 @@ def conv2d_im2col_winograd(
                     width=seg.width,
                 ):
                     y[:, :, seg.start : seg.start + seg.width, :] = winograd_segment(
-                        x, w, seg, ph=ph, pw=pw, oh=oh, block_ic=block_ic
+                        x, w, seg, ph=ph, pw=pw, oh=oh
                     )
     return y
 
@@ -198,7 +182,6 @@ def winograd_segment(
     ph: int,
     pw: int,
     oh: int,
-    block_ic: int | None = DEFAULT_BLOCK_IC,
     mats: TransformMatrices | None = None,
 ) -> np.ndarray:
     """Compute one Winograd-owned output segment.
@@ -206,8 +189,8 @@ def winograd_segment(
     Implements the accumulator workflow of Algorithms 1/2: per filter row,
     gather + input-transform the tiles; filter-transform the weights; fuse
     the elementwise products into the ``alpha``-state accumulator (one GEMM
-    over the full ``(fh, ic)`` depth, or one per ``(fh, block_ic)`` channel
-    block); output-transform once at the end.  Each GEMM runs in the row
+    per state over the full ``(fh, ic)`` depth); output-transform once at
+    the end.  Each GEMM runs in the row
     blocks of :mod:`repro.core.rowblocks`, as the compiled runtime does.
 
     Returns the segment's ofms slice ``(N, OH, seg.width, OC)``.
@@ -275,21 +258,10 @@ def winograd_segment(
     # Elementwise products in the transform domain summed into the alpha
     # running states: batched (per-state) GEMMs, the 8x(8x8) outer-product
     # stage.
-    block = ic if block_ic is None else min(block_ic, ic)
-    with span("accumulate", kernel=kernel.name, block_ic=block):
-        if block >= ic:
-            # One GEMM per alpha state over every (fh, ic) product.
-            m = rowblocks.blocked_matmul(v, u.reshape(alpha, fh * ic, oc), rows_per_image)
-            m = m[:, :m_rows]
-        else:
-            # The BK-blocked loop: one GEMM per (fh, channel block).
-            m = np.zeros((alpha, m_rows, oc), dtype=x.dtype)
-            for f in range(fh):
-                for c0 in range(0, ic, block):
-                    c1 = min(c0 + block, ic)
-                    m += rowblocks.blocked_matmul(
-                        v[..., f * ic + c0 : f * ic + c1], u[:, f, c0:c1], rows_per_image
-                    )[:, :m_rows]
+    # One GEMM per alpha state over every (fh, ic) product.
+    with span("accumulate", kernel=kernel.name):
+        m = rowblocks.blocked_matmul(v, u.reshape(alpha, fh * ic, oc), rows_per_image)
+        m = m[:, :m_rows]
     # Output transform, once: y[j] = sum_k AT[j, k] m[k].
     with span("transform.output", kernel=kernel.name):
         y = rowblocks.dot(mats.AT, m.reshape(alpha, -1)).reshape(n_out, m_rows, oc)

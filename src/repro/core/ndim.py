@@ -10,8 +10,8 @@ transform-domain accumulator.  This module provides:
   ``(N, W, C)``; a degenerate 2D call (FH = 1).
 * :func:`conv3d_im2col_winograd` — channels-last 3D convolution
   ``(N, D, H, W, C)`` with ``(OC, FD, FH, FW, IC)`` filters, fused exactly
-  like the 2D kernel but accumulating over ``FD x FH x ceil(IC/BK)``
-  iterations.
+  like the 2D kernel but accumulating over ``FD x FH`` iterations, each
+  one GEMM over the full ``IC`` depth.
 
 Both share the §5.5 boundary segmentation along the width axis and are
 validated against direct FP64 references in the test suite.
@@ -23,7 +23,7 @@ import numpy as np
 
 from ..nhwc.tensor import conv_output_size
 from .boundary import plan_width_segments
-from .fused import DEFAULT_BLOCK_IC, conv2d_im2col_winograd
+from .fused import conv2d_im2col_winograd
 from .kernels import KernelId, default_alpha_for_width, get_kernel
 from .transforms import winograd_matrices
 
@@ -72,7 +72,6 @@ def conv3d_im2col_winograd(
     pw: int | None = None,
     alpha: int | None = None,
     dtype: np.dtype | type = np.float32,
-    block_ic: int | None = DEFAULT_BLOCK_IC,
 ) -> np.ndarray:
     """Unit-stride 3D convolution, channels-last, fused Im2col-Winograd.
 
@@ -86,9 +85,6 @@ def conv3d_im2col_winograd(
         Zero padding per spatial axis (defaults ``f // 2``).
     alpha:
         Winograd state count for the width axis.
-    block_ic:
-        Channel block depth of the accumulation loop; ``None`` is one block
-        of the full ``IC``.
 
     Returns
     -------
@@ -132,8 +128,7 @@ def conv3d_im2col_winograd(
             )
         else:
             y[..., seg.start : seg.start + seg.width, :] = _winograd_segment_3d(
-                xp, w, seg.kernel, seg.start, seg.width, od, oh,
-                ic if block_ic is None else block_ic,
+                xp, w, seg.kernel, seg.start, seg.width, od, oh
             )
     return y
 
@@ -146,7 +141,6 @@ def _winograd_segment_3d(
     width: int,
     od: int,
     oh: int,
-    block_ic: int,
 ) -> np.ndarray:
     """Stage 2 over one width segment, accumulating over (fd, fh, ic)."""
     spec = kernel.spec
@@ -173,12 +167,10 @@ def _winograd_segment_3d(
                 strides=(sn, sd, sh, sw * n_out, sw, sc),
                 writeable=False,
             )
-            for c0 in range(0, ic, block_ic):
-                c1 = min(c0 + block_ic, ic)
-                blk = np.ascontiguousarray(tiles[..., c0:c1])
-                v = np.einsum("ka,ndhtac->kndhtc", mats.DT, blk, optimize=True)
-                v = v.reshape(alpha, batch * od * oh * num_tiles, c1 - c0)
-                m += v @ u_all[d, h, :, c0:c1, :]
+            blk = np.ascontiguousarray(tiles)
+            v = np.einsum("ka,ndhtac->kndhtc", mats.DT, blk, optimize=True)
+            v = v.reshape(alpha, batch * od * oh * num_tiles, ic)
+            m += v @ u_all[d, h]
     y = np.einsum("jk,kmo->mjo", mats.AT, m, optimize=True)
     return y.reshape(batch, od, oh, num_tiles * n_out, oc)
 

@@ -305,10 +305,19 @@ class Conv2D(Module):
         # The rule was fitted on forwards; the data grad keeps the
         # configured engine (Winograd deconvolution for unit stride).
         grad_engine = self.engine
+        # A network's first conv reads the data batch, which needs no
+        # gradient: skip its data grad (autograd skips a None parent grad).
+        # No shipped model has a strided first conv, so only the unit-stride
+        # path skips.
+        input_grad = x.requires_grad
 
         def backward_fn(g):
             if stride == 1:
-                dx = conv2d_input_grad(g, wd, in_shape, ph=ph, pw=pw, engine=grad_engine)
+                dx = (
+                    conv2d_input_grad(g, wd, in_shape, ph=ph, pw=pw, engine=grad_engine)
+                    if input_grad
+                    else None
+                )
                 dw = conv2d_filter_grad(xd, g, fh=fh, fw=fw, ph=ph, pw=pw)
             else:
                 dx, dw = _strided_conv_grads(xd, wd, g, ph, pw, stride)

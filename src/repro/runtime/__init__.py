@@ -5,10 +5,9 @@ plan, transform matrices and filter transforms on every call.  This package comp
 ``Gamma_alpha`` kernel selection and dtype — into a reusable
 :class:`ConvExecutable` held in a process-wide LRU (the analogue of cuDNN's
 descriptor-keyed heuristic/plan cache), and executes the Winograd stage
-with one gather + input transform per workspace chunk, accumulating at the
-caller's ``block_ic`` channel blocking — bit-identical to the interpreted
-path at the same ``block_ic``, with the default ``None`` running one GEMM
-per ``alpha`` state over the full ``(fh, ic)`` depth.
+with one gather + input transform per workspace chunk and one GEMM per
+``alpha`` state over the full ``(fh, ic)`` depth — bit-identical to the
+interpreted path.
 
 Entry points
 ------------

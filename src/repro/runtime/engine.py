@@ -40,7 +40,6 @@ from typing import Iterator
 import numpy as np
 
 from ..baselines.gemm import conv2d_gemm
-from ..core.fused import DEFAULT_BLOCK_IC
 from ..obs import counter_add, span
 from .cache import get_executable, global_cache
 from .executable import ConvExecutable, FilterBundle
@@ -188,7 +187,6 @@ def convolve(
     alpha: int | None = None,
     variant: str = "base",
     dtype: np.dtype | type | str = np.float32,
-    block_ic: int | None = DEFAULT_BLOCK_IC,
     version: object = None,
     bundle: FilterBundle | None = None,
     config: ExecutionConfig | None = None,
@@ -198,20 +196,17 @@ def convolve(
     """Unit-stride conv through the compiled-plan runtime.
 
     Drop-in equivalent of
-    :func:`repro.core.fused.conv2d_im2col_winograd` (bit-identical outputs
-    at the same ``block_ic``, identical validation errors).  ``block_ic``
-    is honoured exactly as in the interpreted path, whose default it
-    shares: ``None`` (identical to ``block_ic >= IC``) accumulates the full
-    ``(fh, ic)`` depth in one GEMM per ``alpha`` state, the fastest
-    setting; an integer replays the channel-blocked loop.
+    :func:`repro.core.fused.conv2d_im2col_winograd` (bit-identical
+    outputs, identical validation errors): both accumulate the full
+    ``(fh, ic)`` depth in one GEMM per ``alpha`` state.
     ``version`` optionally names the weight version to key the
     filter-transform cache by instead of comparing the weights, and
     ``bundle`` supplies pre-resolved filter operands and ``executable``
     the executable of this call's signature (frozen inference: no
     signature resolution, no cache lookup).
     ``algorithm="gemm"`` runs the conv as one row-blocked im2col GEMM
-    (bit-identical to ``conv2d_gemm``; ``alpha``, ``variant`` and
-    ``block_ic`` do not apply).
+    (bit-identical to ``conv2d_gemm``; ``alpha`` and ``variant`` do not
+    apply).
 
     Inside a :func:`force_legacy` scope the call bypasses the compiled
     executable and runs the interpreted reference path instead (same bits,
@@ -232,7 +227,7 @@ def convolve(
             else:
                 y = conv2d_im2col_winograd(
                     x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-                    block_ic=block_ic, legacy=True,
+                    legacy=True,
                 )
         return y
     exe = executable
@@ -242,4 +237,4 @@ def convolve(
             algorithm=algorithm,
         )
         exe = get_executable(sig)
-    return exe(x, w, version=version, bundle=bundle, config=config, block_ic=block_ic)
+    return exe(x, w, version=version, bundle=bundle, config=config)

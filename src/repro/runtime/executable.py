@@ -25,18 +25,15 @@ re-derives on each call:
 Execution gathers all ``FH`` filter rows as one strided view, runs the
 input transform as one GEMM per chunk and writes ``V`` once, in the
 ``(alpha, M, FH*IC)`` layout of the contraction, straight into a row-block
-padded buffer (:mod:`repro.core.rowblocks`).  The transform-domain
-accumulation honours the caller's channel blocking ``block_ic`` (default
-:data:`~repro.core.fused.DEFAULT_BLOCK_IC`, ``None``): at ``None`` (or any
-``block_ic >= IC``) each ``alpha`` state runs one GEMM over the full
-``(fh, ic)`` depth against ``U`` reshaped to ``(alpha, FH*IC, OC)`` — the
-paper's transform-domain accumulation of every ``(fh, ic)`` product before
-one output transform; with smaller blocks the legacy loop's (``fh``-major,
-block-minor) gemm sequence is replayed.  Every contraction, including the
-§5.5 GEMM tail, runs in row blocks whose shape is fixed by the signature,
-exactly as the legacy path does, so the two produce the same bits at the
-same ``block_ic`` (asserted across the registry in
-``tests/test_runtime.py``) and no row's bits depend on the batch it shares.
+padded buffer (:mod:`repro.core.rowblocks`).  In the transform-domain
+accumulation each ``alpha`` state runs one GEMM over the full ``(fh, ic)``
+depth against ``U`` reshaped to ``(alpha, FH*IC, OC)`` — the paper's
+transform-domain accumulation of every ``(fh, ic)`` product before one
+output transform.  Every contraction, including the §5.5 GEMM tail, runs in
+row blocks whose shape is fixed by the signature, exactly as the legacy
+path does, so the two produce the same bits (asserted across the registry
+in ``tests/test_runtime.py``) and no row's bits depend on the batch it
+shares.
 
 A GEMM signature (:func:`~repro.runtime.signature.conv_engine`'s pick for
 small layers) compiles to a plan of one GEMM segment spanning ``OW``: the
@@ -71,7 +68,6 @@ import numpy as np
 
 from ..core import rowblocks
 from ..core.boundary import GEMM, Segment, plan_width_segments
-from ..core.fused import DEFAULT_BLOCK_IC
 from ..core.kernels import get_kernel
 from ..core.planner import ConvPlan
 from ..core.transforms import TransformMatrices, winograd_matrices
@@ -374,22 +370,15 @@ class ConvExecutable:
         version: object = None,
         bundle: FilterBundle | None = None,
         config: "ExecutionConfig | None" = None,
-        block_ic: int | None = DEFAULT_BLOCK_IC,
     ) -> np.ndarray:
         """Run the compiled convolution on ``x`` (any batch size).
 
         Either ``w`` (filters, resolved through the filter-transform cache)
-        or a pre-resolved ``bundle`` must be provided.  ``block_ic`` is the
-        channel block depth of the transform-domain accumulation, honoured
-        bit-for-bit as in the interpreted path (the default ``None``
-        accumulates the full ``(fh, ic)`` depth in one GEMM per ``alpha``
-        state, the fastest setting).
+        or a pre-resolved ``bundle`` must be provided.
         """
         from .engine import default_config
 
         cfg = config if config is not None else default_config()
-        if block_ic is not None and block_ic < 1:
-            raise ValueError(f"block_ic must be >= 1 or None, got {block_ic}")
         sig = self.sig
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
@@ -449,7 +438,7 @@ class ConvExecutable:
 
                 def run_task(t: _Task) -> None:
                     with telemetry.activate(tctx):
-                        self._run_task(t, x, y, get_bundle, block_ic)
+                        self._run_task(t, x, y, get_bundle)
 
                 try:
                     pool = cfg.pool()
@@ -461,10 +450,10 @@ class ConvExecutable:
                     # serially is safe whether or not some already ran.
                     counter_add("runtime.pool.serial_fallbacks")
                     for task in tasks:
-                        self._run_task(task, x, y, get_bundle, block_ic)
+                        self._run_task(task, x, y, get_bundle)
             else:
                 for task in tasks:
-                    self._run_task(task, x, y, get_bundle, block_ic)
+                    self._run_task(task, x, y, get_bundle)
         return y
 
     def per_row_workspace_bytes(self) -> int:
@@ -526,13 +515,12 @@ class ConvExecutable:
         x: np.ndarray,
         y: np.ndarray,
         get_bundle: Callable[[], FilterBundle],
-        block_ic: int | None,
     ) -> None:
         st = task.state
         if isinstance(st, _GemmSegment):
             self._run_gemm(st, x, y, get_bundle)
         else:
-            self._run_winograd(st, x, y, get_bundle, task, block_ic)
+            self._run_winograd(st, x, y, get_bundle, task)
 
     def _run_winograd(
         self,
@@ -541,7 +529,6 @@ class ConvExecutable:
         y: np.ndarray,
         get_bundle: Callable[[], FilterBundle],
         task: _Task,
-        block_ic: int | None,
     ) -> None:
         sig = self.sig
         seg = st.seg
@@ -552,15 +539,13 @@ class ConvExecutable:
         mats = self.mats[st.scheme]
         rows_per_image = self.oh * num_tiles
         m_rows = nc * rows_per_image
-        block = ic if block_ic is None else min(block_ic, ic)
         v_shape = rowblocks.blocked_shape((alpha,), nc, fh * ic, rows_per_image)
         nb, mb = v_shape[1], v_shape[2]
         # The output transform reads M as one contiguous (alpha, m_rows * OC)
         # matrix: the blocked product itself when it holds image rows only,
-        # else a compact copy in the workspace (which is also the
-        # channel-blocked accumulator).  A strided view of image rows would
+        # else a compact copy in the workspace.  A strided view of image rows would
         # make the transform GEMM copy its operand into a fresh array.
-        compact = block < ic or m_rows != nb * mb
+        compact = m_rows != nb * mb
         tiles_shape = (alpha, nc, st.nrows, num_tiles, ic)
         region_shape = None if st.interior else (nc, st.nrows, st.ncols, ic)
         # Three slots, each reused by stages that run one after another.
@@ -651,25 +636,11 @@ class ConvExecutable:
                     dst.reshape(alpha, i1 - i0, self.oh, num_tiles, fh, ic)[...] = (
                         images[:, i0:i1]
                     )
-            with span("accumulate", kernel=st.kernel_name, block_ic=block):
-                if block >= ic:
-                    # One GEMM per alpha state over the full (fh, ic) depth.
-                    rowblocks.blocked_product(v, u.reshape(alpha, fh * ic, oc), out=prod)
-                    if compact:
-                        self._unblock(prod, mc, nc, rows_per_image)
-                else:
-                    # Channel-blocked accumulation replaying the legacy
-                    # loop's (fh-major, block-minor) gemm sequence with
-                    # identical per-gemm operand shapes, hence identical
-                    # bits at the same block_ic.
-                    mc[...] = 0
-                    for f in range(fh):
-                        for c0 in range(0, ic, block):
-                            c1 = min(c0 + block, ic)
-                            rowblocks.blocked_product(
-                                v[..., f * ic + c0 : f * ic + c1], u[:, f, c0:c1], out=prod
-                            )
-                            self._unblock(prod, mc, nc, rows_per_image, add=True)
+            with span("accumulate", kernel=st.kernel_name):
+                # One GEMM per alpha state over the full (fh, ic) depth.
+                rowblocks.blocked_product(v, u.reshape(alpha, fh * ic, oc), out=prod)
+                if compact:
+                    self._unblock(prod, mc, nc, rows_per_image)
                 m = mc if compact else prod
             with span("transform.output", kernel=st.kernel_name):
                 # y[j] = sum_k AT[j, k] M[k]: the legacy path's GEMM, into
@@ -688,16 +659,11 @@ class ConvExecutable:
             seg_span.set(tiles=self.oh * num_tiles * nc)
 
     @staticmethod
-    def _unblock(
-        prod: np.ndarray, m: np.ndarray, images: int, rows_per_image: int, *, add: bool = False
-    ) -> None:
-        """Copy (or add) the image rows of a blocked product into ``m`` in image order."""
+    def _unblock(prod: np.ndarray, m: np.ndarray, images: int, rows_per_image: int) -> None:
+        """Copy the image rows of a blocked product into ``m`` in image order."""
         r = rows_per_image
         for b, i0, i1 in rowblocks.blocks(images, r):
-            if add:
-                m[:, i0 * r : i1 * r] += prod[:, b, : (i1 - i0) * r]
-            else:
-                m[:, i0 * r : i1 * r] = prod[:, b, : (i1 - i0) * r]
+            m[:, i0 * r : i1 * r] = prod[:, b, : (i1 - i0) * r]
 
     def _run_gemm(
         self,

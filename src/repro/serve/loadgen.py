@@ -5,7 +5,8 @@ Two canonical load models:
 * **closed loop** — ``concurrency`` workers each keep exactly one request
   in flight (issue, await, repeat).  Offered load adapts to service speed;
   this measures *capacity* (requests/sec at a given concurrency) and is
-  the mode the ``serve-smoke`` baseline records.
+  the mode ``python -m repro.serve loadgen --compare-serial`` runs against
+  one-at-a-time serving.
 * **open loop** — requests arrive on a fixed schedule (``rate_rps``)
   regardless of completions, the arrival process of real traffic.  Unlike
   the closed loop it exposes queueing collapse: when the service cannot
@@ -21,8 +22,8 @@ edge's view of how well earlier measured batches priced later ones.
 
 Inputs are deterministic per request id (seeded from ``(seed, rid)``), so
 two runs over the same id set see identical payloads — which is what lets
-the baseline suite assert the batched run's outputs are bit-identical to
-the serial run's.
+the tests assert that a batched or traced run's outputs are bit-identical
+to a serial or untraced run's.
 """
 
 from __future__ import annotations

@@ -127,11 +127,7 @@ class TestSuites:
             suite_metrics("nope")
 
     def test_registry_names(self):
-        assert set(SUITES) == {
-            "smoke", "fig8", "fig9", "table2",
-            "wallclock", "wallclock-smoke", "serve-smoke",
-            "telemetry-smoke", "full",
-        }
+        assert set(SUITES) == {"smoke", "fig8", "fig9", "table2", "full"}
 
 
 class TestCli:

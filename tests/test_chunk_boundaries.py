@@ -4,7 +4,7 @@ Every registered base kernel Γα(n, r) with r in 2..9, batches of 1 to 9
 images and the §5.5 width edges (OW below the tile width n, OW = r - 1,
 and an OW that leaves a GEMM tail) run through the compiled runtime with a
 one-byte workspace budget, so every Winograd segment streams one row block
-per chunk, at the full-depth contraction or a channel-blocked replay.  Each
+per chunk.  Each
 generated case must give the legacy oracle's bits whole, split into any
 batch parts, one image at a time and on a two-worker pool.
 """
@@ -60,7 +60,6 @@ def cases(draw: st.DrawFn) -> dict:
         "batch": draw(st.integers(1, 9)),
         "ic": draw(st.integers(1, 6)),
         "oc": draw(st.integers(1, 5)),
-        "block_ic": draw(st.one_of(st.none(), st.integers(1, 5))),
         "cuts": draw(st.lists(st.integers(1, 8), max_size=4)),
         "seed": draw(st.integers(0, 2**31)),
     }
@@ -77,13 +76,12 @@ def _chunks(x: np.ndarray, w: np.ndarray, g: dict) -> int | None:
 def _check(x: np.ndarray, w: np.ndarray, g: dict, pooled: ExecutionConfig) -> None:
     def conv(part: np.ndarray, config: ExecutionConfig = CHUNKED) -> np.ndarray:
         return runtime.convolve(
-            part, w, ph=g["ph"], pw=g["pw"], alpha=g["alpha"], block_ic=g["block_ic"],
-            config=config,
+            part, w, ph=g["ph"], pw=g["pw"], alpha=g["alpha"], config=config
         )
 
     batch = x.shape[0]
     want = conv2d_im2col_winograd(
-        x, w, ph=g["ph"], pw=g["pw"], alpha=g["alpha"], block_ic=g["block_ic"], legacy=True
+        x, w, ph=g["ph"], pw=g["pw"], alpha=g["alpha"], legacy=True
     )
     np.testing.assert_array_equal(conv(x), want, err_msg="chunked serial vs legacy")
     singles = np.concatenate([conv(x[i : i + 1]) for i in range(batch)])
@@ -98,7 +96,7 @@ def _check(x: np.ndarray, w: np.ndarray, g: dict, pooled: ExecutionConfig) -> No
 #: transform GEMM, which BLAS would run as a matrix-vector product.
 SINGLE_COLUMN = {
     "alpha": 8, "r": 3, "fh": 1, "ph": 0, "pw": 0, "iw": 5, "oh": 1, "batch": 2,
-    "ic": 1, "oc": 1, "block_ic": None, "cuts": [], "seed": 0,
+    "ic": 1, "oc": 1, "cuts": [], "seed": 0,
 }
 
 

@@ -106,6 +106,43 @@ class TestEndToEndTrainingPath:
             ran = sum(layer.effective_engine == "winograd" for layer, *_ in geometries)
             assert ran == winograd_convs, engine
 
+    @pytest.mark.parametrize("arch", ["vgg16", "resnet18"])
+    def test_first_conv_skips_its_data_grad(self, arch, monkeypatch):
+        """A train step computes no data grad for the conv that reads the
+        batch: one ``conv2d_input_grad`` call fewer than there are convs (a
+        strided conv's dilated data grad calls it once too), and the updated
+        weights equal, bit for bit, those of the same step on an input that
+        asks for its gradient."""
+        from repro.dlframe import SGDM, layers, softmax_cross_entropy
+
+        build = {
+            "vgg16": lambda: vgg16(classes=4, image=40, width_mult=0.0625, seed=1),
+            "resnet18": lambda: resnet18(classes=4, width_mult=0.0625, seed=1),
+        }[arch]
+        train, _ = synthetic_cifar10(train=4, test=4, image=40, classes=4, noise=0.1)
+        x, y = train.x[:4], train.y[:4]
+        calls = []
+        real = layers.conv2d_input_grad
+        monkeypatch.setattr(
+            layers, "conv2d_input_grad", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+
+        skipped = build()
+        Trainer(skipped, SGDM(skipped.parameters(), lr=0.1)).train_step(x, y)
+        assert len(calls) == len(conv_layer_geometries(skipped, x.shape)) - 1
+
+        full = build()
+        full.train()
+        opt = SGDM(full.parameters(), lr=0.1)
+        xt = Tensor(x, requires_grad=True)
+        loss = softmax_cross_entropy(full(xt), y)
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+        assert xt.grad is not None
+        for got, want in zip(skipped.parameters(), full.parameters(), strict=True):
+            np.testing.assert_array_equal(got.data, want.data)
+
     def test_resnet_dispatch_consistency(self):
         """The §5.7 dispatch inside ResNet: strided convs report gemm, the
         rest report the engine the rule picked for the width they ran at —

@@ -51,13 +51,6 @@ class TestWinogradSegment:
         with pytest.raises(ValueError, match="divisible"):
             winograd_segment(x, w, seg, ph=1, pw=1, oh=7)
 
-    @pytest.mark.parametrize("block_ic", [1, 2, 3, 64])
-    def test_any_channel_block(self, problem, block_ic):
-        x, w, truth = problem
-        seg = Segment(kernel=get_kernel(8, 3), start=0, width=18)
-        got = winograd_segment(x, w, seg, ph=1, pw=1, oh=7, block_ic=block_ic)
-        assert rel_err(got, truth[:, :, :18, :]) < TOL_BY_ALPHA[8]
-
 
 class TestGemmSegment:
     def test_left_edge_with_padding(self, problem):

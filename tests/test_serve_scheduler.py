@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -129,6 +130,52 @@ class TestAdmissionControl:
                 await fut
 
         asyncio.run(scenario())
+
+    @pytest.mark.parametrize("drain", [True, False], ids=["drain", "no_drain"])
+    def test_stop_during_flush(self, monkeypatch, drain):
+        """``stop()`` while a batch's forward is running: the in-flight
+        batch still answers, the queued requests are served (drain) or fail
+        with ServiceStopped, and no future is left pending."""
+        started, gate = threading.Event(), threading.Event()
+
+        async def scenario():
+            service = _service(
+                policy=BatchPolicy(max_batch_size=4, max_queue_delay_ms=60_000.0),
+                default_timeout_ms=None,
+            )
+            entry = service.registry.get("net")
+            forward = entry.infer_rows
+
+            def blocked(rows, **kw):
+                started.set()
+                assert gate.wait(30.0), "forward never released"
+                return forward(rows, **kw)
+
+            fn = seeded_input_fn(entry)
+            async with service:
+                monkeypatch.setattr(entry, "infer_rows", blocked)
+                loop = asyncio.get_running_loop()
+                first = [asyncio.ensure_future(service.infer("net", fn(i))) for i in range(4)]
+                assert await loop.run_in_executor(None, started.wait, 30.0)
+                queued = admitted(service, 2)
+                rest = [asyncio.ensure_future(service.infer("net", fn(i))) for i in (4, 5)]
+                await queued.wait()
+                stopping = asyncio.ensure_future(service.scheduler.stop(drain=drain))
+                # Runs after the stop task's first step: the scheduler is
+                # already stopping while the forward is still blocked.
+                loop.call_soon(gate.set)
+                await stopping
+                results = await asyncio.gather(*first, *rest, return_exceptions=True)
+                left = service.scheduler.queue_depth
+            return results, left
+
+        results, left = asyncio.run(scenario())
+        assert left == 0
+        assert all(isinstance(r, np.ndarray) for r in results[:4])
+        if drain:
+            assert all(isinstance(r, np.ndarray) for r in results[4:])
+        else:
+            assert all(isinstance(r, ServiceStopped) for r in results[4:])
 
     def test_single_process_service_stop_is_idempotent(self):
         """Concurrent InferenceService stops during an in-flight flush share
@@ -274,7 +321,10 @@ class TestGracefulDegradation:
 
 class TestHttpEndpoint:
     async def _roundtrip(self, reader, writer, method, path, body=None):
-        data = b"" if body is None else json.dumps(body).encode()
+        if body is None or isinstance(body, bytes):
+            data = body or b""
+        else:
+            data = json.dumps(body).encode()
         writer.write(
             f"{method} {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n\r\n".encode()
             + data
@@ -422,6 +472,39 @@ class TestHttpEndpoint:
         assert stats.completed == stats.failed == 0
         assert stats.submitted == stats.expired == (2 if kind is DeadlineExceeded else 0)
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"{not json",
+            json.dumps({"model": "net", "inputs": [["a", "b"], ["c", "d"]]}).encode(),
+            json.dumps(
+                {"model": "net", "inputs": np.zeros((IMAGE + 1, IMAGE, 3)).tolist()}
+            ).encode(),
+            json.dumps(
+                {"model": "net", "inputs": np.zeros((IMAGE, IMAGE, 4)).tolist()}
+            ).encode(),
+        ],
+        ids=["not_json", "string_inputs", "wrong_spatial_size", "wrong_channels"],
+    )
+    def test_malformed_infer_body_is_400(self, body):
+        """A body that cannot become a served input is a BadRequest that
+        admits nothing."""
+
+        async def scenario():
+            service = _service(default_timeout_ms=30_000.0)
+            async with service:
+                host, port = await service.serve_http("127.0.0.1", 0)
+                reader, writer = await asyncio.open_connection(host, port)
+                got = await self._roundtrip(reader, writer, "POST", "/v1/infer", body)
+                writer.close()
+                left = service.scheduler.queue_depth
+            return got, left, service.scheduler.stats()
+
+        (status, reply), left, stats = asyncio.run(scenario())
+        assert (status, reply["kind"]) == (400, "BadRequest")
+        assert left == 0
+        assert stats.submitted == stats.completed == stats.failed == 0
+
     def test_oversized_content_length_is_413_and_closes(self):
         # The bytes after the head would have been parsed as a second
         # request had the server cut the body to the cap and kept going.
@@ -446,23 +529,26 @@ class TestLoadgen:
     def test_closed_loop_smoke_and_bit_identity(self):
         async def scenario():
             service = _service(
-                policy=BatchPolicy(max_batch_size=4, max_queue_delay_ms=2.0),
+                policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=2.0),
                 default_timeout_ms=30_000.0,
             )
             async with service:
                 return await closed_loop(
-                    service, "net", requests=12, concurrency=4, collect_outputs=True
+                    service, "net", requests=48, concurrency=16, collect_outputs=True
                 ), service
 
         result, service = asyncio.run(scenario())
-        assert result.completed == 12 and not result.errors
+        assert result.completed == 48 and not result.errors
         assert result.requests_per_sec > 0
         # Batch histogram counts rows, one per request here.
-        assert sum(s * n for s, n in result.batch_size_histogram.items()) == 12
+        assert sum(s * n for s, n in result.batch_size_histogram.items()) == 48
+        assert max(result.batch_size_histogram) <= 8
         d = result.as_dict()
         assert set(d["latency_ms"]) == {"p50", "p95", "p99", "mean", "max"}
-        assert "12/12 ok" in result.report()
-        # Deterministic payloads -> outputs equal serial recomputation.
+        assert "48/48 ok" in result.report()
+        # Deterministic payloads -> every batched output equals its batch-1
+        # serial recomputation.
+        assert result.outputs.keys() == set(range(48))
         entry = service.registry.get("net")
         fn = seeded_input_fn(entry)
         for rid, y in result.outputs.items():

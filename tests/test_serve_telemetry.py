@@ -500,14 +500,20 @@ class TestHealthzSLO:
 
 class TestLoadgenAttribution:
     def test_split_reported_when_traced(self, _telemetry_on):
-        async def scenario():
-            service = _service()
+        """A closed loop under the full telemetry stack (spans, windowed
+        histograms, SLO tracking) attributes every request, orders its
+        windowed quantiles and returns the untraced loop's bits."""
+
+        async def scenario(slo):
+            service = _service(slo=slo)
             async with service:
                 return await closed_loop(
-                    service, "net", requests=12, concurrency=4
+                    service, "net", requests=12, concurrency=4, collect_outputs=True
                 )
 
-        result = asyncio.run(scenario())
+        result = asyncio.run(
+            scenario(SLOConfig(latency_target_ms=10_000.0, error_rate_target=0.01))
+        )
         assert result.completed == 12
         assert len(result.trace_ids) == 12
         assert len(set(result.trace_ids)) == 12  # one fresh trace each
@@ -519,6 +525,17 @@ class TestLoadgenAttribution:
         doc = result.as_dict()
         assert doc["server_attribution"]["traced"] == 12
         assert "server split ms (traced=12)" in result.report()
+        # Compiled Winograd executables ran under the tracer.
+        assert obs.get_registry().get("winograd.segments").total() > 0
+        window = obs.get_registry().get("serve.latency.window_ms")
+        p50 = window.quantile(0.50, model="net")
+        assert 0.0 < p50 <= window.quantile(0.99, model="net")
+        obs.disable()
+        untraced = asyncio.run(scenario(None))
+        assert untraced.trace_ids == []
+        assert result.outputs.keys() == untraced.outputs.keys() == set(range(12))
+        for rid, y in result.outputs.items():
+            np.testing.assert_array_equal(y, untraced.outputs[rid])
 
     def test_no_split_when_untraced(self):
         async def scenario():
