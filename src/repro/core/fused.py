@@ -44,7 +44,7 @@ from ..obs import counter_add, span
 from . import rowblocks
 from .boundary import Segment, plan_width_segments
 from .kernels import KernelId, default_alpha_for_width, get_kernel
-from .transforms import TransformMatrices, winograd_matrices
+from .transforms import TransformMatrices, filter_columns, filter_transform, winograd_matrices
 
 __all__ = ["conv2d_im2col_winograd", "winograd_segment", "gemm_segment"]
 
@@ -225,7 +225,7 @@ def winograd_segment(
     # Computed once for the whole segment (the kernels re-derive it per
     # iteration from SMEM; the arithmetic is identical).
     with span("transform.filter", kernel=kernel.name):
-        u = np.ascontiguousarray(np.einsum("kp,ofpi->kfio", mats.G, w, optimize=True))
+        u = filter_transform(mats.G, filter_columns(w))
 
     # The row-blocked contraction operand V[k, (n, h, t), (f, c)]: each
     # filter row's input transform fills its (f, c) column band.

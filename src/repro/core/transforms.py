@@ -55,6 +55,8 @@ __all__ = [
     "TransformMatrices",
     "winograd_matrices_exact",
     "winograd_matrices",
+    "filter_columns",
+    "filter_transform",
     "verify_exact",
     "max_matrix_magnitude",
 ]
@@ -203,6 +205,31 @@ def winograd_matrices(n: int, r: int, dtype: str = "float32") -> TransformMatric
     return TransformMatrices(
         n=n, r=r, alpha=n + r - 1, AT=to_np(at), G=to_np(g), DT=to_np(dt)
     )
+
+
+def filter_columns(w: np.ndarray) -> np.ndarray:
+    """``(OC, FH, FW, IC)`` filters as one contiguous ``(FW, FH, IC, OC)`` copy.
+
+    Ordered by filter column, the axis ``G`` contracts, so the filter
+    transform of every scheme of width ``FW`` is one GEMM over this copy
+    (:func:`filter_transform`) and schemes sharing ``r`` share it.
+    """
+    return np.ascontiguousarray(w.transpose(2, 1, 3, 0))
+
+
+def filter_transform(g: np.ndarray, columns: np.ndarray) -> np.ndarray:
+    """The §6.1.2 filter transform ``U[k, f, i, o] = sum_p G[k, p] w[o, f, p, i]``.
+
+    ``columns`` is :func:`filter_columns` of ``w``.  One GEMM ``G @
+    columns`` with ``N = FH*IC*OC`` produces ``U`` C-contiguous in the
+    ``(alpha, FH, IC, OC)`` layout of the contraction operand, with no copy
+    after it.  Its bits equal ``np.einsum("kp,ofpi->kfio", G, w,
+    optimize=True)``, whose plan runs the same GEMM (``G`` on the left,
+    ``K = r``, the same ``N``) over the columns in ``(o, f, i)`` order and
+    then needs a transposed copy into this layout.
+    """
+    fw = columns.shape[0]
+    return np.dot(g, columns.reshape(fw, -1)).reshape(g.shape[:1] + columns.shape[1:])
 
 
 def verify_exact(n: int, r: int) -> bool:

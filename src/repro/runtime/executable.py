@@ -16,9 +16,9 @@ re-derives on each call:
   buffer,
 * a small LRU of the §6.1.2 filter transforms ``U = G w`` (layout
   ``(alpha, FH, IC, OC)``, which reshapes to the ``(alpha, FH*IC, OC)``
-  contraction operand without a copy) and of
-  the folded GEMM-tail operand, matched by caller-named weight version or
-  else by an exact bit compare against a private copy of the source
+  contraction operand without a copy) and, for a plan with a GEMM segment
+  only, of the folded GEMM operand, matched by caller-named weight version
+  or else by an exact bit compare against a private copy of the source
   weights.  Frozen callers skip the cache and pass their own
   :class:`FilterBundle`.
 
@@ -70,7 +70,7 @@ from ..core import rowblocks
 from ..core.boundary import GEMM, Segment, plan_width_segments
 from ..core.kernels import get_kernel
 from ..core.planner import ConvPlan
-from ..core.transforms import TransformMatrices, winograd_matrices
+from ..core.transforms import TransformMatrices, filter_columns, filter_transform, winograd_matrices
 from ..nhwc.tensor import ConvShape, im2col_slab_shape
 from ..nhwc.tiles import _gather_padded_region
 from ..obs import counter_add, gauge_set, span, telemetry
@@ -114,12 +114,13 @@ class FilterBundle:
     ``u`` maps each Winograd scheme ``(n, r)`` in the plan to the transform
     ``U[k, f, ic, oc] = sum_p G[k, p] w[oc, f, p, ic]`` (C-contiguous, so
     ``U.reshape(alpha, FH*IC, OC)`` is the full-depth contraction operand
-    as a view); ``gemm_operand`` is the folded
-    ``(FH*FW*IC, OC)`` matrix of the §5.5 GEMM tail.
+    as a view); ``gemm_operand`` is the folded ``(FH*FW*IC, OC)`` matrix of
+    a GEMM segment (the §5.5 tail, or every column of a GEMM signature),
+    ``None`` for a plan without one.
     """
 
     u: dict[SchemeKey, np.ndarray]
-    gemm_operand: np.ndarray
+    gemm_operand: np.ndarray | None
 
     @property
     def transformed_filter_bytes(self) -> int:
@@ -128,28 +129,28 @@ class FilterBundle:
 
 
 def build_filter_bundle(
-    w: np.ndarray, schemes: Iterable[SchemeKey], dtype: np.dtype
+    w: np.ndarray, schemes: Iterable[SchemeKey], dtype: np.dtype, *, gemm: bool
 ) -> FilterBundle:
     """Compute the :class:`FilterBundle` of ``w`` for the given schemes.
 
-    Shared by :class:`ConvExecutable` and the frozen-inference callers so
-    the filter-transform arithmetic has exactly one definition.  Every
-    build counts one ``runtime.filter_cache.misses``; every call that runs
-    on a cached or caller-held bundle counts a hit.
+    ``gemm`` says whether the plan has a GEMM segment, and so whether the
+    bundle holds the folded operand.  Shared by :class:`ConvExecutable` and
+    the frozen-inference callers; the transform itself is
+    :func:`~repro.core.transforms.filter_transform`, the legacy path's too.
+    Every build counts one ``runtime.filter_cache.misses``; every call that
+    runs on a cached or caller-held bundle counts a hit.
     """
     counter_add("runtime.filter_cache.misses")
     w = np.asarray(w, dtype=dtype)
     u: dict[SchemeKey, np.ndarray] = {}
+    columns = None  # every scheme of a plan shares r, so one copy serves all
     for key in schemes:
-        n, r = key
         if key in u:
             continue
-        mats = winograd_matrices(n, r, dtype=dtype.name)
-        # Same contraction as the legacy "kp,ofpi->fkio" (a dot over p per
-        # element, hence bit-identical values), laid out (k, f, ic, oc) so
-        # each alpha state's (f, ic) rows are one contiguous GEMM operand.
-        u[key] = np.ascontiguousarray(np.einsum("kp,ofpi->kfio", mats.G, w, optimize=True))
-    return FilterBundle(u=u, gemm_operand=rowblocks.fold_filters(w))
+        if columns is None:
+            columns = filter_columns(w)
+        u[key] = filter_transform(winograd_matrices(*key, dtype=dtype.name).G, columns)
+    return FilterBundle(u=u, gemm_operand=rowblocks.fold_filters(w) if gemm else None)
 
 
 def _flat_bits(w: np.ndarray) -> np.ndarray:
@@ -284,6 +285,7 @@ class ConvExecutable:
                 )
             )
         self._schemes: tuple[SchemeKey, ...] = tuple(self.mats)
+        self._gemm = any(isinstance(st, _GemmSegment) for st in self._states)
         # Filter-cache slots, least recently used first.
         self._filters: list[_FilterSlot] = []
         self._flock = threading.Lock()
@@ -307,7 +309,9 @@ class ConvExecutable:
         For callers that hold the bundle themselves (frozen layers): the
         result is passed back as ``bundle=`` on every call.
         """
-        return build_filter_bundle(self._check_filters(w), self._schemes, self.dtype)
+        return build_filter_bundle(
+            self._check_filters(w), self._schemes, self.dtype, gemm=self._gemm
+        )
 
     def filter_bundle(self, w: np.ndarray, *, version: object = None) -> FilterBundle:
         """Pre-transformed operands for ``w``, from a small LRU cache.
@@ -340,7 +344,7 @@ class ConvExecutable:
                     self._filters.append(found)
             counter_add("runtime.filter_cache.hits")
             return found.bundle
-        bundle = build_filter_bundle(w, self._schemes, self.dtype)
+        bundle = build_filter_bundle(w, self._schemes, self.dtype, gemm=self._gemm)
         slot = _FilterSlot(
             version=version, bits=None if bits is None else bits.copy(), bundle=bundle
         )
@@ -697,6 +701,8 @@ class ConvExecutable:
                 slab=slab,
             )
             operand = get_bundle().gemm_operand
+            if operand is None:
+                raise ValueError("this plan has a GEMM segment; its bundle needs gemm=True")
             if direct:
                 rowblocks.blocked_product(a, operand, out=y.reshape(nb, mb, sig.oc))
                 return

@@ -53,6 +53,21 @@ class TestConvFreeze:
         assert set(conv._bundles) == {8, 12, 16}
         assert conv.effective_engine == "winograd"
 
+    def test_folded_operands_only_for_a_gemm_tail(self, rng):
+        """A frozen Winograd conv holds the folded filters only at widths
+        whose plan ends in a §5.5 GEMM tail (OW = 13 under Γ8(6,3))."""
+        conv = _wino_conv().freeze()
+        for iw in (12, 13):
+            x = rng.standard_normal((1, 6, iw, WINO_C)).astype(np.float32)
+            np.testing.assert_array_equal(
+                conv(Tensor(x)).data,
+                conv2d_im2col_winograd(x, conv.weight.data) + conv.bias.data,
+            )
+        assert conv._bundles[12].gemm_operand is None
+        np.testing.assert_array_equal(
+            conv._bundles[13].gemm_operand, rowblocks.fold_filters(conv.weight.data)
+        )
+
     def test_rule_picked_gemm_holds_folded_operands(self, rng):
         """Few channels: the rule runs GEMM, and the frozen layer holds the
         folded filters per input width instead of their transforms."""

@@ -23,12 +23,15 @@ def frozen_bundle(w: np.ndarray, iw: int) -> FilterBundle:
     fw = w.shape[2]
     ow = iw + 2 * (fw // 2) - fw + 1
     primary = get_kernel(default_alpha_for_width(fw), fw, "base")
+    segments = plan_width_segments(ow, fw, primary=primary)
     schemes = [
         (seg.kernel.spec.n, seg.kernel.spec.r)  # type: ignore[union-attr]
-        for seg in plan_width_segments(ow, fw, primary=primary)
+        for seg in segments
         if not seg.is_gemm
     ]
-    return build_filter_bundle(w, schemes, w.dtype)
+    return build_filter_bundle(
+        w, schemes, w.dtype, gemm=any(seg.is_gemm for seg in segments)
+    )
 
 
 class TestFrozenBundle:
