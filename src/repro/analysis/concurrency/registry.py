@@ -91,13 +91,6 @@ GUARDS: tuple[GuardSpec, ...] = (
         note="bounded LRU of compiled executables; resize races inserts",
     ),
     GuardSpec(
-        "repro.runtime.engine",
-        "ExecutionConfig",
-        "_pool_lock",
-        ("_pool",),
-        note="lazy pool build vs idempotent shutdown; join happens outside",
-    ),
-    GuardSpec(
         "repro.runtime.executable",
         "ConvExecutable",
         "_flock",
@@ -141,14 +134,15 @@ GUARDS: tuple[GuardSpec, ...] = (
         "Counter",
         "_lock",
         ("_values",),
-        note="read-modify-write increments from pool workers",
+        note="read-modify-write increments from the execute worker, the loop "
+        "and concurrent callers",
     ),
     GuardSpec(
         "repro.obs.metrics",
         "Gauge",
         "_lock",
         ("_values",),
-        note="last-write-wins sets from pool workers",
+        note="last-write-wins sets from the execute worker and concurrent callers",
     ),
     GuardSpec(
         "repro.obs.metrics",

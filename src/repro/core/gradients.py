@@ -82,8 +82,9 @@ def conv2d_input_grad(
     if engine == "winograd":
         # Compiled-plan runtime: the backward-deconvolution signature (dy as
         # ifms, flipped filters) gets its own cached executable, and the
-        # content-hashed filter-transform cache absorbs the per-call ``wb``
-        # rebuild while the forward weights are unchanged.
+        # filter-transform cache, which matches weights by an exact bit
+        # compare, absorbs the per-call ``wb`` rebuild while the forward
+        # weights are unchanged.
         from ..runtime import convolve  # lazy: runtime imports core at load
 
         return convolve(dy, wb, ph=bp_h, pw=bp_w, alpha=alpha, dtype=dy.dtype)

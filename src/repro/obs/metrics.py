@@ -83,8 +83,8 @@ class _Metric:
 class Counter(_Metric):
     """Monotonic total per label set.
 
-    Increments are lock-guarded: the runtime's opt-in thread pool calls
-    :func:`counter_add` from worker threads, and an unguarded
+    Increments are lock-guarded: the serve execute worker, the event loop
+    and concurrent callers all call :func:`counter_add`, and an unguarded
     read-modify-write would silently drop concurrent increments.
     """
 
@@ -125,8 +125,8 @@ class Gauge(_Metric):
     """Last-written value per label set.
 
     Sets are lock-guarded like :class:`Counter` increments: ``gauge_set``
-    runs on pool worker threads, and exports must not read a dict that is
-    being resized under them.
+    runs on the serve execute worker and on concurrent callers, and exports
+    must not read a dict that is being resized under them.
     """
 
     kind = "gauge"
@@ -155,7 +155,8 @@ class Histogram(_Metric):
     """Streaming summary (count/sum/min/max/mean) per label set.
 
     Observations are lock-guarded for the same reason as :class:`Counter`:
-    samples may arrive from the runtime's pooled worker threads.
+    samples may arrive from the serve execute worker, the event loop and
+    concurrent callers at once.
     """
 
     kind = "histogram"
@@ -371,8 +372,9 @@ class WindowedHistogram(Histogram):
 class MetricsRegistry:
     """Get-or-create home for every named instrument in the process.
 
-    The instrument table is lock-guarded: get-or-create races from pool
-    workers must not double-create an instrument (two threads would then
+    The instrument table is lock-guarded: get-or-create races between
+    threads (the serve execute worker, the event loop, concurrent callers)
+    must not double-create an instrument (two threads would then
     increment different Counter objects under the same name and one would
     silently win at export time).  The registry lock is never held while an
     instrument's own lock is taken — exports snapshot the table first, then

@@ -105,8 +105,8 @@ class SpanRecord:
     children: list["SpanRecord"] = field(default_factory=list)
     tid: int = 0
     #: Recording thread's name.  OS thread idents are recycled (a restarted
-    #: executor pool reuses them), so the Chrome-trace exporter keys its
-    #: rows on ``(tid, thread)`` and labels them with this name — one
+    #: serve execute worker reuses them), so the Chrome-trace exporter keys
+    #: its rows on ``(tid, thread)`` and labels them with this name — one
     #: readable row per worker instead of interleaved anonymous ids.  A
     #: ``tid`` of 0 marks a span recorded after the fact
     #: (:func:`repro.obs.telemetry.record_span`), which sits on no stack.
@@ -287,10 +287,11 @@ class Tracer:
     def snapshot_roots(self) -> list[SpanRecord]:
         """Locked copy of the root list for export-side iteration.
 
-        Worker threads append roots concurrently; exporters must not walk
-        ``self.roots`` while it resizes under them.  The records themselves
-        are shared (an in-flight span's children may still grow), which is
-        fine for the append-only tree shape the exporters read.
+        The serve execute worker and concurrent callers append roots at
+        once; exporters must not walk ``self.roots`` while it resizes under
+        them.  The records themselves are shared (an in-flight span's
+        children may still grow), which is fine for the append-only tree
+        shape the exporters read.
         """
         with self._lock:
             return list(self.roots)

@@ -14,7 +14,7 @@ Entry points
 :func:`convolve`
     Drop-in, bit-identical twin of ``conv2d_im2col_winograd``.
 :func:`configure`
-    Process-wide knobs: opt-in thread pool, workspace bound, cache size.
+    Process-wide settings: workspace bound, cache size.
 :func:`cache_stats` / :func:`clear_cache`
     Plan-cache observability (also exported as ``runtime.cache.*`` obs
     counters).
@@ -29,10 +29,8 @@ from .cache import (
     global_cache,
 )
 from .engine import (
-    ExecutionConfig,
     configure,
     convolve,
-    default_config,
     force_legacy,
     legacy_forced,
 )
@@ -44,7 +42,6 @@ __all__ = [
     "ConvExecutable",
     "ConvSignature",
     "ExecutableCache",
-    "ExecutionConfig",
     "FilterBundle",
     "build_filter_bundle",
     "cache_stats",
@@ -52,7 +49,6 @@ __all__ = [
     "configure",
     "conv_engine",
     "convolve",
-    "default_config",
     "force_legacy",
     "get_executable",
     "global_cache",

@@ -7,10 +7,11 @@ resolved through the process-wide executable cache, so planning, transform
 matrices, gather descriptors and (per weight version) the filter transforms
 are all reused across calls.
 
-:class:`ExecutionConfig` carries the execution knobs: ``threads`` enables
-the opt-in thread pool over (segment, batch-chunk) tasks for the training
-path, ``workspace_bytes`` sizes the chunks each segment streams through.
-Both only change dispatch, never arithmetic — results stay bit-identical.
+Each call runs its segments' chunks one after another on the calling
+thread; the parallelism is BLAS's, inside every transform and contraction
+GEMM.  ``workspace_bytes`` (per call, or process-wide through
+:func:`configure`) sizes the chunks each segment streams through; it only
+changes dispatch, never arithmetic — results stay bit-identical.
 
 :func:`force_legacy` is the serving layer's graceful-degradation hatch: a
 thread-local scope under which :func:`convolve` bypasses the compiled
@@ -33,8 +34,6 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Iterator
 
 import numpy as np
@@ -42,89 +41,27 @@ import numpy as np
 from ..baselines.gemm import conv2d_gemm
 from ..obs import counter_add, span
 from .cache import get_executable, global_cache
-from .executable import ConvExecutable, FilterBundle
+from .executable import (
+    DEFAULT_WORKSPACE_BYTES,
+    ConvExecutable,
+    FilterBundle,
+    check_workspace_bytes,
+    set_workspace_bytes,
+)
 from .signature import ConvSignature
 
 __all__ = [
-    "ExecutionConfig",
+    "DEFAULT_WORKSPACE_BYTES",
     "configure",
     "convolve",
-    "default_config",
     "force_legacy",
     "legacy_forced",
 ]
-
-#: Default per-chunk budget for a segment's intermediates (gathered region,
-#: V, M, output transform), as estimated per image by
-#: ``ConvExecutable.per_row_workspace_bytes``.  Each segment streams through
-#: chunks of whole row blocks that fit it, never less than one block, in a
-#: per-thread workspace reused across chunks and calls; so the budget bounds
-#: what each thread retains, not only what one call touches.  2 MiB was
-#: chosen by a sweep (DESIGN.md, "Streaming chunks and the per-thread
-#: workspace").
-DEFAULT_WORKSPACE_BYTES = 2 * 1024 * 1024
-
-
-@dataclass
-class ExecutionConfig:
-    """Dispatch knobs for compiled execution (arithmetic-neutral).
-
-    ``threads`` (0 or 1: serial) sizes the opt-in worker pool over
-    (segment, batch-chunk) tasks.  ``workspace_bytes`` is the per-chunk
-    budget: each segment runs in chunks of whole row blocks whose estimated
-    intermediates fit it (one block at least).  Every thread that runs a
-    chunk, the caller's or a pool worker, keeps one workspace grown to the
-    largest chunk it has run.
-    """
-
-    threads: int = 0
-    workspace_bytes: int = DEFAULT_WORKSPACE_BYTES
-    _pool: ThreadPoolExecutor | None = field(default=None, repr=False, compare=False)
-    _pool_lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
-
-    def pool(self) -> ThreadPoolExecutor:
-        """Lazily-built shared pool of ``threads`` workers."""
-        if self.threads < 2:
-            raise ValueError("pool() requires threads >= 2")
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.threads, thread_name_prefix="repro-runtime"
-                )
-            return self._pool
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Release the worker pool.  Idempotent and teardown-safe.
-
-        Server teardown paths may call this more than once (scheduler stop
-        plus an ``atexit``/context-manager layer), possibly while another
-        thread is mid-dispatch.  A second call is a no-op; a dispatcher that
-        raced the shutdown and holds the now-closed pool falls back to
-        serial execution (see ``ConvExecutable.__call__``) rather than
-        failing the convolution.
-        """
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            # Outside the lock: wait=True joins workers, and a worker (or a
-            # racing dispatcher) calling pool()/shutdown() again must not
-            # deadlock against us.
-            pool.shutdown(wait=wait)
-
-
-_DEFAULT = ExecutionConfig()
 
 #: Thread-local degradation flag: set by :func:`force_legacy`, honoured by
 #: :func:`convolve`.  Thread-local (not process-wide) so a server degrading
 #: one batch does not slow the batches other workers are executing.
 _DEGRADED = threading.local()
-
-
-def default_config() -> ExecutionConfig:
-    """The process-wide execution configuration."""
-    return _DEFAULT
 
 
 def legacy_forced() -> bool:
@@ -137,8 +74,8 @@ def force_legacy() -> Iterator[None]:
     """Route this thread's :func:`convolve` calls through the legacy path.
 
     The interpreted reference implementation shares no compiled state with
-    the runtime (no executable cache, no filter-transform cache, no pooled
-    dispatch), so it stays available even when a compiled executable is
+    the runtime (no executable cache, no filter-transform cache, no
+    workspace), so it stays available even when a compiled executable is
     failing — the serving layer's graceful-degradation contract.  Nestable
     and exception-safe; counts ``runtime.degraded.calls`` per bypassed call.
     """
@@ -152,30 +89,18 @@ def force_legacy() -> Iterator[None]:
 
 def configure(
     *,
-    threads: int | None = None,
     workspace_bytes: int | None = None,
     cache_capacity: int | None = None,
-) -> ExecutionConfig:
-    """Adjust the process-wide runtime configuration in place.
+) -> None:
+    """Adjust the process-wide runtime settings.
 
-    ``threads=0`` (the default) keeps dispatch serial; ``threads=k >= 2``
-    enables the pooled dispatch over (segment, batch-chunk) tasks.
-    ``cache_capacity`` resizes the executable LRU.
-    Returns the active config for inspection.
+    ``workspace_bytes`` sets the chunk budget of every call that names
+    none (an integer >= 1); ``cache_capacity`` resizes the executable LRU.
     """
-    if threads is not None:
-        if threads < 0:
-            raise ValueError(f"threads must be >= 0, got {threads}")
-        if threads != _DEFAULT.threads:
-            _DEFAULT.shutdown()
-            _DEFAULT.threads = threads
     if workspace_bytes is not None:
-        if workspace_bytes < 1:
-            raise ValueError(f"workspace_bytes must be >= 1, got {workspace_bytes}")
-        _DEFAULT.workspace_bytes = workspace_bytes
+        set_workspace_bytes(workspace_bytes)
     if cache_capacity is not None:
         global_cache().resize(cache_capacity)
-    return _DEFAULT
 
 
 def convolve(
@@ -189,7 +114,7 @@ def convolve(
     dtype: np.dtype | type | str = np.float32,
     version: object = None,
     bundle: FilterBundle | None = None,
-    config: ExecutionConfig | None = None,
+    workspace_bytes: int | None = None,
     algorithm: str = "winograd",
     executable: ConvExecutable | None = None,
 ) -> np.ndarray:
@@ -203,7 +128,8 @@ def convolve(
     filter-transform cache by instead of comparing the weights, and
     ``bundle`` supplies pre-resolved filter operands and ``executable``
     the executable of this call's signature (frozen inference: no
-    signature resolution, no cache lookup).
+    signature resolution, no cache lookup).  ``workspace_bytes`` is this
+    call's chunk budget (default: the :func:`configure` value).
     ``algorithm="gemm"`` runs the conv as one row-blocked im2col GEMM
     (bit-identical to ``conv2d_gemm``; ``alpha`` and ``variant`` do not
     apply).
@@ -214,6 +140,8 @@ def convolve(
     uses when a compiled executable raises.
     """
     if legacy_forced():
+        if workspace_bytes is not None:
+            check_workspace_bytes(workspace_bytes)
         from ..core.fused import conv2d_im2col_winograd  # lazy: import cycle
 
         counter_add("runtime.degraded.calls")
@@ -237,4 +165,4 @@ def convolve(
             algorithm=algorithm,
         )
         exe = get_executable(sig)
-    return exe(x, w, version=version, bundle=bundle, config=config)
+    return exe(x, w, version=version, bundle=bundle, workspace_bytes=workspace_bytes)

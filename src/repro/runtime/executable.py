@@ -45,24 +45,25 @@ hold whole images and no pad rows and it spans every column, the GEMM
 writes straight into ``y``.
 
 Each segment streams through chunks of whole row blocks sized by the
-workspace budget (:class:`~repro.runtime.engine.ExecutionConfig`): a chunk
-runs gather → input transform → V → accumulate → output transform, the
-last one GEMM whose product is copied once, transposed, into its slice of
-``y``, before the next chunk starts.  Every chunk intermediate is a view
-into the calling thread's workspace (:func:`_workspace`), one flat buffer
-per thread reused across chunks and calls, so a warm call allocates only
-``y``.  An opt-in thread pool dispatches chunks concurrently for the
-training path, each worker in its own workspace.  Chunks are cut on whole
-row blocks, so chunk boundaries never change the arithmetic and threaded
-results stay bit-identical to serial ones.
+workspace budget (``workspace_bytes``): a chunk runs gather → input
+transform → V → accumulate → output transform, the last one GEMM whose
+product is copied once, transposed, into its slice of ``y``, before the
+next chunk starts.  A call runs its chunks one after another on the
+calling thread.  Every chunk intermediate is a view into that thread's
+workspace (:func:`_workspace`), one flat buffer per thread reused across
+chunks and calls, so a warm call allocates only ``y`` and concurrent
+callers (the serving execute worker, the caller's own threads) never share
+one.  Chunks are cut on whole row blocks, so chunk boundaries never change
+the arithmetic.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -73,11 +74,8 @@ from ..core.planner import ConvPlan
 from ..core.transforms import TransformMatrices, filter_columns, filter_transform, winograd_matrices
 from ..nhwc.tensor import ConvShape, im2col_slab_shape
 from ..nhwc.tiles import _gather_padded_region
-from ..obs import counter_add, gauge_set, span, telemetry
+from ..obs import counter_add, gauge_set, span
 from .signature import ConvSignature
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
-    from .engine import ExecutionConfig
 
 __all__ = ["ConvExecutable", "FilterBundle", "build_filter_bundle", "compiled_plan"]
 
@@ -94,10 +92,24 @@ FILTER_CACHE_SLOTS = 4
 #: bit compare, so a slot holding other weights is rejected cheaply.
 _SAMPLE_POINTS = 64
 
-#: This thread's chunk workspace: one flat byte buffer per thread (each
-#: caller thread and each pool worker), grown to the largest chunk the thread
-#: has run and reused by every later chunk and call (see :func:`_workspace`).
+#: This thread's chunk workspace: one flat byte buffer per calling thread,
+#: grown to the largest chunk the thread has run and reused by every later
+#: chunk and call (see :func:`_workspace`).
 _ARENA = threading.local()
+
+#: Default per-chunk budget for a segment's intermediates (gathered region,
+#: V, M, output transform), as estimated per image by
+#: ``ConvExecutable.per_row_workspace_bytes``.  Each segment streams through
+#: chunks of whole row blocks that fit it, never less than one block, in a
+#: per-thread workspace reused across chunks and calls; so the budget bounds
+#: what each thread retains, not only what one call touches.  2 MiB was
+#: chosen by a sweep (DESIGN.md, "Streaming chunks and the per-thread
+#: workspace").
+DEFAULT_WORKSPACE_BYTES = 2 * 1024 * 1024
+
+#: The budget of a call that names none; :func:`set_workspace_bytes` (via
+#: :func:`repro.runtime.configure`) sets it.
+_workspace_bytes = DEFAULT_WORKSPACE_BYTES
 
 #: Byte alignment of every workspace view.
 _ALIGN = 64
@@ -373,16 +385,19 @@ class ConvExecutable:
         *,
         version: object = None,
         bundle: FilterBundle | None = None,
-        config: "ExecutionConfig | None" = None,
+        workspace_bytes: int | None = None,
     ) -> np.ndarray:
         """Run the compiled convolution on ``x`` (any batch size).
 
         Either ``w`` (filters, resolved through the filter-transform cache)
-        or a pre-resolved ``bundle`` must be provided.
+        or a pre-resolved ``bundle`` must be provided.  ``workspace_bytes``
+        is this call's chunk budget (default: the process-wide one).
         """
-        from .engine import default_config
-
-        cfg = config if config is not None else default_config()
+        budget = (
+            _workspace_bytes
+            if workspace_bytes is None
+            else check_workspace_bytes(workspace_bytes)
+        )
         sig = self.sig
         x = np.asarray(x, dtype=self.dtype)
         if x.ndim != 4:
@@ -408,7 +423,7 @@ class ConvExecutable:
                 resolved.append(self.filter_bundle(w, version=version))
             return resolved[0]
 
-        tasks = self._tasks(batch, cfg)
+        tasks = self._tasks(batch, budget)
         with span(
             "conv2d",
             engine="runtime",
@@ -432,32 +447,8 @@ class ConvExecutable:
                 2 * batch * sig.oc * self.oh * self.ow * sig.fh * sig.fw * sig.ic,
             )
             counter_add("runtime.exec.calls")
-            if cfg.threads > 1 and len(tasks) > 1:
-                get_bundle()  # resolve once, outside the pool
-                # ContextVars do not cross pool threads on their own; hand
-                # the active trace position (this conv span's, when traced)
-                # over so per-segment spans parent under it regardless of
-                # which worker runs them.
-                tctx = telemetry.current()
-
-                def run_task(t: _Task) -> None:
-                    with telemetry.activate(tctx):
-                        self._run_task(t, x, y, get_bundle)
-
-                try:
-                    pool = cfg.pool()
-                    list(pool.map(run_task, tasks))
-                except RuntimeError:
-                    # The pool was shut down between pool() and the submits
-                    # (server teardown racing a dispatch).  Tasks are
-                    # idempotent slice writes, so rerunning the full list
-                    # serially is safe whether or not some already ran.
-                    counter_add("runtime.pool.serial_fallbacks")
-                    for task in tasks:
-                        self._run_task(task, x, y, get_bundle)
-            else:
-                for task in tasks:
-                    self._run_task(task, x, y, get_bundle)
+            for task in tasks:
+                self._run_task(task, x, y, get_bundle)
         return y
 
     def per_row_workspace_bytes(self) -> int:
@@ -489,7 +480,7 @@ class ConvExecutable:
             + 2 * st.alpha * self.oh * st.num_tiles * sig.oc
         )
 
-    def _tasks(self, batch: int, cfg: "ExecutionConfig") -> list[_Task]:
+    def _tasks(self, batch: int, workspace_bytes: int) -> list[_Task]:
         """Split each Winograd segment into bounded-workspace batch chunks.
 
         Chunks hold whole row blocks (a multiple of the segment's
@@ -503,10 +494,7 @@ class ConvExecutable:
             if isinstance(st, _GemmSegment):
                 tasks.append(_Task(st, 0, batch, True))
                 continue
-            rows = max(1, cfg.workspace_bytes // max(self._row_bytes(st), 1))
-            if cfg.threads > 1:
-                # Enough chunks to feed the pool, still workspace-bounded.
-                rows = min(rows, max(1, -(-batch // (2 * cfg.threads))))
+            rows = max(1, workspace_bytes // max(self._row_bytes(st), 1))
             per_block = rowblocks.block_images(self.oh * st.num_tiles)
             rows = min(max(1, rows // per_block) * per_block, batch)
             for i, n0 in enumerate(range(0, batch, rows)):
@@ -605,7 +593,7 @@ class ConvExecutable:
                     # Logical gather volume for the whole segment (all FH
                     # rows, full batch) — gated like the winograd.* counters
                     # so the totals match the legacy path and do not drift
-                    # with workspace/thread chunking.
+                    # with workspace chunking.
                     counter_add("gather.calls", fh)
                     counter_add(
                         "gather.bytes",
@@ -712,6 +700,22 @@ class ConvExecutable:
                 dst[i0:i1] = prod[b, : (i1 - i0) * r].reshape(
                     i1 - i0, self.oh, seg.width, sig.oc
                 )
+
+
+def check_workspace_bytes(value: object) -> int:
+    """``value`` as a chunk budget: an integer >= 1, else ``ValueError``.
+
+    ``bool`` is an ``int`` but no byte count, so it is rejected too.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"workspace_bytes must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
+def set_workspace_bytes(value: object) -> None:
+    """Set the process-wide chunk budget (checked as above)."""
+    global _workspace_bytes
+    _workspace_bytes = check_workspace_bytes(value)
 
 
 def _workspace(

@@ -18,12 +18,11 @@ The robustness contract, in order of a request's life:
   fallbacks.  Only if the legacy path also fails does the error reach the
   clients of that batch.
 
-Execution happens on a small worker pool (``execute_threads``, default 1)
-via ``run_in_executor`` so the event loop keeps admitting and rejecting
-while NumPy/BLAS crunches; futures complete back on the loop.  Teardown
-(:meth:`Scheduler.stop`) drains or fails the queue, shuts the worker pool,
-and calls the runtime :class:`~repro.runtime.engine.ExecutionConfig`'s
-(idempotent, dispatch-safe) ``shutdown``.
+Execution happens on one worker thread via ``run_in_executor`` so the
+event loop keeps admitting and rejecting while NumPy/BLAS crunches (BLAS
+releases the GIL and parallelises each GEMM itself); futures complete back
+on the loop.  Teardown (:meth:`Scheduler.stop`) drains or fails the queue
+and shuts the worker down.
 """
 
 from __future__ import annotations
@@ -50,8 +49,7 @@ from ..obs import (
 )
 from ..obs.slo import SLOConfig, SLOStatus, SLOTracker
 from ..obs.telemetry import TraceContext
-from ..runtime import default_config, force_legacy
-from ..runtime.engine import ExecutionConfig
+from ..runtime import force_legacy
 from .batching import Batch, BatchPolicy, DynamicBatcher, PendingRequest
 from .errors import BadRequest, DeadlineExceeded, QueueFull, ServiceStopped
 from .registry import ModelRegistry
@@ -86,10 +84,6 @@ class SchedulerConfig:
     max_queue_depth: int = 256
     #: Default per-request deadline; ``None`` means no deadline.
     default_timeout_ms: float | None = 1000.0
-    #: Model-execution worker threads.  One is usually right: BLAS releases
-    #: the GIL and parallelises internally; more threads mainly help when
-    #: many small models share the server.
-    execute_threads: int = 1
     #: Service-level objective evaluated by the flush loop; ``None`` (the
     #: default) disables SLO tracking entirely.
     slo: SLOConfig | None = None
@@ -97,8 +91,6 @@ class SchedulerConfig:
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ValueError(f"max_queue_depth must be >= 1, got {self.max_queue_depth}")
-        if self.execute_threads < 1:
-            raise ValueError(f"execute_threads must be >= 1, got {self.execute_threads}")
         # A NaN default never expires; a non-positive one expires every request.
         t = self.default_timeout_ms
         if t is not None and not (math.isfinite(t) and t > 0):
@@ -184,12 +176,9 @@ class Scheduler:
         self,
         registry: ModelRegistry,
         config: SchedulerConfig | None = None,
-        *,
-        exec_config: ExecutionConfig | None = None,
     ) -> None:
         self.registry = registry
         self.config = config if config is not None else SchedulerConfig()
-        self._exec_config = exec_config
         self._batcher = DynamicBatcher(
             self.config.policy,
             per_row_bytes=lambda model: registry.get(model).per_row_workspace_bytes,
@@ -220,9 +209,7 @@ class Scheduler:
         self._running = True
         self._stopping = None
         self._wake = asyncio.Event()
-        self._pool = ThreadPoolExecutor(
-            max_workers=self.config.execute_threads, thread_name_prefix="repro-serve"
-        )
+        self._pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="repro-serve")
         self._loop_task = asyncio.create_task(self._run(), name="repro-serve-flush")
         return self
 
@@ -234,13 +221,12 @@ class Scheduler:
         racing an outer teardown layer, a test's ``finally`` racing a
         failure path) *awaits that same teardown* instead of returning
         early — returning early would let its caller proceed to tear down
-        the pool and runtime config out from under the in-flight drain
-        batches the first stop is still completing.  The first caller's
-        ``drain`` choice wins.
+        the execute worker out from under the in-flight drain batches the
+        first stop is still completing.  The first caller's ``drain``
+        choice wins.
 
-        Also releases the execution worker pool and the runtime's pooled
-        dispatch config — both shutdowns are idempotent, so outer teardown
-        layers calling :meth:`stop` again are safe.
+        Also shuts the execute worker down, once; outer teardown layers
+        calling :meth:`stop` again are safe.
         """
         if self._stopping is not None:
             await self._stopping.wait()
@@ -267,9 +253,6 @@ class Scheduler:
             if self._pool is not None:
                 self._pool.shutdown(wait=True)
                 self._pool = None
-            # Runtime teardown tie-in: safe even if dispatch is mid-flight
-            # elsewhere, and safe to repeat (see ExecutionConfig.shutdown).
-            (self._exec_config or default_config()).shutdown()
             self._gauge_depth()
             self._publish_slo()
         finally:

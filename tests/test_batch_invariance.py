@@ -8,8 +8,8 @@ this sweep checks it where hand-picked shapes would not, at odd widths,
 non-power-of-two channel counts, §5.5 GEMM tails and a single image.
 
 The same shapes also pin the two other exactness contracts the row blocks
-carry: the compiled runtime equals the legacy interpreted path, and the
-dispatch knobs (thread pool, workspace chunking) never change bits.
+carry: the compiled runtime equals the legacy interpreted path, and
+workspace chunking never changes bits.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from repro import runtime
 from repro.core.fused import conv2d_im2col_winograd
-from repro.runtime import ExecutionConfig
+from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.serve import ModelRegistry
 
 ROWS = 6
@@ -57,13 +57,6 @@ def _fresh_runtime():
     runtime.clear_cache()
 
 
-@pytest.fixture(scope="module")
-def threaded():
-    cfg = ExecutionConfig(threads=2)
-    yield cfg
-    cfg.shutdown()
-
-
 def test_conv_cases_cover_the_hard_shapes():
     """The sample holds odd output widths, GEMM tails and deep channels."""
     sides = [side for side, _, _ in CONV_CASES]
@@ -78,7 +71,7 @@ def test_conv_cases_cover_the_hard_shapes():
 
 
 @pytest.mark.parametrize("case", CONV_CASES, ids=lambda c: "x".join(map(str, c)))
-def test_conv_any_split_compiled_legacy_and_dispatch(case, threaded):
+def test_conv_any_split_compiled_legacy_and_dispatch(case):
     x, w = _operands(case)
     whole = runtime.convolve(x, w)
     for size in SPLITS:
@@ -88,10 +81,9 @@ def test_conv_any_split_compiled_legacy_and_dispatch(case, threaded):
             err_msg=f"{size}-row split",
         )
     np.testing.assert_array_equal(conv2d_im2col_winograd(x, w, legacy=True), whole)
-    for cfg in (threaded, ExecutionConfig(workspace_bytes=1)):
-        np.testing.assert_array_equal(
-            runtime.convolve(x, w, config=cfg), whole, err_msg=repr(cfg)
-        )
+    np.testing.assert_array_equal(
+        runtime.convolve(x, w, workspace_bytes=1), whole, err_msg="workspace_bytes=1"
+    )
 
 
 @pytest.mark.parametrize("width", [0.125, 0.25])
@@ -110,7 +102,8 @@ def test_model_any_split(arch, image, width):
 def test_mixed_engine_model_any_split_legacy_and_dispatch():
     """ResNet-18 at width 0.5: the engine rule runs layer3-4 on Winograd and
     the other convs (and every strided one) as row-blocked GEMMs.  Any
-    split, the legacy path and the dispatch knobs all give the same bits."""
+    split, the legacy path and a one-byte workspace budget all give the same
+    bits."""
     entry = ModelRegistry().register("mixed", arch="resnet18", image=32, width_mult=0.5)
     assert 0 < entry.winograd_convs < entry.total_convs
     x = np.random.default_rng(5).standard_normal((ROWS, 32, 32, 3), dtype=np.float32)
@@ -121,11 +114,8 @@ def test_mixed_engine_model_any_split_legacy_and_dispatch():
         )
     with runtime.force_legacy():
         np.testing.assert_array_equal(entry.infer_rows(x), whole, err_msg="legacy")
-    default = runtime.default_config()
-    threads, workspace = default.threads, default.workspace_bytes
+    runtime.configure(workspace_bytes=1)
     try:
-        for kw in ({"threads": 2}, {"threads": 0, "workspace_bytes": 1}):
-            runtime.configure(**kw)
-            np.testing.assert_array_equal(entry.infer_rows(x), whole, err_msg=repr(kw))
+        np.testing.assert_array_equal(entry.infer_rows(x), whole, err_msg="workspace_bytes=1")
     finally:
-        runtime.configure(threads=threads, workspace_bytes=workspace)
+        runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)

@@ -6,7 +6,7 @@ and an OW that leaves a GEMM tail) run through the compiled runtime with a
 one-byte workspace budget, so every Winograd segment streams one row block
 per chunk.  Each
 generated case must give the legacy oracle's bits whole, split into any
-batch parts, one image at a time and on a two-worker pool.
+batch parts and one image at a time.
 """
 
 from __future__ import annotations
@@ -14,26 +14,17 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import runtime
 from repro.core.fused import conv2d_im2col_winograd
 from repro.core.kernels import registered_kernels
-from repro.runtime import ExecutionConfig
 
 KERNELS = [k for k in registered_kernels() if k.variant == "base"]
 
 #: One row block per chunk: the smallest budget there is.
-CHUNKED = ExecutionConfig(workspace_bytes=1)
-
-
-@pytest.fixture(scope="module")
-def pooled():
-    cfg = ExecutionConfig(threads=2, workspace_bytes=1)
-    yield cfg
-    cfg.shutdown()
+CHUNKED = 1
 
 
 @st.composite
@@ -73,10 +64,10 @@ def _chunks(x: np.ndarray, w: np.ndarray, g: dict) -> int | None:
     return max(counts.values(), default=None)
 
 
-def _check(x: np.ndarray, w: np.ndarray, g: dict, pooled: ExecutionConfig) -> None:
-    def conv(part: np.ndarray, config: ExecutionConfig = CHUNKED) -> np.ndarray:
+def _check(x: np.ndarray, w: np.ndarray, g: dict) -> None:
+    def conv(part: np.ndarray) -> np.ndarray:
         return runtime.convolve(
-            part, w, ph=g["ph"], pw=g["pw"], alpha=g["alpha"], config=config
+            part, w, ph=g["ph"], pw=g["pw"], alpha=g["alpha"], workspace_bytes=CHUNKED
         )
 
     batch = x.shape[0]
@@ -89,7 +80,6 @@ def _check(x: np.ndarray, w: np.ndarray, g: dict, pooled: ExecutionConfig) -> No
     bounds = sorted({0, batch, *(c for c in np.cumsum(g["cuts"]) if c < batch)})
     parts = np.concatenate([conv(x[a:b]) for a, b in zip(bounds, bounds[1:])])
     np.testing.assert_array_equal(parts, want, err_msg=f"split at {bounds}")
-    np.testing.assert_array_equal(conv(x, pooled), want, err_msg="threads=2")
 
 
 #: One image, one output row, one tile and one channel: a single-column
@@ -103,17 +93,17 @@ SINGLE_COLUMN = {
 @given(cases())
 @example(SINGLE_COLUMN)
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-def test_chunked_dispatch_matches_legacy_bit_for_bit(pooled, g):
-    """compiled ≡ legacy, any batch split ≡ batch-1 serial, threads=2 ≡ serial,
-    on the drawn geometry and, where that holds fewer row blocks, on one tall
-    enough that a batch of three or more images streams through three or
-    more chunks of a Winograd segment."""
+def test_chunked_dispatch_matches_legacy_bit_for_bit(g):
+    """compiled ≡ legacy ≡ any batch split ≡ batch-1, on the drawn geometry
+    and, where that holds fewer row blocks, on one tall enough that a batch
+    of three or more images streams through three or more chunks of a
+    Winograd segment."""
     rng = np.random.default_rng(g["seed"])
     w = rng.standard_normal((g["oc"], g["fh"], g["r"], g["ic"]), dtype=np.float32)
     ih = g["oh"] + g["fh"] - 1 - 2 * g["ph"]
     while True:
         x = rng.standard_normal((g["batch"], ih, g["iw"], g["ic"]), dtype=np.float32)
-        _check(x, w, g, pooled)
+        _check(x, w, g)
         chunks = _chunks(x, w, g)
         if chunks is None or chunks >= min(g["batch"], 3):
             break

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from repro import ConvShape, conv2d_im2col_winograd, obs, runtime
+from repro import ConvShape, conv2d_im2col_winograd, obs
 from repro.bench.flops import standard_flops
 from repro.obs import telemetry
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.summary import aggregate
 from repro.obs.telemetry import TraceContext
 from repro.obs.tracer import NULL_SPAN, Tracer
-from repro.runtime.engine import ExecutionConfig
 
 TRACE = "ab" * 16
 SPAN = "cd" * 8
@@ -115,11 +114,6 @@ class TestDisabledFastPath:
 class TestOneFlag:
     """``obs.enable`` is the only switch: spans and request traces."""
 
-    def _conv_operands(self, rng):
-        x = rng.standard_normal((4, 10, 20, 8)).astype(np.float32)
-        w = rng.standard_normal((8, 3, 3, 8)).astype(np.float32)
-        return x, w
-
     def test_disabled_span_ignores_active_trace(self):
         with telemetry.activate(TraceContext(TRACE, SPAN)):
             assert obs.span("x") is NULL_SPAN
@@ -133,25 +127,6 @@ class TestOneFlag:
         assert obs.get_tracer().roots == [rec]
         assert (rec.trace_id, rec.span_id, rec.parent_id) == (None, None, None)
         assert obs.get_tracer().trace_ids() == []
-
-    def test_pool_thread_segments_carry_the_conv_trace(self, rng):
-        x, w = self._conv_operands(rng)
-        config = ExecutionConfig(threads=2)
-        obs.enable()
-        try:
-            with telemetry.activate(TraceContext(TRACE, SPAN)):
-                runtime.convolve(x, w, config=config)
-        finally:
-            config.shutdown()
-        spans = obs.get_tracer().spans_of(TRACE)
-        (conv,) = [s for s in spans if s.name == "conv2d"]
-        segments = [s for s in spans if s.name == "segment"]
-        assert conv.parent_id == SPAN
-        assert len(segments) > 1
-        assert {s.parent_id for s in segments} == {conv.span_id}
-        assert any(s.thread.startswith("repro-runtime") for s in segments)
-        # Pool-thread segments root their own thread's forest rows.
-        assert {r.name for r in obs.get_tracer().roots} >= {"conv2d", "segment"}
 
     def test_capture_clears_the_trace_ring(self):
         obs.enable()
@@ -274,9 +249,9 @@ class TestInstrumentedPipeline:
 
 
 class TestMetricsThreadSafety:
-    """The runtime's pooled dispatch increments counters and records
-    histogram samples from worker threads; the read-modify-write updates
-    must not lose increments."""
+    """The serve execute worker, the event loop and concurrent callers
+    increment counters and record histogram samples at once; the
+    read-modify-write updates must not lose increments."""
 
     def test_concurrent_counter_increments_are_not_lost(self):
         import threading

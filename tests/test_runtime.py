@@ -6,8 +6,7 @@ outputs to the legacy interpreted path (``conv2d_im2col_winograd`` with
 runtime switch — cuDNN-style plan-cache behaviour (hit on repeat, miss on
 new signature, bounded eviction), a filter-transform cache that matches
 weights bit for bit and so notices in-place weight mutation, and
-arithmetic-neutral dispatch knobs (threads / workspace chunking change
-scheduling, never bits).
+arithmetic-neutral workspace chunking (it changes scheduling, never bits).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.core.fused import conv2d_im2col_winograd, winograd_segment
 from repro.core.kernels import get_kernel
 from repro.core.transforms import winograd_matrices
 from repro.nhwc.tensor import im2col_nhwc
-from repro.runtime import ExecutionConfig, cache_stats, clear_cache, configure
+from repro.runtime import cache_stats, clear_cache, configure, executable
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.runtime.executable import FILTER_CACHE_SLOTS
@@ -33,13 +32,13 @@ from repro.runtime.signature import ConvSignature
 
 @pytest.fixture(autouse=True)
 def _fresh_runtime():
-    """Each test sees an empty plan cache and default dispatch config."""
+    """Each test sees an empty plan cache and the default workspace budget."""
     clear_cache()
-    configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
     yield
     clear_cache()
-    configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
 
 
@@ -346,27 +345,13 @@ class TestFilterCache:
 
 
 class TestDispatchNeutrality:
-    """Threads and workspace chunking never change the bits."""
+    """Workspace chunking never changes the bits."""
 
     def test_batch_chunking_bit_identical(self, rng):
         x = rng.standard_normal((5, 6, 20, 4)).astype(np.float32)
         w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
         want = runtime.convolve(x, w)
-        tiny = ExecutionConfig(threads=0, workspace_bytes=1 << 14)
-        np.testing.assert_array_equal(runtime.convolve(x, w, config=tiny), want)
-
-    def test_thread_pool_bit_identical(self, rng):
-        x = rng.standard_normal((5, 6, 20, 4)).astype(np.float32)
-        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
-        want = runtime.convolve(x, w)
-        pooled = ExecutionConfig(threads=2, workspace_bytes=1 << 14)
-        try:
-            for _ in range(3):  # repeat: scheduling order must not matter
-                np.testing.assert_array_equal(
-                    runtime.convolve(x, w, config=pooled), want
-                )
-        finally:
-            pooled.shutdown()
+        np.testing.assert_array_equal(runtime.convolve(x, w, workspace_bytes=1 << 14), want)
 
     def test_counters_invariant_under_chunking_and_match_legacy(self, rng):
         """gather.* / winograd.* totals describe the *logical* work, so they
@@ -384,10 +369,31 @@ class TestDispatchNeutrality:
 
         legacy = totals(lambda: conv2d_im2col_winograd(x, w, legacy=True))
         one_chunk = totals(lambda: runtime.convolve(x, w))
-        tiny = ExecutionConfig(threads=0, workspace_bytes=1 << 12)
-        many_chunks = totals(lambda: runtime.convolve(x, w, config=tiny))
+        many_chunks = totals(lambda: runtime.convolve(x, w, workspace_bytes=1 << 12))
         assert one_chunk == legacy
         assert many_chunks == legacy
+
+
+class TestWorkspaceBudgetValidation:
+    """A chunk budget is an integer >= 1 wherever it is set."""
+
+    @pytest.mark.parametrize("bad", [0, -5, True, False, 2.0, "64"])
+    def test_every_setter_rejects_a_non_positive_or_non_integer_budget(self, rng, bad):
+        x = rng.standard_normal((2, 6, 20, 4)).astype(np.float32)
+        w = rng.standard_normal((3, 3, 3, 4)).astype(np.float32)
+        exe = runtime.get_executable(ConvSignature.for_operands(x, w))
+        for set_budget in (
+            lambda: configure(workspace_bytes=bad),
+            lambda: runtime.convolve(x, w, workspace_bytes=bad),
+            lambda: exe(x, w, workspace_bytes=bad),
+        ):
+            with pytest.raises(ValueError, match="workspace_bytes"):
+                set_budget()
+        with runtime.force_legacy(), pytest.raises(ValueError, match="workspace_bytes"):
+            runtime.convolve(x, w, workspace_bytes=bad)
+        assert executable._workspace_bytes == DEFAULT_WORKSPACE_BYTES
+        want = legacy_exact(x, w)
+        np.testing.assert_array_equal(runtime.convolve(x, w, workspace_bytes=np.int64(1)), want)
 
 
 class TestStaticAnalysisOfCachedPlans:
@@ -457,11 +463,9 @@ class TestGemmAlgorithm:
                 got = runtime.convolve(x, w, algorithm="gemm")
             assert obs.get_registry().counter("runtime.degraded.calls").total() == 1
         np.testing.assert_array_equal(got, want)
-        configure(threads=2, workspace_bytes=1)
-        try:
-            np.testing.assert_array_equal(runtime.convolve(x, w, algorithm="gemm"), want)
-        finally:
-            configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+        np.testing.assert_array_equal(
+            runtime.convolve(x, w, algorithm="gemm", workspace_bytes=1), want
+        )
 
     def test_plan_is_one_gemm_segment_over_every_column(self, rng):
         x = rng.standard_normal((1, 6, 13, 4)).astype(np.float32)
@@ -497,61 +501,6 @@ class TestSegmentValidation:
         a = winograd_segment(x, w, seg, ph=1, pw=1, oh=7, mats=mats.as_dtype(x.dtype))
         b = winograd_segment(x, w, seg, ph=1, pw=1, oh=7)
         np.testing.assert_array_equal(a, b)
-
-
-class TestShutdownSafety:
-    """ExecutionConfig.shutdown: idempotent, teardown-safe, dispatch-safe."""
-
-    def test_shutdown_is_idempotent(self):
-        cfg = ExecutionConfig(threads=2)
-        cfg.pool()
-        cfg.shutdown()
-        cfg.shutdown()  # second call is a no-op, not an error
-        cfg.shutdown(wait=False)
-
-    def test_shutdown_without_pool_is_a_noop(self):
-        ExecutionConfig(threads=0).shutdown()  # pool never built
-
-    def test_pool_rebuilds_after_shutdown(self, rng):
-        cfg = ExecutionConfig(threads=2)
-        first = cfg.pool()
-        cfg.shutdown()
-        second = cfg.pool()
-        assert second is not first
-        assert second.submit(lambda: 42).result() == 42
-        cfg.shutdown()
-
-    def test_shutdown_during_dispatch_falls_back_to_serial(self, rng):
-        """Convolutions racing a shutdown finish correctly, never raise."""
-        import threading as _threading
-
-        x = rng.standard_normal((4, 9, 23, 3)).astype(np.float32)
-        w = rng.standard_normal((5, 3, 3, 3)).astype(np.float32)
-        want = legacy_exact(x, w)
-        cfg = ExecutionConfig(threads=2, workspace_bytes=1 << 16)  # many chunks
-        runtime.convolve(x, w, config=cfg)  # compile once up front
-
-        stop = _threading.Event()
-
-        def harass():
-            while not stop.is_set():
-                cfg.shutdown()
-
-        saboteur = _threading.Thread(target=harass)
-        saboteur.start()
-        try:
-            with obs.capture():
-                for _ in range(30):
-                    got = runtime.convolve(x, w, config=cfg)
-                    np.testing.assert_array_equal(got, want)
-                fallbacks = obs.get_registry().get("runtime.pool.serial_fallbacks")
-                fallbacks_total = fallbacks.total() if fallbacks is not None else 0.0
-        finally:
-            stop.set()
-            saboteur.join()
-            cfg.shutdown()
-        # The race is timing-dependent; what must hold is correctness above.
-        assert fallbacks_total >= 0.0
 
 
 class TestCacheResizeRace:

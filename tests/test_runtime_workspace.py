@@ -12,7 +12,8 @@ import pytest
 from repro import obs, runtime
 from repro.baselines.gemm import conv2d_gemm
 from repro.core.fused import conv2d_im2col_winograd
-from repro.runtime import ExecutionConfig, executable
+from repro.runtime import executable
+from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 
 #: Allocation allowed beyond ``y`` on a warm call: Python objects, views and
 #: the filter-cache compare, far below any chunk intermediate (the gathered
@@ -47,20 +48,47 @@ def _warm_peak(call) -> tuple[np.ndarray, int]:
     return y, peak
 
 
-@pytest.mark.parametrize("threads", [0, 2])
-def test_warm_call_allocates_only_y(threads):
-    """Γ8(6,3) at 8x64x64x64 streams eight one-image chunks and a
-    Γ4(2,3) tail; warm, the only array a call allocates is ``y``."""
+def _gamma8_call():
+    """Γ8(6,3) at 8x64x64x64: eight one-image chunks and a Γ4(2,3) tail."""
     x, w = _operands(0, 8, 64, 64)
-    cfg = ExecutionConfig(threads=threads)
-    try:
-        sig = runtime.ConvSignature.for_operands(x, w, ph=1, pw=1, alpha=8)
-        assert len(runtime.get_executable(sig)._tasks(8, cfg)) >= 8
-        y, peak = _warm_peak(lambda: runtime.convolve(x, w, ph=1, pw=1, alpha=8, config=cfg))
-    finally:
-        cfg.shutdown()
-    assert peak < y.nbytes + SLACK_BYTES, (peak, y.nbytes)
+    sig = runtime.ConvSignature.for_operands(x, w, ph=1, pw=1, alpha=8)
+    assert len(runtime.get_executable(sig)._tasks(8, DEFAULT_WORKSPACE_BYTES)) >= 8
     want = conv2d_im2col_winograd(x, w, ph=1, pw=1, alpha=8, legacy=True)
+    return (lambda: runtime.convolve(x, w, ph=1, pw=1, alpha=8)), want
+
+
+def test_warm_call_allocates_only_y():
+    """Warm, the only array a streamed call allocates is ``y``."""
+    call, want = _gamma8_call()
+    y, peak = _warm_peak(call)
+    assert peak < y.nbytes + SLACK_BYTES, (peak, y.nbytes)
+    np.testing.assert_array_equal(y, want)
+
+
+def test_warm_call_on_a_second_thread_allocates_only_y():
+    """A second thread streams through a workspace of its own, and once
+    warm it too allocates only ``y``."""
+    call, want = _gamma8_call()
+    call()
+    mine = executable._ARENA.buf
+    seen: dict = {}
+
+    def second() -> None:
+        try:
+            seen["y"], seen["peak"] = _warm_peak(call)
+            seen["buf"] = executable._ARENA.buf
+        except Exception as exc:  # re-raised on the test's thread
+            seen["error"] = exc
+
+    t = threading.Thread(target=second)
+    t.start()
+    t.join(timeout=120)
+    assert not t.is_alive()
+    if "error" in seen:
+        raise seen["error"]
+    y, peak = seen["y"], seen["peak"]
+    assert seen["buf"] is not mine
+    assert peak < y.nbytes + SLACK_BYTES, (peak, y.nbytes)
     np.testing.assert_array_equal(y, want)
 
 
@@ -106,15 +134,14 @@ def test_stale_workspace_never_leaks():
     large = _operands(1, 7, 13, 12)  # 13x13: R = 26, two images per block
     small = _operands(2, 5, 6, 9, r=5)  # Γ8(4,5) tiles plus a GEMM tail
     sequence = [(large, 8), (small, 8), (large, 8), (small, 16)]
-    cfg = ExecutionConfig(workspace_bytes=1)
     for (x, w), alpha in sequence:
         r = w.shape[2]
         want = conv2d_im2col_winograd(
             x, w, ph=r // 2, pw=r // 2, alpha=alpha, legacy=True
         )
-        for config in (None, cfg):
+        for budget in (None, 1):
             got = runtime.convolve(
-                x, w, ph=r // 2, pw=r // 2, alpha=alpha, config=config
+                x, w, ph=r // 2, pw=r // 2, alpha=alpha, workspace_bytes=budget
             )
             np.testing.assert_array_equal(got, want)
             _poison_workspace()

@@ -45,11 +45,11 @@ from repro.serve.registry import MODEL_BUILDERS
 def _fresh_runtime():
     """Each test sees an empty plan cache and default dispatch config."""
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
     yield
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
 
 

@@ -25,13 +25,13 @@ IMAGE = 32
 @pytest.fixture(autouse=True)
 def _fresh():
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     obs.disable()
     obs.reset()
     obs.get_registry().reset()
     yield
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     obs.disable()
     obs.reset()
     obs.get_registry().reset()

@@ -49,11 +49,11 @@ IMAGE = 32
 @pytest.fixture(autouse=True)
 def _fresh_runtime():
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
     yield
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     global_cache().resize(DEFAULT_CAPACITY)
 
 

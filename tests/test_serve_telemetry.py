@@ -42,7 +42,7 @@ IMAGE = 32
 @pytest.fixture(autouse=True)
 def _fresh_stack():
     runtime.clear_cache()
-    runtime.configure(threads=0, workspace_bytes=DEFAULT_WORKSPACE_BYTES)
+    runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
     obs.disable()
     obs.reset()
     obs.get_registry().reset()
@@ -230,7 +230,7 @@ STAGES = (
 )
 
 #: Golden Chrome-trace layout of two coalesced traced requests on resnet18
-#: (w=0.5, 32x32, no runtime pool): row name -> span-name counts.  Request
+#: (w=0.5, 32x32): row name -> span-name counts.  Request
 #: rows are named by trace (``T0``/``T1`` after id normalisation).  The 14
 #: unit-stride convs run in the runtime (``conv2d``): the engine rule runs
 #: the 6 of layer3-4 on Winograd (two segments each at 8x8, one at 4x4, each
