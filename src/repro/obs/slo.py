@@ -32,7 +32,7 @@ first and the condition clears.
 
 The scheduler's flush loop evaluates the tracker and mirrors the result as
 ``serve.slo.*`` gauges; ``python -m repro.obs.slo`` evaluates a recorded
-latency sample offline (loadgen output, a JSON array, or ``--demo``).
+latency sample offline (a JSON array, or ``--demo``).
 """
 
 from __future__ import annotations
@@ -246,28 +246,19 @@ def evaluate_sample(
 def _load_latencies(path: str) -> tuple[list[float], int]:
     """Latencies (+ error count) from a JSON file.
 
-    Accepts a bare array of milliseconds, a ``repro.serve`` loadgen
-    ``--json`` document (uses the batched run's latency list when present),
-    or any object with ``latencies_ms`` / ``errors`` keys.
+    Accepts a bare array of milliseconds, or an object with
+    ``latencies_ms`` / ``errors`` keys.
     """
     with open(path) as fh:
         doc = json.load(fh)
     if isinstance(doc, list):
         return [float(v) for v in doc], 0
-    if isinstance(doc, dict):
-        if "latencies_ms" in doc:
-            errs = doc.get("errors", 0)
-            nerr = sum(errs.values()) if isinstance(errs, dict) else int(errs)
-            return [float(v) for v in doc["latencies_ms"]], nerr
-        for key in ("batched", "serial"):
-            sub = doc.get(key)
-            if isinstance(sub, dict) and "latencies_ms" in sub:
-                errs = sub.get("errors", {})
-                nerr = sum(errs.values()) if isinstance(errs, dict) else int(errs)
-                return [float(v) for v in sub["latencies_ms"]], nerr
+    if isinstance(doc, dict) and "latencies_ms" in doc:
+        errs = doc.get("errors", 0)
+        nerr = sum(errs.values()) if isinstance(errs, dict) else int(errs)
+        return [float(v) for v in doc["latencies_ms"]], nerr
     raise SystemExit(
-        f"{path}: expected a JSON array of latencies or an object with "
-        '"latencies_ms" (loadgen --json output works)'
+        f'{path}: expected a JSON array of latencies or an object with "latencies_ms"'
     )
 
 
@@ -325,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
         description="Evaluate a latency sample against an SLO (burn-rate report).",
     )
     parser.add_argument("latencies", nargs="?", default=None,
-                        help="JSON file: array of ms, or loadgen --json output")
+                        help="JSON file: array of ms, or an object with latencies_ms")
     parser.add_argument("--target-ms", type=float, default=250.0,
                         help="latency target in ms (default 250)")
     parser.add_argument("--error-budget", type=float, default=0.01,

@@ -21,8 +21,7 @@ transform/GEMM time back to one caller.  Trace contexts can:
   :mod:`repro.obs.chrometrace` draws as flow events from every request row
   to the shared batch slice;
 * :func:`record_span` adds the scheduler's after-the-fact request spans,
-  and :func:`tree` / :func:`queue_execute_split` read a trace back out of
-  the tracer's per-trace ring.
+  and :func:`tree` reads a trace back out of the tracer's per-trace ring.
 
 There is no separate switch or store: :func:`repro.obs.enable` turns
 request traces on with everything else, and every span lands in the one
@@ -54,7 +53,6 @@ __all__ = [
     "parse_traceparent",
     "record_span",
     "tree",
-    "queue_execute_split",
 ]
 
 
@@ -211,28 +209,3 @@ def tree(trace_id: str, tracer: Tracer | None = None) -> list[dict[str, Any]]:
         parent = nodes.get(s.parent_id) if s.parent_id else None
         (parent["children"] if parent is not None else roots).append(nodes[s.span_id])
     return roots
-
-
-def queue_execute_split(
-    trace_ids: list[str], tracer: Tracer | None = None
-) -> dict[str, list[float]]:
-    """Server-attributed latency split of the given request traces.
-
-    Returns ``{"queued_ms": [...], "execute_ms": [...]}`` — one entry per
-    trace that recorded the scheduler's ``serve.queued`` / ``serve.batched``
-    spans.  The load generator reconciles these against its client-side
-    percentiles: client latency ~= queue wait + execute + (loop scheduling).
-    """
-    tracer = tracer if tracer is not None else get_tracer()
-    out: dict[str, list[float]] = {"queued_ms": [], "execute_ms": []}
-    for tid in trace_ids:
-        durations = {"serve.queued": 0.0, "serve.batched": 0.0}
-        seen = False
-        for span in tracer.spans_of(tid):
-            if span.name in durations:
-                durations[span.name] += span.duration_s * 1e3
-                seen = True
-        if seen:
-            out["queued_ms"].append(durations["serve.queued"])
-            out["execute_ms"].append(durations["serve.batched"])
-    return out

@@ -14,7 +14,9 @@ Entry points
 :func:`convolve`
     Drop-in, bit-identical twin of ``conv2d_im2col_winograd``.
 :func:`configure`
-    Process-wide settings: workspace bound, cache size.
+    Process-wide chunk workspace budget.
+:func:`global_cache`
+    The process-wide executable LRU (``resize`` sets its capacity).
 :func:`cache_stats` / :func:`clear_cache`
     Plan-cache observability (also exported as ``runtime.cache.*`` obs
     counters).

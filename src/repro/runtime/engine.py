@@ -13,19 +13,19 @@ GEMM.  ``workspace_bytes`` (per call, or process-wide through
 :func:`configure`) sizes the chunks each segment streams through; it only
 changes dispatch, never arithmetic — results stay bit-identical.
 
-:func:`force_legacy` is the serving layer's graceful-degradation hatch: a
-thread-local scope under which :func:`convolve` bypasses the compiled
-executable entirely and runs the interpreted reference path
-(``conv2d_im2col_winograd(..., legacy=True)``).  A server that catches an
-exception out of a compiled executable can replay the batch under this
-scope and still answer the request (bit-identical results, just slower).
-Those are the only two paths: outside the scope every signature runs its
-cached executable.
+:func:`force_legacy` is the reference-path scope: a thread-local scope
+under which :func:`convolve` bypasses the compiled executable entirely and
+runs the interpreted reference path
+(``conv2d_im2col_winograd(..., legacy=True)``), which shares none of the
+compiled state.  Oracles use it to produce the bits the compiled path must
+match: the bit-identity tests, and perfbench's ``vgg16-b8`` reference
+forwards.  Those are the only two paths: outside the scope every signature
+runs its cached executable.
 
 ``convolve(..., algorithm="gemm")`` runs the same conv as one row-blocked
 im2col GEMM instead (the per-layer pick of
 :func:`~repro.runtime.signature.conv_engine`), through the same cache,
-bundles and degradation hatch; its legacy path is
+bundles and reference-path scope; its legacy path is
 :func:`repro.baselines.gemm.conv2d_gemm`.  The default stays the paper's
 ``Gamma_alpha``.
 """
@@ -40,7 +40,7 @@ import numpy as np
 
 from ..baselines.gemm import conv2d_gemm
 from ..obs import counter_add, span
-from .cache import get_executable, global_cache
+from .cache import get_executable
 from .executable import (
     DEFAULT_WORKSPACE_BYTES,
     ConvExecutable,
@@ -58,9 +58,9 @@ __all__ = [
     "legacy_forced",
 ]
 
-#: Thread-local degradation flag: set by :func:`force_legacy`, honoured by
-#: :func:`convolve`.  Thread-local (not process-wide) so a server degrading
-#: one batch does not slow the batches other workers are executing.
+#: Thread-local reference-path flag: set by :func:`force_legacy`, honoured
+#: by :func:`convolve`.  Thread-local (not process-wide) so an oracle
+#: computed on one thread does not reroute calls other threads make.
 _DEGRADED = threading.local()
 
 
@@ -75,9 +75,10 @@ def force_legacy() -> Iterator[None]:
 
     The interpreted reference implementation shares no compiled state with
     the runtime (no executable cache, no filter-transform cache, no
-    workspace), so it stays available even when a compiled executable is
-    failing — the serving layer's graceful-degradation contract.  Nestable
-    and exception-safe; counts ``runtime.degraded.calls`` per bypassed call.
+    workspace), which is what makes it an independent oracle for the
+    compiled path.  Frozen strided convs do not go through
+    :func:`convolve` and so ignore the scope.  Nestable and
+    exception-safe; counts ``runtime.degraded.calls`` per bypassed call.
     """
     prev = getattr(_DEGRADED, "on", False)
     _DEGRADED.on = True
@@ -87,20 +88,14 @@ def force_legacy() -> Iterator[None]:
         _DEGRADED.on = prev
 
 
-def configure(
-    *,
-    workspace_bytes: int | None = None,
-    cache_capacity: int | None = None,
-) -> None:
+def configure(*, workspace_bytes: int | None = None) -> None:
     """Adjust the process-wide runtime settings.
 
     ``workspace_bytes`` sets the chunk budget of every call that names
-    none (an integer >= 1); ``cache_capacity`` resizes the executable LRU.
+    none (an integer >= 1).
     """
     if workspace_bytes is not None:
         set_workspace_bytes(workspace_bytes)
-    if cache_capacity is not None:
-        global_cache().resize(cache_capacity)
 
 
 def convolve(
@@ -136,8 +131,7 @@ def convolve(
 
     Inside a :func:`force_legacy` scope the call bypasses the compiled
     executable and runs the interpreted reference path instead (same bits,
-    none of the cached state) — the degradation hatch the serving layer
-    uses when a compiled executable raises.
+    none of the cached state).
     """
     if legacy_forced():
         if workspace_bytes is not None:

@@ -99,7 +99,7 @@ _ARENA = threading.local()
 
 #: Default per-chunk budget for a segment's intermediates (gathered region,
 #: V, M, output transform), as estimated per image by
-#: ``ConvExecutable.per_row_workspace_bytes``.  Each segment streams through
+#: ``ConvExecutable._row_bytes``.  Each segment streams through
 #: chunks of whole row blocks that fit it, never less than one block, in a
 #: per-thread workspace reused across chunks and calls; so the budget bounds
 #: what each thread retains, not only what one call touches.  2 MiB was
@@ -450,17 +450,6 @@ class ConvExecutable:
             for task in tasks:
                 self._run_task(task, x, y, get_bundle)
         return y
-
-    def per_row_workspace_bytes(self) -> int:
-        """Peak per-batch-row intermediate footprint across segments.
-
-        The same estimate :meth:`_tasks` uses to split a batch into
-        workspace chunks (gathered region + V + P + m and the output slice
-        of the widest Winograd segment), exposed so admission layers — the
-        serving batcher's workspace-budget flush trigger — can reason about
-        how many coalesced rows one dispatch of this executable costs.
-        """
-        return max(self._row_bytes(st) for st in self._states)
 
     def _row_bytes(self, st: _WinogradSegment | _GemmSegment) -> int:
         """Per-batch-row intermediate bytes of one segment.

@@ -25,15 +25,15 @@ Sixty-second tour::
 
     asyncio.run(main())
 
-``python -m repro.serve http`` starts the JSON-over-HTTP endpoint;
-``python -m repro.serve loadgen`` runs an in-process open/closed-loop
-benchmark with p50/p95/p99 latency and the batch-size histogram.
+``python -m repro.serve http`` starts the JSON-over-HTTP endpoint.  Load
+against it is measured by ``perfbench`` (its ``serve-open`` and
+``http-closed`` workloads), not from inside this package.
 
 Robustness contract (asserted in ``tests/test_serve_scheduler.py``): a
 full queue rejects (`QueueFull`, HTTP 429), deadlines fail loudly
-(`DeadlineExceeded`, 504), and a failing compiled executable degrades the
-batch to the interpreted legacy path (``serve.degraded``) without losing
-the response.  All of it is observable through ``serve.*`` obs counters,
+(`DeadlineExceeded`, 504), and a batch whose forward raises fails each of
+its requests with that exception (HTTP 500) while the service keeps
+serving.  All of it is observable through ``serve.*`` obs counters,
 histograms and trace spans.
 
 Production telemetry (``tests/test_serve_telemetry.py``), on while
@@ -58,13 +58,6 @@ from .errors import (
     ServiceStopped,
 )
 from .httpfront import JsonHttpServer
-from .loadgen import (
-    LoadgenResult,
-    closed_loop,
-    open_loop,
-    percentile,
-    seeded_input_fn,
-)
 from .registry import MODEL_BUILDERS, ModelRegistry, RegisteredModel
 from .scheduler import Scheduler, SchedulerConfig, SchedulerStats
 from .service import InferenceService
@@ -78,7 +71,6 @@ __all__ = [
     "DynamicBatcher",
     "InferenceService",
     "JsonHttpServer",
-    "LoadgenResult",
     "MODEL_BUILDERS",
     "ModelNotFound",
     "ModelRegistry",
@@ -93,8 +85,4 @@ __all__ = [
     "SchedulerStats",
     "ServeError",
     "ServiceStopped",
-    "closed_loop",
-    "open_loop",
-    "percentile",
-    "seeded_input_fn",
 ]

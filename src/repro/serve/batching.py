@@ -1,4 +1,4 @@
-"""Dynamic batching: bucket pending requests, flush on size/delay/workspace.
+"""Dynamic batching: bucket pending requests, flush on size/delay/deadline.
 
 The paper's throughput argument is batch-shaped — §4.1's grid blocking
 quantizes work into fixed-size tiles and waves, so a dispatch that does not
@@ -11,7 +11,7 @@ concurrent requests of the same *input signature* into one NHWC batch so a
 single dispatch amortizes the setup across all of them.
 
 Pure data structure: the asyncio scheduler owns time and execution; this
-module only decides *what forms a batch and when*.  Four flush triggers,
+module only decides *what forms a batch and when*.  Three flush triggers,
 checked per bucket:
 
 ``max_batch_size``
@@ -19,10 +19,6 @@ checked per bucket:
 ``max_queue_delay_ms``
     The oldest request may wait at most this long before its bucket
     flushes regardless of fill — the latency/throughput knob.
-``max_workspace_bytes``
-    Budget on ``rows x per_row_workspace_bytes`` per dispatch (the
-    registry measures per-row bytes from the warmed executables), capping
-    coalescing for large-activation models before memory does.
 deadline pressure (``predicted_batch_ns``)
     When the owner supplies a batch quote (the registry's latest measured
     wallclock of a batch that size), a bucket holding deadlined requests
@@ -64,7 +60,6 @@ class BatchPolicy:
 
     max_batch_size: int = 8
     max_queue_delay_ms: float = 2.0
-    max_workspace_bytes: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_batch_size < 1:
@@ -73,10 +68,6 @@ class BatchPolicy:
         if not (math.isfinite(self.max_queue_delay_ms) and self.max_queue_delay_ms >= 0):
             raise ValueError(
                 f"max_queue_delay_ms must be finite and >= 0, got {self.max_queue_delay_ms}"
-            )
-        if self.max_workspace_bytes is not None and self.max_workspace_bytes < 1:
-            raise ValueError(
-                f"max_workspace_bytes must be >= 1, got {self.max_workspace_bytes}"
             )
 
 
@@ -168,36 +159,21 @@ class _Bucket:
 
 
 class DynamicBatcher:
-    """Signature-bucketed request store with size/delay/workspace flushing."""
+    """Signature-bucketed request store with size/delay/deadline flushing."""
 
     def __init__(
         self,
         policy: BatchPolicy | None = None,
         *,
-        per_row_bytes: Callable[[str], int] | None = None,
         predicted_batch_ns: Callable[[str, int], float] | None = None,
     ) -> None:
         self.policy = policy if policy is not None else BatchPolicy()
-        # Model name -> measured per-row workspace (the registry's warmup
-        # number); absent/zero disables the workspace trigger for that model.
-        self._per_row_bytes = per_row_bytes
         # (model, rows) -> quoted dispatch ns (the registry's measured batch
         # times); absent disables the deadline-pressure trigger.
         self._predicted_batch_ns = predicted_batch_ns
         self._buckets: "OrderedDict[BucketKey, _Bucket]" = OrderedDict()
 
-    # -- capacity ------------------------------------------------------------
-
-    def max_rows_for(self, model: str) -> int:
-        """Row cap per batch: ``max_batch_size`` tightened by the budget."""
-        cap = self.policy.max_batch_size
-        per_row = 0
-        if self._per_row_bytes is not None:
-            per_row = self._per_row_bytes(model)
-        budget = self.policy.max_workspace_bytes
-        if budget is not None and per_row > 0:
-            cap = min(cap, max(1, budget // per_row))
-        return cap
+    # -- quotes --------------------------------------------------------------
 
     def predicted_ns(self, model: str, rows: int) -> float:
         """Quote for dispatching ``rows`` now (0.0 = no quote)."""
@@ -223,7 +199,7 @@ class DynamicBatcher:
         if bucket is None:
             bucket = self._buckets[req.key] = _Bucket(req.key)
         bucket.pending.append(req)
-        return bucket.rows >= self.max_rows_for(req.model)
+        return bucket.rows >= self.policy.max_batch_size
 
     def expire(self, now: float) -> list[PendingRequest]:
         """Remove and return every queued request whose deadline passed."""
@@ -249,7 +225,7 @@ class DynamicBatcher:
         delay_s = self.policy.max_queue_delay_ms / 1e3
         out: list[Batch] = []
         for bucket in self._buckets.values():
-            cap = self.max_rows_for(bucket.key[0])
+            cap = self.policy.max_batch_size
             overdue = (
                 bucket.oldest_at is not None and now - bucket.oldest_at >= delay_s
             )
@@ -278,7 +254,7 @@ class DynamicBatcher:
         """Flush everything immediately (scheduler stop with drain)."""
         out: list[Batch] = []
         for bucket in self._buckets.values():
-            cap = self.max_rows_for(bucket.key[0])
+            cap = self.policy.max_batch_size
             while bucket.pending:
                 taken = [bucket.pending.pop(0)]
                 rows = taken[0].nrows
@@ -320,7 +296,7 @@ class DynamicBatcher:
                 continue
             times.extend(deadlines)
             if self._predicted_batch_ns is not None:
-                cap = self.max_rows_for(b.key[0])
+                cap = self.policy.max_batch_size
                 cost_s = self.predicted_ns(b.key[0], min(b.rows, cap)) * 1e-9
                 times.append(min(deadlines) - cost_s)
         return min(times) if times else None

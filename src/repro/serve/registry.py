@@ -17,9 +17,6 @@ request arrives:
   the first real request does no set-up work, and each conv then reports
   the engine the rule ran it on (``winograd_convs`` counts those that ran
   Winograd);
-* measures the model's **per-row workspace** from the executables the
-  warmup resolved (:meth:`~repro.runtime.executable.ConvExecutable.per_row_workspace_bytes`),
-  which the dynamic batcher's workspace-budget flush trigger consumes;
 * seeds the model's **batch quote** with the warm-up's wallclock.  Every
   batch the scheduler executes then records its own measured time, and
   :meth:`RegisteredModel.predicted_batch_ns` quotes from those records;
@@ -66,11 +63,6 @@ __all__ = [
     "padded_rows",
 ]
 
-#: Heuristic per-row workspace when warmup resolved no *new* executables
-#: (another model of the same geometry warmed the cache first): a deep CNN
-#: holds a few dozen activation maps of roughly input size in flight.
-_FALLBACK_WORKSPACE_FACTOR = 64
-
 #: Named architectures :meth:`ModelRegistry.register` can build directly.
 MODEL_BUILDERS: dict[str, Callable[..., Module]] = {
     "resnet18": resnet18,
@@ -115,7 +107,6 @@ class RegisteredModel:
     winograd_convs: int = 0
     total_convs: int = 0
     executables_resolved: int = 0
-    per_row_workspace_bytes: int = 0
     warmup_ms: float = 0.0
     #: Latest measured wallclock ns of one served batch, by row count.
     _batch_ns: dict[int, float] = field(default_factory=dict, repr=False)
@@ -194,7 +185,6 @@ class RegisteredModel:
             "winograd_convs": self.winograd_convs,
             "total_convs": self.total_convs,
             "executables_resolved": self.executables_resolved,
-            "per_row_workspace_bytes": self.per_row_workspace_bytes,
             "warmup_ms": self.warmup_ms,
             "parameters": self.model.num_parameters(),
         }
@@ -273,29 +263,19 @@ class ModelRegistry:
         One forward per registered input shape: the executable cache takes
         the plan and transform misses, each frozen conv builds its filter
         operands (one ``runtime.filter_cache.misses`` per unit-stride conv
-        and input width), and the executables the pass resolved (Winograd
-        and GEMM alike) yield the measured per-row workspace.  The pass's
-        wallclock seeds the one-row batch quote: it is a cold forward, so
-        it overstates a warm one until the first one-row batch replaces it.
+        and input width), and ``executables_resolved`` counts the
+        executables the pass added to the cache.  The pass's wallclock
+        seeds the one-row batch quote: it is a cold forward, so it
+        overstates a warm one until the first one-row batch replaces it.
         """
         before = {id(e) for e in runtime.global_cache().executables()}
         t0 = time.perf_counter()
-        per_row_floor = 0
         for h, w, c in entry.input_shapes:
-            zeros = np.zeros((1, h, w, c), dtype=entry.dtype)
-            entry.infer_rows(zeros)
-            per_row_floor = max(per_row_floor, zeros[0].nbytes)
+            entry.infer_rows(np.zeros((1, h, w, c), dtype=entry.dtype))
         entry.warmup_ms = (time.perf_counter() - t0) * 1e3
         entry.record_batch_ns(1, entry.warmup_ms * 1e6)
-        fresh = [
-            e for e in runtime.global_cache().executables() if id(e) not in before
-        ]
-        entry.executables_resolved = len(fresh)
-        entry.per_row_workspace_bytes = max(
-            (e.per_row_workspace_bytes() for e in fresh),
-            # Warm cache (a same-geometry model registered first): fall back
-            # to a documented input-scaled heuristic.
-            default=per_row_floor * _FALLBACK_WORKSPACE_FACTOR,
+        entry.executables_resolved = sum(
+            1 for e in runtime.global_cache().executables() if id(e) not in before
         )
         counter_add("serve.warmup.executables", entry.executables_resolved)
 

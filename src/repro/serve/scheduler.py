@@ -1,4 +1,4 @@
-"""Async scheduler: bounded admission, deadlines, graceful degradation.
+"""Async scheduler: bounded admission, deadlines, failure fan-out.
 
 The robustness contract, in order of a request's life:
 
@@ -11,12 +11,11 @@ The robustness contract, in order of a request's life:
   deadline passes before their batch dispatches, fail with
   :class:`~repro.serve.errors.DeadlineExceeded`; ``serve.expired`` counts
   them.  A deadline is a promise to the client, not a hint.
-* **Graceful degradation** — if the batch's forward pass raises out of the
-  compiled runtime, the batch is replayed once under
-  :func:`repro.runtime.force_legacy` (the interpreted reference path,
-  bit-identical, no shared compiled state); ``serve.degraded`` counts the
-  fallbacks.  Only if the legacy path also fails does the error reach the
-  clients of that batch.
+* **Failure fan-out** — if the batch's forward pass raises, that
+  exception reaches every request of the batch (``failed`` in the stats;
+  HTTP 500 through the service) and the scheduler goes on serving the
+  next batch.  There is no replay on another path: a replay would rerun
+  the same non-conv layers and could hide a fault in the compiled one.
 
 Execution happens on one worker thread via ``run_in_executor`` so the
 event loop keeps admitting and rejecting while NumPy/BLAS crunches (BLAS
@@ -49,7 +48,6 @@ from ..obs import (
 )
 from ..obs.slo import SLOConfig, SLOStatus, SLOTracker
 from ..obs.telemetry import TraceContext
-from ..runtime import force_legacy
 from .batching import Batch, BatchPolicy, DynamicBatcher, PendingRequest
 from .errors import BadRequest, DeadlineExceeded, QueueFull, ServiceStopped
 from .registry import ModelRegistry
@@ -107,7 +105,6 @@ class SchedulerStats:
     expired: int = 0
     failed: int = 0
     batches: int = 0
-    degraded_batches: int = 0
     max_queue_depth_seen: int = 0
     latency_ms_sum: float = 0.0
     latency_ms_max: float = 0.0
@@ -152,7 +149,6 @@ class SchedulerStats:
             "expired": self.expired,
             "failed": self.failed,
             "batches": self.batches,
-            "degraded_batches": self.degraded_batches,
             "max_queue_depth_seen": self.max_queue_depth_seen,
             "mean_latency_ms": self.mean_latency_ms,
             "max_latency_ms": self.latency_ms_max,
@@ -181,7 +177,6 @@ class Scheduler:
         self.config = config if config is not None else SchedulerConfig()
         self._batcher = DynamicBatcher(
             self.config.policy,
-            per_row_bytes=lambda model: registry.get(model).per_row_workspace_bytes,
             predicted_batch_ns=lambda model, rows: registry.get(model).predicted_batch_ns(rows),
         )
         self._stats = SchedulerStats()
@@ -416,7 +411,7 @@ class Scheduler:
                 req.future.set_result(part)
 
     def _execute(self, batch: Batch, bid: int = 0) -> np.ndarray:
-        """Worker-thread body: one forward pass, legacy fallback on failure."""
+        """Worker-thread body: one forward pass; its exception propagates."""
         entry = self.registry.get(batch.key[0])
         stacked = batch.stacked()
         # The batch is its own trace: N request traces fan *in* to it, so it
@@ -445,18 +440,7 @@ class Scheduler:
                     queued_ms=round((time.monotonic() - req.enqueued_at) * 1e3, 3),
                 ):
                     pass
-            try:
-                out = entry.infer_rows(stacked)
-            except Exception:
-                # Compiled-path failure: replay the whole batch on the
-                # interpreted reference path (shares none of the compiled
-                # state).  If this also raises, the batch truly fails.
-                with self._stats_lock:
-                    self._stats.degraded_batches += 1
-                counter_add("serve.degraded", model=batch.key[0])
-                bspan.set(degraded=True)
-                with span("serve.batch.degraded", model=batch.key[0]), force_legacy():
-                    out = entry.infer_rows(stacked)
+            out = entry.infer_rows(stacked)
         measured_ns = float(time.perf_counter_ns() - t0)
         entry.record_batch_ns(batch.rows, measured_ns)
         self._record_batch_cost(batch, measured_ns)
@@ -578,7 +562,6 @@ class Scheduler:
                 expired=self._stats.expired,
                 failed=self._stats.failed,
                 batches=self._stats.batches,
-                degraded_batches=self._stats.degraded_batches,
                 max_queue_depth_seen=self._stats.max_queue_depth_seen,
                 latency_ms_sum=self._stats.latency_ms_sum,
                 latency_ms_max=self._stats.latency_ms_max,

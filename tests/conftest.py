@@ -48,3 +48,29 @@ def admitted(service, n: int) -> asyncio.Event:
 
     batcher.add = counting_add
     return event
+
+
+def seeded_inputs(entry, n: int, *, seed: int = 0) -> list[np.ndarray]:
+    """``n`` request payloads for a registered model; payload ``i`` is seeded
+    from ``(seed, i)``, so two runs see the same payloads in the same order."""
+    h, w, c = entry.input_shapes[0]
+    return [
+        np.random.default_rng((seed, i)).standard_normal((h, w, c)).astype(entry.dtype)
+        for i in range(n)
+    ]
+
+
+async def infer_all(service, model: str, xs, *, concurrency: int, **kw) -> list:
+    """Send every payload of ``xs`` to ``service`` with at most
+    ``concurrency`` requests in flight.
+
+    Returns each request's output, or the exception it raised, in ``xs``
+    order; ``kw`` (``timeout_ms``) goes to every ``service.infer`` call.
+    """
+    gate = asyncio.Semaphore(concurrency)
+
+    async def one(x):
+        async with gate:
+            return await service.infer(model, x, **kw)
+
+    return await asyncio.gather(*(one(x) for x in xs), return_exceptions=True)

@@ -199,19 +199,6 @@ class TestRecordingScopes:
         assert obs.get_tracer().trace_ids() == []
 
 
-class TestQueueExecuteSplit:
-    def test_sums_scheduler_spans_per_trace(self):
-        tracer = Tracer()
-        tracer.record(_span("serve.request", t0=0.0, t1=1.0))
-        tracer.record(_span("serve.queued", span_id="q" * 16, t0=0.0, t1=0.25))
-        tracer.record(_span("serve.batched", span_id="b" * 16, t0=0.25, t1=1.0))
-        other = "e" * 32
-        tracer.record(_span("unrelated", trace_id=other, span_id="u" * 16))
-        split = telemetry.queue_execute_split([TRACE, other, "f" * 32], tracer)
-        assert split["queued_ms"] == [pytest.approx(250.0)]
-        assert split["execute_ms"] == [pytest.approx(750.0)]
-
-
 # --------------------------------------------------------------------------
 # Chrome-trace export: request rows, flow events, stable thread tids
 # --------------------------------------------------------------------------
@@ -578,13 +565,15 @@ class TestSLOCli:
         doc = _json.loads(capsys.readouterr().out)
         assert doc["fast_burn"] is True and doc["bad"] == 10
 
-    def test_cli_reads_loadgen_document(self, tmp_path):
+    def test_cli_reads_latency_object(self, tmp_path, capsys):
         import json as _json
 
-        doc = {"batched": {"latencies_ms": [1.0, 2.0], "errors": {"rejected": 0}}}
-        sample = tmp_path / "loadgen.json"
+        doc = {"latencies_ms": [1.0, 2.0, 3.0, 4.0], "errors": {"rejected": 1}}
+        sample = tmp_path / "sample.json"
         sample.write_text(_json.dumps(doc))
-        assert slo_main([str(sample), "--target-ms", "100"]) == 0
+        assert slo_main([str(sample), "--target-ms", "100", "--json"]) == 1
+        out = _json.loads(capsys.readouterr().out)
+        assert (out["good"], out["bad"]) == (4, 1)
 
     def test_cli_demo_smoke(self, capsys):
         assert slo_main(["--demo"]) == 0

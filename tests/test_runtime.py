@@ -154,7 +154,7 @@ class TestPlanCache:
         assert (s.misses, s.hits) == (3, 0)
 
     def test_bounded_eviction(self, rng):
-        configure(cache_capacity=2)
+        global_cache().resize(2)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         for iw in (12, 13, 14):
             x = rng.standard_normal((1, 5, iw, 3)).astype(np.float32)

@@ -88,7 +88,6 @@ class TestRegistry:
         entry = reg.register("r18", arch="resnet18", width_mult=WINO_WIDTH)
         assert 0 < entry.winograd_convs < entry.total_convs
         assert entry.executables_resolved > 0
-        assert entry.per_row_workspace_bytes > 0
         assert entry.warmup_ms > 0
         assert "r18" in reg and len(reg) == 1
         desc = entry.describe()
@@ -246,7 +245,6 @@ class TestBatchPolicy:
             {"max_queue_delay_ms": -1.0},
             {"max_queue_delay_ms": float("nan")},
             {"max_queue_delay_ms": float("inf")},
-            {"max_workspace_bytes": 0},
         ],
     )
     def test_validation(self, kw):
@@ -294,17 +292,6 @@ class TestDynamicBatcher:
         b.add(_request("other", np.zeros((1, 8, 8, 3), np.float32)))  # other model
         assert len(list(b.buckets())) == 3
         assert b.take_ready(now=0.0) == []  # nothing full, nothing overdue
-
-    def test_workspace_budget_caps_rows(self):
-        policy = BatchPolicy(
-            max_batch_size=8, max_queue_delay_ms=1e6, max_workspace_bytes=250
-        )
-        b = DynamicBatcher(policy, per_row_bytes=lambda model: 100)
-        assert b.max_rows_for("m") == 2
-        for _ in range(4):
-            b.add(_request("m", self.ROW))
-        batches = b.take_ready(now=0.0)
-        assert [batch.rows for batch in batches] == [2, 2]
 
     def test_multirow_request_never_splits(self):
         b = DynamicBatcher(BatchPolicy(max_batch_size=2, max_queue_delay_ms=0.0))

@@ -13,7 +13,7 @@ import pytest
 
 from repro import obs, runtime
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
-from repro.serve import BatchPolicy, InferenceService, SchedulerConfig, closed_loop
+from repro.serve import BatchPolicy, InferenceService, SchedulerConfig
 from repro.serve.batching import DynamicBatcher, PendingRequest
 from repro.serve.registry import RegisteredModel
 
@@ -259,27 +259,3 @@ class TestSchedulerBatchCost:
 
         mutated, fresh = asyncio.run(scenario())
         assert fresh.cost_batches == mutated.cost_batches - 100  # ... not the source
-
-class TestLoadgenBatchCost:
-    def test_result_carries_run_scoped_cost_summary(self):
-        async def scenario():
-            service = _service(
-                policy=BatchPolicy(max_batch_size=4, max_queue_delay_ms=1.0),
-                default_timeout_ms=None,
-            )
-            async with service:
-                first = await closed_loop(service, "net", requests=8, concurrency=4)
-                second = await closed_loop(service, "net", requests=8, concurrency=4)
-                return first, second, service.scheduler.stats()
-
-        first, second, stats = asyncio.run(scenario())
-        for result in (first, second):
-            assert result.batch_cost["count"] > 0
-            assert result.batch_cost["measured_ms_sum"] > 0.0
-            assert result.batch_cost["mean_abs_error_pct"] >= 0.0
-        # Run-scoped, not cumulative: the two runs' counts add up to the
-        # scheduler's total instead of double counting.
-        total = first.batch_cost["count"] + second.batch_cost["count"]
-        assert total == stats.cost_batches
-        assert "batch cost:" in first.report()
-        assert "batch_cost" in first.as_dict()

@@ -1,11 +1,11 @@
-"""Tests for the serving control plane: scheduler, HTTP face, loadgen.
+"""Tests for the serving control plane: scheduler, HTTP face, concurrent clients.
 
-The robustness contract under test (the module docstrings promise it, the
-ISSUE acceptance criteria demand it): a full queue **rejects** with
-:class:`QueueFull` instead of hanging or dropping, deadlines fail loudly
-with :class:`DeadlineExceeded`, and an injected compiled-executable
-failure **degrades** the batch to the interpreted legacy path and still
-answers — all observable through ``serve.*`` counters.
+The robustness contract under test (the module docstrings promise it): a
+full queue **rejects** with :class:`QueueFull` instead of hanging or
+dropping, deadlines fail loudly with :class:`DeadlineExceeded`, and a
+forward that raises **fails** every request of its batch with that
+exception (HTTP 500) while the service goes on serving — all observable
+through ``serve.*`` counters and the scheduler's stats.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import pytest
 from repro import obs, runtime
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
-from repro.runtime.executable import ConvExecutable
 from repro.serve import (
     BadRequest,
     BatchPolicy,
@@ -29,20 +28,13 @@ from repro.serve import (
     QueueFull,
     SchedulerConfig,
     ServiceStopped,
-    closed_loop,
-    open_loop,
-    percentile,
-    seeded_input_fn,
 )
 from repro.serve.httpfront import MAX_BODY_BYTES
 
-from .conftest import admitted
+from .conftest import admitted, infer_all, seeded_inputs
 
 ARCH = "resnet18"
 WIDTH = 0.125
-#: A width at which the engine rule keeps layer3-4 on Winograd (at WIDTH
-#: every conv runs GEMM and no compiled executable is called).
-WINO_WIDTH = 0.5
 IMAGE = 32
 
 
@@ -62,9 +54,9 @@ def _counter_total(name: str) -> float:
     return metric.total() if metric is not None else 0.0
 
 
-def _service(width_mult: float = WIDTH, **config_kw) -> InferenceService:
+def _service(**config_kw) -> InferenceService:
     service = InferenceService(config=SchedulerConfig(**config_kw))
-    service.registry.register("net", arch=ARCH, width_mult=width_mult, image=IMAGE)
+    service.registry.register("net", arch=ARCH, width_mult=WIDTH, image=IMAGE)
     return service
 
 
@@ -74,6 +66,28 @@ def _x(seed: int = 0) -> np.ndarray:
         .standard_normal((IMAGE, IMAGE, 3))
         .astype(np.float32)
     )
+
+
+async def _roundtrip(reader, writer, method, path, body=None):
+    if body is None or isinstance(body, bytes):
+        data = body or b""
+    else:
+        data = json.dumps(body).encode()
+    writer.write(
+        f"{method} {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n\r\n".encode()
+        + data
+    )
+    await writer.drain()
+    status_line = (await reader.readline()).decode()
+    length = 0
+    while True:
+        header = await reader.readline()
+        if header in (b"\r\n", b""):
+            break
+        if header.lower().startswith(b"content-length"):
+            length = int(header.split(b":")[1])
+    payload = json.loads(await reader.readexactly(length))
+    return int(status_line.split()[1]), payload
 
 
 class TestAdmissionControl:
@@ -151,14 +165,14 @@ class TestAdmissionControl:
                 assert gate.wait(30.0), "forward never released"
                 return forward(rows, **kw)
 
-            fn = seeded_input_fn(entry)
+            xs = seeded_inputs(entry, 6)
             async with service:
                 monkeypatch.setattr(entry, "infer_rows", blocked)
                 loop = asyncio.get_running_loop()
-                first = [asyncio.ensure_future(service.infer("net", fn(i))) for i in range(4)]
+                first = [asyncio.ensure_future(service.infer("net", xs[i])) for i in range(4)]
                 assert await loop.run_in_executor(None, started.wait, 30.0)
                 queued = admitted(service, 2)
-                rest = [asyncio.ensure_future(service.infer("net", fn(i))) for i in (4, 5)]
+                rest = [asyncio.ensure_future(service.infer("net", xs[i])) for i in (4, 5)]
                 await queued.wait()
                 stopping = asyncio.ensure_future(service.scheduler.stop(drain=drain))
                 # Runs after the stop task's first step: the scheduler is
@@ -183,13 +197,10 @@ class TestAdmissionControl:
 
         async def scenario():
             service = _service(policy=BatchPolicy(max_batch_size=4))
-            fn = seeded_input_fn(service.registry.get("net"))
+            xs = seeded_inputs(service.registry.get("net"), 6)
             async with service:
                 all_admitted = admitted(service, 6)
-                pending = [
-                    asyncio.ensure_future(service.infer("net", fn(rid)))
-                    for rid in range(6)
-                ]
+                pending = [asyncio.ensure_future(service.infer("net", x)) for x in xs]
                 await all_admitted.wait()
                 await asyncio.gather(service.stop(), service.stop(), service.stop())
                 results = await asyncio.gather(*pending, return_exceptions=True)
@@ -263,91 +274,64 @@ class TestDeadlines:
         assert stats.expired == 0 and stats.completed == 1
 
 
-class TestGracefulDegradation:
-    def test_executable_failure_degrades_to_legacy(self, monkeypatch):
+class TestFailurePath:
+    def test_failed_batch_fails_each_request(self, monkeypatch):
+        """A forward that raises after warm-up fails every request of its
+        batch with that exception and leaves no future pending; the stats
+        count the requests as failed, ``POST /v1/infer`` answers 500 with
+        a JSON body, and the next request succeeds once the forward works
+        again."""
+
         async def scenario():
             service = _service(
-                WINO_WIDTH,
                 policy=BatchPolicy(max_batch_size=4, max_queue_delay_ms=2.0),
                 default_timeout_ms=30_000.0,
             )
             entry = service.registry.get("net")
-            assert entry.winograd_convs > 0
-            xs = [_x(i) for i in range(3)]
-            with runtime.force_legacy():
-                want = [entry.infer_rows(x[None])[0] for x in xs]
-
-            def boom(self, *a, **kw):
-                raise RuntimeError("injected executable failure")
-
-            with obs.capture():
-                async with service:
-                    # Break every compiled executable *after* warmup: the
-                    # compiled path now raises and the scheduler must replay
-                    # on the interpreted legacy path.
-                    monkeypatch.setattr(ConvExecutable, "__call__", boom)
-                    got = await asyncio.gather(
-                        *(service.infer("net", x) for x in xs)
-                    )
-                degraded = _counter_total("serve.degraded")
-                legacy_calls = _counter_total("runtime.degraded.calls")
-            return got, want, degraded, legacy_calls, service.scheduler.stats()
-
-        got, want, degraded, legacy_calls, stats = asyncio.run(scenario())
-        assert stats.completed == 3 and stats.failed == 0
-        assert stats.degraded_batches >= 1
-        assert degraded == stats.degraded_batches
-        assert legacy_calls >= stats.degraded_batches  # convs replayed legacy
-        for y, ref in zip(got, want):
-            np.testing.assert_array_equal(y, ref)
-
-    def test_double_failure_reaches_client(self, monkeypatch):
-        async def scenario():
-            service = _service(default_timeout_ms=30_000.0)
-            entry = service.registry.get("net")
+            xs = seeded_inputs(entry, 4)
+            want = entry.infer_rows(xs[0][None])[0]
 
             def boom(rows, **kw):
-                raise RuntimeError("model is broken either way")
+                raise RuntimeError("injected forward failure")
 
             async with service:
                 monkeypatch.setattr(entry, "infer_rows", boom)
-                with pytest.raises(RuntimeError, match="broken either way"):
-                    await service.infer("net", _x())
-            return service.scheduler.stats()
+                results = await asyncio.wait_for(
+                    infer_all(service, "net", xs, concurrency=4), timeout=30.0
+                )
+                failed = service.scheduler.stats()
+                host, port = await service.serve_http("127.0.0.1", 0)
+                reader, writer = await asyncio.open_connection(host, port)
+                http = await _roundtrip(
+                    reader, writer, "POST", "/v1/infer",
+                    {"model": "net", "inputs": xs[0].tolist()},
+                )
+                writer.close()
+                monkeypatch.undo()
+                y = await service.infer("net", xs[0])
+                left = service.scheduler.queue_depth
+            return results, failed, http, y, want, left
 
-        stats = asyncio.run(scenario())
-        assert stats.failed == 1 and stats.completed == 0
+        results, failed, (status, body), y, want, left = asyncio.run(scenario())
+        assert all(
+            isinstance(r, RuntimeError) and str(r) == "injected forward failure"
+            for r in results
+        )
+        assert failed.failed == 4 and failed.completed == 0
+        assert status == 500
+        assert body == {"error": "injected forward failure", "kind": "RuntimeError"}
+        assert left == 0
+        np.testing.assert_array_equal(y, want)
 
 
 class TestHttpEndpoint:
-    async def _roundtrip(self, reader, writer, method, path, body=None):
-        if body is None or isinstance(body, bytes):
-            data = body or b""
-        else:
-            data = json.dumps(body).encode()
-        writer.write(
-            f"{method} {path} HTTP/1.1\r\nContent-Length: {len(data)}\r\n\r\n".encode()
-            + data
-        )
-        await writer.drain()
-        status_line = (await reader.readline()).decode()
-        length = 0
-        while True:
-            header = await reader.readline()
-            if header in (b"\r\n", b""):
-                break
-            if header.lower().startswith(b"content-length"):
-                length = int(header.split(b":")[1])
-        payload = json.loads(await reader.readexactly(length))
-        return int(status_line.split()[1]), payload
-
     def test_routes_and_error_mapping(self):
         async def scenario():
             service = _service(default_timeout_ms=30_000.0)
             async with service:
                 host, port = await service.serve_http("127.0.0.1", 0)
                 reader, writer = await asyncio.open_connection(host, port)
-                rt = self._roundtrip
+                rt = _roundtrip
 
                 status, body = await rt(reader, writer, "GET", "/healthz")
                 assert (status, body) == (200, {"status": "ok"})
@@ -394,7 +378,7 @@ class TestHttpEndpoint:
                 want = await service.infer("net", x)
                 host, port = await service.serve_http("127.0.0.1", 0)
                 reader, writer = await asyncio.open_connection(host, port)
-                status, body = await self._roundtrip(
+                status, body = await _roundtrip(
                     reader, writer, "POST", "/v1/infer",
                     {"model": "net", "inputs": x.tolist()},
                 )
@@ -458,7 +442,7 @@ class TestHttpEndpoint:
                     await service.infer("net", x, timeout_ms=timeout_ms)
                 host, port = await service.serve_http("127.0.0.1", 0)
                 reader, writer = await asyncio.open_connection(host, port)
-                got = await self._roundtrip(
+                got = await _roundtrip(
                     reader, writer, "POST", "/v1/infer",
                     {"model": "net", "inputs": x.tolist(), "timeout_ms": timeout_ms},
                 )
@@ -495,7 +479,7 @@ class TestHttpEndpoint:
             async with service:
                 host, port = await service.serve_http("127.0.0.1", 0)
                 reader, writer = await asyncio.open_connection(host, port)
-                got = await self._roundtrip(reader, writer, "POST", "/v1/infer", body)
+                got = await _roundtrip(reader, writer, "POST", "/v1/infer", body)
                 writer.close()
                 left = service.scheduler.queue_depth
             return got, left, service.scheduler.stats()
@@ -518,69 +502,49 @@ class TestHttpEndpoint:
         assert reply.count(b"HTTP/1.1 ") == 1
 
 
-class TestLoadgen:
-    def test_percentile_nearest_rank(self):
-        assert percentile([], 50) == 0.0
-        values = [5.0, 1.0, 3.0, 2.0, 4.0]
-        assert percentile(values, 50) == 3.0
-        assert percentile(values, 99) == 5.0
-        assert percentile(values, 0) == 1.0
+class TestConcurrentClients:
+    def test_batched_outputs_match_batch_one(self):
+        """48 requests from 16 concurrent clients coalesce into batches of
+        at most 8 rows, and every response equals a batch-1 forward of the
+        same payload bit for bit."""
 
-    def test_closed_loop_smoke_and_bit_identity(self):
         async def scenario():
             service = _service(
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=2.0),
                 default_timeout_ms=30_000.0,
             )
+            xs = seeded_inputs(service.registry.get("net"), 48)
             async with service:
-                return await closed_loop(
-                    service, "net", requests=48, concurrency=16, collect_outputs=True
-                ), service
+                got = await infer_all(service, "net", xs, concurrency=16)
+            return service, xs, got
 
-        result, service = asyncio.run(scenario())
-        assert result.completed == 48 and not result.errors
-        assert result.requests_per_sec > 0
+        service, xs, got = asyncio.run(scenario())
+        stats = service.scheduler.stats()
+        assert stats.completed == 48 and stats.failed == stats.expired == 0
         # Batch histogram counts rows, one per request here.
-        assert sum(s * n for s, n in result.batch_size_histogram.items()) == 48
-        assert max(result.batch_size_histogram) <= 8
-        d = result.as_dict()
-        assert set(d["latency_ms"]) == {"p50", "p95", "p99", "mean", "max"}
-        assert "48/48 ok" in result.report()
-        # Deterministic payloads -> every batched output equals its batch-1
-        # serial recomputation.
-        assert result.outputs.keys() == set(range(48))
+        assert sum(s * n for s, n in stats.batch_sizes.items()) == 48
+        assert max(stats.batch_sizes) <= 8
         entry = service.registry.get("net")
-        fn = seeded_input_fn(entry)
-        for rid, y in result.outputs.items():
-            np.testing.assert_array_equal(y, entry.infer_rows(fn(rid)[None])[0])
+        for x, y in zip(xs, got):
+            np.testing.assert_array_equal(y, entry.infer_rows(x[None])[0])
 
-    def test_open_loop_smoke(self):
-        async def scenario():
-            service = _service(default_timeout_ms=30_000.0)
-            async with service:
-                return await open_loop(service, "net", rate_rps=400.0, requests=8)
-
-        result = asyncio.run(scenario())
-        assert result.mode == "open"
-        assert result.completed == 8 and not result.errors
-
-    def test_loadgen_tallies_errors(self):
+    def test_hopeless_timeout_fails_every_request(self):
         async def scenario():
             service = _service(
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=60_000.0),
                 default_timeout_ms=None,
             )
+            xs = seeded_inputs(service.registry.get("net"), 4)
             async with service:
                 # Hopeless deadlines: already past before the flush loop can
                 # wake, so not even the deadline-pressure flush can rescue
                 # them.
-                return await closed_loop(
-                    service, "net", requests=4, concurrency=4, timeout_ms=0.001
-                )
+                got = await infer_all(service, "net", xs, concurrency=4, timeout_ms=0.001)
+            return got, service.scheduler.stats()
 
-        result = asyncio.run(scenario())
-        assert result.completed < 4
-        assert result.errors.get("expired", 0) >= 1
+        got, stats = asyncio.run(scenario())
+        assert all(isinstance(r, DeadlineExceeded) for r in got)
+        assert stats.expired == 4 and stats.completed == 0
 
 
 class TestServiceStats:

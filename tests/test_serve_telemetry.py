@@ -4,8 +4,8 @@ The acceptance criteria under test: a traced ``POST /v1/infer`` yields a
 span tree whose trace id links the HTTP request to the batch's runtime
 spans (fan-in links, exported as Chrome-trace flows); ``GET /metrics``
 serves parseable Prometheus text with sliding-window quantiles; an SLO
-fast burn drives ``/healthz`` to 503; and the load generator reports the
-server-attributed queue-wait vs execute split of its own requests.
+fast burn drives ``/healthz`` to 503; and concurrent traced requests each
+get their own trace and return the untraced run's bits.
 """
 
 from __future__ import annotations
@@ -26,9 +26,8 @@ from repro.serve import (
     QueueFull,
     SchedulerConfig,
     SLOConfig,
-    closed_loop,
 )
-from tests.conftest import admitted
+from tests.conftest import admitted, infer_all, seeded_inputs
 from tests.test_obs_telemetry import parse_exposition
 
 ARCH = "resnet18"
@@ -498,33 +497,29 @@ class TestHealthzSLO:
         assert gauge is not None and gauge.value() == 1.0
 
 
-class TestLoadgenAttribution:
-    def test_split_reported_when_traced(self, _telemetry_on):
-        """A closed loop under the full telemetry stack (spans, windowed
-        histograms, SLO tracking) attributes every request, orders its
-        windowed quantiles and returns the untraced loop's bits."""
+class TestTracedRun:
+    def test_traced_run_matches_untraced(self, _telemetry_on):
+        """Concurrent requests under the full telemetry stack (spans,
+        windowed histograms, SLO tracking) get one trace each, order the
+        windowed quantiles and return the untraced run's bits; the
+        untraced run records no trace."""
 
         async def scenario(slo):
             service = _service(slo=slo)
+            xs = seeded_inputs(service.registry.get("net"), 12)
             async with service:
-                return await closed_loop(
-                    service, "net", requests=12, concurrency=4, collect_outputs=True
-                )
+                return await infer_all(service, "net", xs, concurrency=4)
 
-        result = asyncio.run(
+        traced = asyncio.run(
             scenario(SLOConfig(latency_target_ms=10_000.0, error_rate_target=0.01))
         )
-        assert result.completed == 12
-        assert len(result.trace_ids) == 12
-        assert len(set(result.trace_ids)) == 12  # one fresh trace each
-        assert len(result.queued_ms) == 12 and len(result.execute_ms) == 12
-        split = result.server_attribution()
-        assert split is not None
-        assert split["execute_ms"]["p50"] > 0.0
-        assert split["queued_ms"]["p99"] >= split["queued_ms"]["p50"] >= 0.0
-        doc = result.as_dict()
-        assert doc["server_attribution"]["traced"] == 12
-        assert "server split ms (traced=12)" in result.report()
+        tracer = obs.get_tracer()
+        trace_ids = tracer.trace_ids()
+        # Each request trace holds one scheduler ``serve.respond`` span.
+        responds = Counter(
+            tid for tid in trace_ids for s in tracer.spans_of(tid) if s.name == "serve.respond"
+        )
+        assert len(responds) == 12 and set(responds.values()) == {1}
         # Compiled Winograd executables ran under the tracer.
         assert obs.get_registry().get("winograd.segments").total() > 0
         window = obs.get_registry().get("serve.latency.window_ms")
@@ -532,19 +527,8 @@ class TestLoadgenAttribution:
         assert 0.0 < p50 <= window.quantile(0.99, model="net")
         obs.disable()
         untraced = asyncio.run(scenario(None))
-        assert untraced.trace_ids == []
-        assert result.outputs.keys() == untraced.outputs.keys() == set(range(12))
-        for rid, y in result.outputs.items():
-            np.testing.assert_array_equal(y, untraced.outputs[rid])
-
-    def test_no_split_when_untraced(self):
-        async def scenario():
-            service = _service()
-            async with service:
-                return await closed_loop(service, "net", requests=4, concurrency=2)
-
-        result = asyncio.run(scenario())
-        assert result.completed == 4
-        assert result.trace_ids == [] and result.server_attribution() is None
-        assert "server_attribution" not in result.as_dict()
-        assert "server split" not in result.report()
+        assert tracer.trace_ids() == trace_ids
+        assert len(traced) == len(untraced) == 12
+        for y, ref in zip(traced, untraced):
+            assert isinstance(y, np.ndarray)
+            np.testing.assert_array_equal(y, ref)
