@@ -497,12 +497,16 @@ class TestHealthzSLO:
         assert gauge is not None and gauge.value() == 1.0
 
 
-class TestTracedRun:
-    def test_traced_run_matches_untraced(self, _telemetry_on):
+class TestLoadgenAttribution:
+    """Queue/execute attribution of concurrent client load: each traced
+    request's span tree splits its latency into ``serve.queued`` and
+    ``serve.batched`` time."""
+
+    def test_split_reported_when_traced(self, _telemetry_on):
         """Concurrent requests under the full telemetry stack (spans,
-        windowed histograms, SLO tracking) get one trace each, order the
-        windowed quantiles and return the untraced run's bits; the
-        untraced run records no trace."""
+        windowed histograms, SLO tracking) get one trace each carrying a
+        queue/execute split, order the windowed quantiles and return the
+        untraced run's bits."""
 
         async def scenario(slo):
             service = _service(slo=slo)
@@ -520,6 +524,13 @@ class TestTracedRun:
             tid for tid in trace_ids for s in tracer.spans_of(tid) if s.name == "serve.respond"
         )
         assert len(responds) == 12 and set(responds.values()) == {1}
+        queued_ms, execute_ms = [], []
+        for tid in responds:
+            by_name = {s.name: s for s in tracer.spans_of(tid)}
+            queued_ms.append(by_name["serve.queued"].duration_s * 1e3)
+            execute_ms.append(by_name["serve.batched"].duration_s * 1e3)
+        assert min(queued_ms) >= 0.0
+        assert float(np.median(execute_ms)) > 0.0
         # Compiled Winograd executables ran under the tracer.
         assert obs.get_registry().get("winograd.segments").total() > 0
         window = obs.get_registry().get("serve.latency.window_ms")
@@ -532,3 +543,18 @@ class TestTracedRun:
         for y, ref in zip(traced, untraced):
             assert isinstance(y, np.ndarray)
             np.testing.assert_array_equal(y, ref)
+
+    def test_no_split_when_untraced(self):
+        """With telemetry off, served requests record no trace, hence no
+        queue/execute split."""
+
+        async def scenario():
+            service = _service()
+            xs = seeded_inputs(service.registry.get("net"), 4)
+            async with service:
+                return await infer_all(service, "net", xs, concurrency=2)
+
+        outputs = asyncio.run(scenario())
+        assert len(outputs) == 4
+        assert all(isinstance(y, np.ndarray) for y in outputs)
+        assert obs.get_tracer().trace_ids() == []
