@@ -100,15 +100,22 @@ def _winograd_stream(seg: Segment, shape: ConvShape) -> OffsetStream:
 
 
 def _gemm_stream(seg: Segment, shape: ConvShape) -> OffsetStream:
-    """Gather extent of the GEMM tail's input strip (see ``gemm_segment``)."""
-    col_lo = seg.start - shape.pw
+    """Gather extent of a GEMM segment's input strip (see ``gemm_segment``).
+
+    Output column ``c`` reads input columns ``[c*s - pw, c*s - pw + FW)``
+    at stride ``s``, so the segment's strip is ``(width - 1)*s + FW``
+    columns from ``start*s - pw``, and its ``OH`` output rows read
+    ``(OH - 1)*s + FH`` rows from ``-ph``.
+    """
+    s = shape.stride
+    col_lo = seg.start * s - shape.pw
     return OffsetStream(
         segment=seg.name,
         kind="gemm",
         row_lo=-shape.ph,
-        row_hi=shape.fh - 1 - shape.ph + shape.oh,
+        row_hi=-shape.ph + (shape.oh - 1) * s + shape.fh,
         col_lo=col_lo,
-        col_hi=col_lo + seg.width + shape.fw - 1,
+        col_hi=col_lo + (seg.width - 1) * s + shape.fw,
         tiles=seg.width,
     )
 

@@ -37,14 +37,8 @@ from functools import lru_cache
 from typing import Callable
 
 from ..core.variants import VariantSpec
-from ..gpusim.smem import SmemArray, conflict_degree, vectorized_conflict_degree
-from ..gpusim.warp import (
-    linear_lane_arrangement,
-    swizzle_xi,
-    thread_store_indices_ds,
-    thread_store_indices_gs,
-    z_lane_arrangement,
-)
+from ..gpusim.trace import load_degrees, simulate_output_stage, store_degrees
+from ..gpusim.warp import linear_lane_arrangement, z_lane_arrangement
 from .findings import Finding
 from .rules import make_finding
 
@@ -257,66 +251,14 @@ class StageDegrees:
         }
 
 
-def _store_degrees(spec: VariantSpec, mitigated: bool) -> tuple[int, int]:
-    """Worst-warp (Gs, Ds) store conflict degrees of the main loop."""
-    alpha, bn, bm, bk = spec.alpha, spec.bn, spec.bm, spec.bk
-    pad_ds = mitigated and alpha == 16  # Gamma_16 pads Ds instead of swizzling
-    ds_width = bm + (4 if pad_ds else 0)
-    gs = SmemArray("Gs", (bk, alpha, bn))
-    ds = SmemArray("Ds", (bk, alpha, ds_width))
-    worst_g = worst_d = 1
-    for w in range(spec.threads // 32):
-        g_addrs, d_addrs = [], []
-        for lane in range(32):
-            t = w * 32 + lane
-            tx, ty = t % 16, t // 16
-            gk, gi = thread_store_indices_gs(tx, ty, bn)
-            xk, xi = thread_store_indices_ds(tx, ty, bm)
-            if mitigated and alpha != 16:
-                xi = swizzle_xi(xi, xk, bm)
-            g_addrs.append(gs.address(gk, 0, gi % bn))
-            d_addrs.append(ds.address(xk, 0, xi % ds_width))
-        worst_g = max(worst_g, conflict_degree(g_addrs))
-        worst_d = max(worst_d, conflict_degree(d_addrs))
-    return worst_g, worst_d
-
-
-def _load_degrees(
-    spec: VariantSpec,
-    z_lanes: bool,
-    arrangement: Callable[[int], tuple[int, int]] | None = None,
-) -> tuple[int, int]:
-    """Worst-warp (Gs, Ds) outer-product 128-bit load degrees.
-
-    ``arrangement`` overrides the lane mapping entirely (corruption hook for
-    tests and ablations); otherwise ``z_lanes`` picks Figure 4's Z shape or
-    the naive linear mapping.
-    """
-    alpha, bn, bm, bk = spec.alpha, spec.bn, spec.bm, spec.bk
-    ds_width = bm + (4 if alpha == 16 else 0)
-    gs = SmemArray("Gs", (bk, alpha, bn))
-    ds = SmemArray("Ds", (bk, alpha, ds_width))
-    if arrangement is None:
-        arrangement = z_lane_arrangement if z_lanes else linear_lane_arrangement
-    arrange = arrangement
-    worst_g = worst_d = 1
-    for ik in range(bk):
-        g_base, d_base = [], []
-        for lane in range(32):
-            gidx, didx = arrange(lane)
-            if alpha != 16:
-                didx = (didx + 4 * ik) % bm  # swizzle compensation at load
-            g_base.append(gs.address(ik, 0, gidx % bn))
-            d_base.append(ds.address(ik, 0, didx % ds_width))
-        worst_g = max(worst_g, vectorized_conflict_degree(g_base, 4))
-        worst_d = max(worst_d, vectorized_conflict_degree(d_base, 4))
-    return worst_g, worst_d
+def _worst(degrees: list[tuple[int, int]]) -> tuple[int, int]:
+    """Worst ``(Gs, Ds)`` degree over a replay's warps or steps."""
+    gs, ds = zip(*degrees)
+    return max(gs), max(ds)
 
 
 def _staging_degree(spec: VariantSpec, padded: bool) -> int:
     """Worst-warp degree of the 4-round Ys output staging (§5.1/§5.2)."""
-    from ..gpusim.trace import simulate_output_stage
-
     res = simulate_output_stage(spec, padded=padded)
     # simulate_output_stage counts total phases over warps*rounds; the worst
     # per-access degree is bounded by the average, which is exact here since
@@ -340,9 +282,14 @@ def stage_degrees(
     banks); the defaults replay the shipped kernels.  Cached:
     ``VariantSpec`` is frozen and the replay is pure.
     """
-    gs_on, ds_on = _store_degrees(spec, mitigated=swizzle_ds)
-    gs_off, ds_off = _store_degrees(spec, mitigated=False)
-    load_gs, load_ds = _load_degrees(spec, z_lanes=z_lanes, arrangement=arrangement)
+    gs_on, ds_on = _worst(store_degrees(spec, swizzle_ds=swizzle_ds))
+    gs_off, ds_off = _worst(store_degrees(spec, swizzle_ds=False))
+    # The loads always read the shipped (mitigated) layout; ``arrangement``
+    # overrides the lane mapping entirely, else ``z_lanes`` picks Figure 4's
+    # Z shape or the naive linear mapping.
+    if arrangement is None:
+        arrangement = z_lane_arrangement if z_lanes else linear_lane_arrangement
+    load_gs, load_ds = _worst(load_degrees(spec, arrangement=arrangement))
     return StageDegrees(
         store_gs_on=gs_on,
         store_ds_on=ds_on,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gradients import backward_filter_for_input_grad, conv2d_input_grad
+from .gradients import conv2d_input_grad
 
 __all__ = ["deconv2d_im2col_winograd"]
 
@@ -80,7 +80,3 @@ def deconv2d_im2col_winograd(
     return conv2d_input_grad(
         y, w, (n, out_h, out_w, ic), ph=ph, pw=pw, alpha=alpha, engine=engine
     )
-
-
-#: Re-exported for users building custom backward paths.
-rotate_and_transpose_filter = backward_filter_for_input_grad

@@ -1,24 +1,27 @@
 """Neural-network layers over the autograd substrate.
 
 The convolution layer is the experiment: ``engine="winograd"`` routes
-unit-stride convolutions through the compiled-plan runtime
+every forward through the compiled-plan runtime
 (:func:`repro.runtime.convolve` — cached executables + full-depth
-contractions, bit-identical to :func:`repro.core.fused.conv2d_im2col_winograd`)
-forward, and the backward deconvolution of :mod:`repro.core.gradients`
-(data grad), exactly as Dragon-Alpha dispatches (§5.7).  The forward's
-algorithm is picked per layer by one fixed rule of its signature
+contractions, bit-identical to :func:`repro.core.fused.conv2d_im2col_winograd`),
+and unit-stride data grads through the backward deconvolution of
+:mod:`repro.core.gradients`, exactly as Dragon-Alpha dispatches (§5.7).  The
+forward's algorithm is picked per layer by one fixed rule of its signature
 (:func:`repro.runtime.conv_engine`): ``Gamma_alpha``, or, with few channels
 or few output columns where the transforms are not amortised, a runtime
-executable of the row-blocked im2col GEMM.  ``engine="gemm"`` uses the
-im2col GEMM everywhere and stands in for the PyTorch baseline.
-Non-unit-stride convolutions always take the GEMM path, matching the paper
-("other algorithms handle the non-unit-stride cases") — which is also why
-the paper sees smaller training speedups on ResNet (§6.3.2).
+executable of the row-blocked im2col GEMM.  Non-unit-stride convolutions
+always run that GEMM executable, matching the paper ("other algorithms
+handle the non-unit-stride cases") — which is also why the paper sees
+smaller training speedups on ResNet (§6.3.2).  ``engine="gemm"`` calls
+:func:`repro.baselines.gemm.conv2d_gemm` everywhere and stands in for the
+PyTorch baseline.
 
 All activations are NHWC.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -66,30 +69,28 @@ class Module:
     def __call__(self, x: Tensor) -> Tensor:
         return self.forward(x)
 
-    def parameters(self) -> list[Parameter]:
-        out: list[Parameter] = []
+    def children(self) -> Iterator["Module"]:
+        """Direct submodules in attribute order, a list or tuple attribute's
+        modules in their order (the layers' containment idiom)."""
         for value in vars(self).values():
-            if isinstance(value, Parameter):
-                out.append(value)
-            elif isinstance(value, Module):
-                out.extend(value.parameters())
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        out.extend(item.parameters())
-                    elif isinstance(item, Parameter):
-                        out.append(item)
-        return out
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if isinstance(item, Module):
+                    yield item
+
+    def walk(self) -> Iterator["Module"]:
+        """This module, then every module under it, depth first."""
+        yield self
+        for child in self.children():
+            yield from child.walk()
+
+    def parameters(self) -> list[Parameter]:
+        """Each module's own parameters, modules in :meth:`walk` order."""
+        return [v for m in self.walk() for v in vars(m).values() if isinstance(v, Parameter)]
 
     def train(self, mode: bool = True) -> "Module":
         self.training = mode
-        for value in vars(self).values():
-            if isinstance(value, Module):
-                value.train(mode)
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        item.train(mode)
+        for child in self.children():
+            child.train(mode)
         return self
 
     def eval(self) -> "Module":
@@ -100,17 +101,8 @@ class Module:
         pre-computation where a layer supports it (Conv2D pre-transforms its
         filters, §6.1.2).  Any subsequent ``train(True)`` unfreezes."""
         self.eval()
-        for value in vars(self).values():
-            items = (
-                value
-                if isinstance(value, (list, tuple))
-                else (value,)
-                if isinstance(value, Module)
-                else ()
-            )
-            for item in items:
-                if isinstance(item, Module):
-                    item.freeze()
+        for child in self.children():
+            child.freeze()
         return self
 
     def num_parameters(self) -> int:
@@ -189,10 +181,9 @@ class Conv2D(Module):
         )
         self.bias = Parameter(np.zeros(oc, dtype=np.float32), name="conv.bias") if bias else None
         self._frozen = False
-        # Frozen filter operands per input width (the plan depends on OW),
-        # and the executable of each input size a frozen forward has run.
-        self._bundles: dict[int, FilterBundle] = {}
-        self._executables: dict[tuple[int, int], ConvExecutable] = {}
+        # Frozen: the executable and filter operands of each input size
+        # (IH, IW) a forward has run.
+        self._compiled: dict[tuple[int, int], tuple[ConvExecutable, FilterBundle]] = {}
         # Engine run at each input width served so far.
         self._served: dict[int, str] = {}
 
@@ -226,47 +217,41 @@ class Conv2D(Module):
             return "mixed"
         return self.engine if self.stride == 1 else "gemm"
 
-    def _frozen_forward(self, xd: np.ndarray, wd: np.ndarray, algorithm: str) -> np.ndarray:
-        ph = pw = self.padding
-        # Captured once: a concurrent re-freeze swaps in new dicts, so
-        # operands built here from the old weights never land in them.
-        bundles, executables = self._bundles, self._executables
+    def _compiled_at(
+        self, xd: np.ndarray, wd: np.ndarray, algorithm: str
+    ) -> tuple[ConvExecutable, FilterBundle]:
+        """The frozen layer's executable and filter operands for ``xd``'s size."""
+        # Captured once: a concurrent re-freeze swaps in a new dict, so
+        # operands built here from the old weights never land in it.
+        compiled = self._compiled
         ih, iw = xd.shape[1:3]
-        bundle = bundles.get(iw)
-        if self.stride != 1:
-            # The baseline GEMM (§5.7) on filters folded once.
-            if bundle is None:
-                bundle = bundles[iw] = FilterBundle(u={}, gemm_operand=rowblocks.fold_filters(wd))
-            k = self.kernel
-            return rowblocks.conv_matmul(xd, bundle.gemm_operand, k, k, ph, pw, stride=self.stride)
-        exe = executables.get((ih, iw))
-        if exe is None:
-            sig = ConvSignature.for_operands(xd, wd, ph=ph, pw=pw, algorithm=algorithm)
-            exe = executables[(ih, iw)] = get_executable(sig)
-        if bundle is None:
-            bundle = bundles[iw] = exe.build_bundle(wd)
-        return runtime_convolve(
-            xd, wd, ph=ph, pw=pw, bundle=bundle, algorithm=algorithm, executable=exe
-        )
+        entry = compiled.get((ih, iw))
+        if entry is None:
+            sig = ConvSignature.for_operands(
+                xd, wd, ph=self.padding, pw=self.padding, algorithm=algorithm,
+                stride=self.stride,
+            )
+            exe = get_executable(sig)
+            entry = compiled[(ih, iw)] = (exe, exe.build_bundle(wd))
+        return entry
 
     def freeze(self) -> "Conv2D":
         """Enter frozen-inference mode (§6.1.2's pre-transposition, here:
-        pre-transformed filters).  The filter operands (Winograd ``U``, or
-        the folded GEMM matrix where the rule picks GEMM or the layer is
-        strided) are computed once per input width at first use, from the
-        weights at that time, and the executable once per input size;
-        freezing again or any ``train()`` discards them (weights are
-        assumed fixed while frozen).  An ``engine="gemm"`` layer stays the
-        unfrozen baseline."""
+        pre-transformed filters).  The executable and its filter operands
+        (Winograd ``U``, or the folded GEMM matrix where the rule picks GEMM
+        or the layer is strided) are resolved once per input size at first
+        use, from the weights at that time; freezing again or any
+        ``train()`` discards them (weights are assumed fixed while frozen).
+        An ``engine="gemm"`` layer stays the unfrozen baseline."""
         self.eval()
         self._frozen = True
-        self._bundles, self._executables = {}, {}
+        self._compiled = {}
         return self
 
     def train(self, mode: bool = True) -> "Conv2D":
         if mode:
             self._frozen = False
-            self._bundles, self._executables = {}, {}
+            self._compiled = {}
         return super().train(mode)
 
     def forward(self, x: Tensor) -> Tensor:
@@ -281,22 +266,22 @@ class Conv2D(Module):
             "layer.conv2d", engine=engine, ic=self.ic, oc=self.oc,
             kernel=self.kernel, stride=stride, frozen=frozen,
         ):
-            if frozen and self.engine != "gemm":
-                # Frozen: the layer holds its filter operands per input
-                # width and its executable per input size, and hands both
-                # to the runtime, so a call does no filter work and no
-                # signature resolution.
-                y = self._frozen_forward(xd, wd, engine)
-            elif self.engine == "gemm" or stride != 1:
+            if self.engine == "gemm":
                 y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
             else:
-                # Compiled-plan runtime, Winograd or (the rule's pick) GEMM:
-                # the (shape, dtype, algorithm) signature hits the
-                # executable cache after the first step, and the filter
+                # Compiled-plan runtime, Winograd or GEMM.  Frozen, the
+                # layer hands over the executable and filter operands it
+                # holds for this input size, so a call does no filter work
+                # and no signature resolution.  Otherwise the signature hits
+                # the executable cache after the first step, and the filter
                 # cache, matching weights by an exact bit compare against
                 # its copy, rebuilds the operands once per optimizer update
                 # (weights mutate in place).
-                y = runtime_convolve(xd, wd, ph=ph, pw=pw, algorithm=engine)
+                exe, bundle = self._compiled_at(xd, wd, engine) if frozen else (None, None)
+                y = runtime_convolve(
+                    xd, wd, ph=ph, pw=pw, stride=stride, algorithm=engine,
+                    bundle=bundle, executable=exe,
+                )
         if self.bias is not None:
             y += self.bias.data  # y is this call's fresh conv output
 

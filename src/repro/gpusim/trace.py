@@ -20,6 +20,7 @@ SMEM cost is counted in transaction phases (conflict degree 1 = ideal).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from ..core.variants import VariantSpec
 from ..obs import counter_add
@@ -32,7 +33,13 @@ from .warp import (
     z_lane_arrangement,
 )
 
-__all__ = ["TraceResult", "simulate_block_iteration", "simulate_output_stage"]
+__all__ = [
+    "TraceResult",
+    "load_degrees",
+    "simulate_block_iteration",
+    "simulate_output_stage",
+    "store_degrees",
+]
 
 
 @dataclass(frozen=True)
@@ -61,6 +68,73 @@ def _warp_lanes(first_thread: int, threads_x: int = 16):
         yield t % threads_x, t // threads_x
 
 
+def _can_swizzle(spec: VariantSpec) -> bool:
+    """Gamma_8 swizzles (SMEM full); Gamma_16 pads ``Ds`` instead (§5.2)."""
+    return spec.alpha != 16
+
+
+def _tile_arrays(spec: VariantSpec, swizzle_ds: bool) -> tuple[SmemArray, SmemArray]:
+    """``Gs`` and ``Ds``; ``Ds`` carries Gamma_16's +4 padding when mitigated."""
+    pad = 4 if (not _can_swizzle(spec) and swizzle_ds) else 0
+    return (
+        SmemArray("Gs", (spec.bk, spec.alpha, spec.bn)),
+        SmemArray("Ds", (spec.bk, spec.alpha, spec.bm + pad)),
+    )
+
+
+def store_degrees(spec: VariantSpec, *, swizzle_ds: bool = True) -> list[tuple[int, int]]:
+    """``(Gs, Ds)`` conflict degree of each warp's main-loop tile store.
+
+    ``swizzle_ds`` applies the §5.2 mitigation: Gamma_8's
+    ``Xi <- (Xi + 4*Xk) % 32`` store swizzle, or for alpha=16 the +4
+    padding of ``Ds[8][16][32+4]``.
+    """
+    gs, ds = _tile_arrays(spec, swizzle_ds)
+    ds_width = ds.shape[2]
+    swizzle = swizzle_ds and _can_swizzle(spec)
+    out = []
+    for w in range(spec.threads // 32):
+        g_addrs, d_addrs = [], []
+        for tx, ty in _warp_lanes(w * 32):
+            gk, gi = thread_store_indices_gs(tx, ty, spec.bn)
+            xk, xi = thread_store_indices_ds(tx, ty, spec.bm)
+            if swizzle:
+                xi = swizzle_xi(xi, xk, spec.bm)
+            g_addrs.append(gs.address(gk, 0, gi % spec.bn))
+            d_addrs.append(ds.address(xk, 0, xi % ds_width))
+        out.append((conflict_degree(g_addrs), conflict_degree(d_addrs)))
+    return out
+
+
+def load_degrees(
+    spec: VariantSpec,
+    *,
+    swizzle_ds: bool = True,
+    arrangement: Callable[[int], tuple[int, int]] = z_lane_arrangement,
+) -> list[tuple[int, int]]:
+    """``(Gs, Ds)`` 128-bit conflict degree of a warp's outer-product loads
+    at each of the ``BK`` steps (every warp loads the same pattern).
+
+    ``arrangement`` maps a lane to its ``(Gs, Ds)`` column: Figure 4's Z
+    shape, the naive linear mapping, or any other; a swizzled ``Ds`` is
+    read back through the swizzle's compensation.
+    """
+    gs, ds = _tile_arrays(spec, swizzle_ds)
+    ds_width = ds.shape[2]
+    swizzle = swizzle_ds and _can_swizzle(spec)
+    out = []
+    for ik in range(spec.bk):
+        g_base, d_base = [], []
+        for lane in range(32):
+            gidx, didx = arrangement(lane)
+            if swizzle:
+                didx = (didx + 4 * ik) % spec.bm
+            g_base.append(gs.address(ik, 0, gidx % spec.bn))
+            d_base.append(ds.address(ik, 0, didx % ds_width))
+        out.append((vectorized_conflict_degree(g_base, 4), vectorized_conflict_degree(d_base, 4)))
+    return out
+
+
 def simulate_block_iteration(
     spec: VariantSpec,
     *,
@@ -80,50 +154,19 @@ def simulate_block_iteration(
         Use the Figure 4 Z-shaped lane arrangement for outer-product loads
         (else naive row-major).
     """
-    alpha, bn, bm, bk = spec.alpha, spec.bn, spec.bm, spec.bk
-    ds_width = bm + (4 if (not _can_swizzle(spec) and swizzle_ds) else 0)
-    gs = SmemArray("Gs", (bk, alpha, bn))
-    ds = SmemArray("Ds", (bk, alpha, ds_width))
     arrange = z_lane_arrangement if z_lanes else linear_lane_arrangement
-
-    phases = 0
-    ideal = 0
     warps = spec.threads // 32
-    # --- store phase ------------------------------------------------------
-    for w in range(warps):
-        g_addrs, d_addrs = [], []
-        for tx, ty in _warp_lanes(w * 32):
-            gk, gi = thread_store_indices_gs(tx, ty, bn)
-            xk, xi = thread_store_indices_ds(tx, ty, bm)
-            if swizzle_ds and _can_swizzle(spec):
-                xi = swizzle_xi(xi, xk, bm)
-            g_addrs.append(gs.address(gk, 0, gi % bn))
-            d_addrs.append(ds.address(xk, 0, xi % ds_width))
-        # Each thread stores an alpha-deep column; degree repeats per row.
-        phases += (conflict_degree(g_addrs) + conflict_degree(d_addrs)) * alpha
-        ideal += 2 * alpha
-
-    # --- outer-product loads ------------------------------------------------
-    for w in range(warps):
-        for ik in range(bk):
-            g_base, d_base = [], []
-            for lane in range(32):
-                gidx, didx = arrange(lane)
-                if swizzle_ds and _can_swizzle(spec):
-                    didx = (didx + 4 * ik) % bm
-                g_base.append(gs.address(ik, 0, gidx % bn))
-                d_base.append(ds.address(ik, 0, didx % ds_width))
-            phases += vectorized_conflict_degree(g_base, 4) * 2  # 2x128-bit from Gs
-            phases += vectorized_conflict_degree(d_base, 4) * 2  # 2x128-bit from Ds
-            ideal += 4
+    # Each thread stores an alpha-deep column; degree repeats per row.
+    stores = store_degrees(spec, swizzle_ds=swizzle_ds)
+    phases = sum(g + d for g, d in stores) * spec.alpha
+    ideal = 2 * spec.alpha * len(stores)
+    # Each step loads 2x128-bit from Gs and 2x128-bit from Ds per thread.
+    loads = load_degrees(spec, swizzle_ds=swizzle_ds, arrangement=arrange)
+    phases += warps * sum(g + d for g, d in loads) * 2
+    ideal += warps * 4 * len(loads)
     counter_add("smem.phases", phases, stage="iteration", alpha=spec.alpha)
     counter_add("smem.ideal_phases", ideal, stage="iteration", alpha=spec.alpha)
     return TraceResult(phases, ideal)
-
-
-def _can_swizzle(spec: VariantSpec) -> bool:
-    """Gamma_8 swizzles (SMEM full); Gamma_16 pads ``Ds`` instead (§5.2)."""
-    return spec.alpha != 16
 
 
 def simulate_output_stage(spec: VariantSpec, *, padded: bool = True) -> TraceResult:

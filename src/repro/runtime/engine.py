@@ -24,8 +24,9 @@ runs its cached executable.
 
 ``convolve(..., algorithm="gemm")`` runs the same conv as one row-blocked
 im2col GEMM instead (the per-layer pick of
-:func:`~repro.runtime.signature.conv_engine`), through the same cache,
-bundles and reference-path scope; its legacy path is
+:func:`~repro.runtime.signature.conv_engine`, and the only algorithm of a
+``stride`` above 1, §5.7), through the same cache, bundles and
+reference-path scope; its legacy path is
 :func:`repro.baselines.gemm.conv2d_gemm`.  The default stays the paper's
 ``Gamma_alpha``.
 """
@@ -76,9 +77,8 @@ def force_legacy() -> Iterator[None]:
     The interpreted reference implementation shares no compiled state with
     the runtime (no executable cache, no filter-transform cache, no
     workspace), which is what makes it an independent oracle for the
-    compiled path.  Frozen strided convs do not go through
-    :func:`convolve` and so ignore the scope.  Nestable and
-    exception-safe; counts ``runtime.degraded.calls`` per bypassed call.
+    compiled path.  Nestable and exception-safe; counts
+    ``runtime.degraded.calls`` per bypassed call.
     """
     prev = getattr(_DEGRADED, "on", False)
     _DEGRADED.on = True
@@ -112,8 +112,9 @@ def convolve(
     workspace_bytes: int | None = None,
     algorithm: str = "winograd",
     executable: ConvExecutable | None = None,
+    stride: int = 1,
 ) -> np.ndarray:
-    """Unit-stride conv through the compiled-plan runtime.
+    """Conv through the compiled-plan runtime.
 
     Drop-in equivalent of
     :func:`repro.core.fused.conv2d_im2col_winograd` (bit-identical
@@ -127,7 +128,7 @@ def convolve(
     call's chunk budget (default: the :func:`configure` value).
     ``algorithm="gemm"`` runs the conv as one row-blocked im2col GEMM
     (bit-identical to ``conv2d_gemm``; ``alpha`` and ``variant`` do not
-    apply).
+    apply), the only algorithm that takes a ``stride`` above 1.
 
     Inside a :func:`force_legacy` scope the call bypasses the compiled
     executable and runs the interpreted reference path instead (same bits,
@@ -136,15 +137,18 @@ def convolve(
     if legacy_forced():
         if workspace_bytes is not None:
             check_workspace_bytes(workspace_bytes)
+        # Validated as the compiled path is, so both raise the same errors.
+        sig = ConvSignature.for_operands(
+            x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
+            algorithm=algorithm, stride=stride,
+        )
         from ..core.fused import conv2d_im2col_winograd  # lazy: import cycle
 
         counter_add("runtime.degraded.calls")
         with span("degraded", path="legacy"):
-            if algorithm == "gemm":
-                _, fh, fw, _ = w.shape
+            if sig.algorithm == "gemm":
                 y = conv2d_gemm(
-                    x, w, ph=fh // 2 if ph is None else ph,
-                    pw=fw // 2 if pw is None else pw, dtype=np.dtype(dtype),
+                    x, w, ph=sig.ph, pw=sig.pw, stride=stride, dtype=np.dtype(dtype)
                 )
             else:
                 y = conv2d_im2col_winograd(
@@ -156,7 +160,7 @@ def convolve(
     if exe is None:
         sig = ConvSignature.for_operands(
             x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-            algorithm=algorithm,
+            algorithm=algorithm, stride=stride,
         )
         exe = get_executable(sig)
     return exe(x, w, version=version, bundle=bundle, workspace_bytes=workspace_bytes)

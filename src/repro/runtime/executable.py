@@ -36,9 +36,10 @@ in ``tests/test_runtime.py``) and no row's bits depend on the batch it
 shares.
 
 A GEMM signature (:func:`~repro.runtime.signature.conv_engine`'s pick for
-small layers) compiles to a plan of one GEMM segment spanning ``OW``: the
-tail's row-blocked im2col GEMM over every column, with the folded filters
-as its operand, and none of the Winograd state.  A GEMM segment builds its
+small layers, and every strided conv) compiles to a plan of one GEMM
+segment spanning ``OW``: the tail's row-blocked im2col GEMM over every
+column, with the folded filters as its operand, and none of the Winograd
+state.  A GEMM segment builds its
 operand with one strided window copy out of a zero-bordered slab in the
 workspace (:func:`~repro.nhwc.tensor.im2col_nhwc_into`); when its blocks
 hold whole images and no pad rows and it spans every column, the GEMM
@@ -198,7 +199,7 @@ def compiled_plan(sig: ConvSignature) -> ConvPlan:
     """
     shape = ConvShape(
         batch=1, ih=sig.ih, iw=sig.iw, ic=sig.ic, oc=sig.oc,
-        fh=sig.fh, fw=sig.fw, ph=sig.ph, pw=sig.pw, stride=1,
+        fh=sig.fh, fw=sig.fw, ph=sig.ph, pw=sig.pw, stride=sig.stride,
     )
     if sig.algorithm == "gemm":
         return ConvPlan(
@@ -451,18 +452,10 @@ class ConvExecutable:
                 self._run_task(task, x, y, get_bundle)
         return y
 
-    def _row_bytes(self, st: _WinogradSegment | _GemmSegment) -> int:
-        """Per-batch-row intermediate bytes of one segment.
-
-        Winograd: gathered region + V + P (+ m, y slice); GEMM: the
-        row-blocked im2col operand (its pad rows shared out over a block's
-        images) + output.
-        """
+    def _row_bytes(self, st: _WinogradSegment) -> int:
+        """Per-batch-row intermediate bytes of one Winograd segment:
+        gathered region + V + P (+ m, y slice)."""
         sig = self.sig
-        if isinstance(st, _GemmSegment):
-            r = self.oh * st.seg.width
-            rows = -(-rowblocks.block_rows(r) // rowblocks.block_images(r))
-            return self.dtype.itemsize * (rows * sig.fh * sig.fw * sig.ic + r * sig.oc)
         return self.dtype.itemsize * (
             st.nrows * st.ncols * sig.ic
             + st.alpha * sig.fh * self.oh * st.num_tiles * (sig.ic + sig.oc)
@@ -663,7 +656,7 @@ class ConvExecutable:
         # spans y's rows: the blocked product is y itself.
         direct = seg.width == self.ow and nb * mb == batch * r
         slab_shape = im2col_slab_shape(
-            x.shape, sig.fh, sig.fw, sig.ph, sig.pw, col0=seg.start, width=seg.width
+            x.shape, sig.fh, sig.fw, sig.ph, sig.pw, sig.stride, seg.start, seg.width
         )
         # The slab is read only while ``a`` is built, before ``prod`` is written.
         (a,), (slab, prod) = _workspace(
@@ -674,8 +667,8 @@ class ConvExecutable:
                 counter_add("gemm.tail_segments")
                 counter_add("gemm.tail_columns", seg.width)
             rowblocks.conv_operand(
-                a, x, sig.fh, sig.fw, sig.ph, sig.pw, width=seg.width, col0=seg.start,
-                slab=slab,
+                a, x, sig.fh, sig.fw, sig.ph, sig.pw, width=seg.width, stride=sig.stride,
+                col0=seg.start, slab=slab,
             )
             operand = get_bundle().gemm_operand
             if operand is None:

@@ -1,7 +1,7 @@
 """Conv signatures: the cache key of the compiled-plan runtime.
 
 A :class:`ConvSignature` pins everything the compile step depends on —
-geometry ``(IH, IW, IC, OC, FH, FW)``, padding, the algorithm (the
+geometry ``(IH, IW, IC, OC, FH, FW)``, padding, stride, the algorithm (the
 ``Gamma_alpha`` kernel selection ``(alpha, variant)``, or the im2col GEMM
 that :func:`conv_engine` picks for small layers) and the computation
 dtype — and nothing it does not: the batch size ``N`` only scales the
@@ -76,6 +76,9 @@ class ConvSignature:
     :meth:`resolve`).  ``algorithm`` is ``"winograd"`` (the paper's
     ``Gamma_alpha``, the default) or ``"gemm"`` (one im2col GEMM over every
     output column; ``alpha`` is then 0 and ``variant`` ``"base"``).
+    ``stride`` above 1 is a GEMM signature's only: the ``Gamma_alpha``
+    kernels are unit-stride, and the paper leaves strided convs to other
+    algorithms (§5.7).
     """
 
     ih: int
@@ -90,20 +93,22 @@ class ConvSignature:
     variant: str
     dtype: str
     algorithm: str = "winograd"
+    stride: int = 1
 
     @property
     def oh(self) -> int:
-        return conv_output_size(self.ih, self.fh, self.ph)
+        return conv_output_size(self.ih, self.fh, self.ph, self.stride)
 
     @property
     def ow(self) -> int:
-        return conv_output_size(self.iw, self.fw, self.pw)
+        return conv_output_size(self.iw, self.fw, self.pw, self.stride)
 
     @property
     def label(self) -> str:
         """Compact human-readable key of the signature."""
         algo = "gemm" if self.algorithm == "gemm" else f"a{self.alpha}.{self.variant}"
-        return f"{self.ih}x{self.iw}x{self.ic}-{self.oc}.f{self.fh}x{self.fw}.{algo}"
+        step = f".s{self.stride}" if self.stride != 1 else ""
+        return f"{self.ih}x{self.iw}x{self.ic}-{self.oc}.f{self.fh}x{self.fw}{step}.{algo}"
 
     @classmethod
     def resolve(
@@ -121,6 +126,7 @@ class ConvSignature:
         variant: str = "base",
         dtype: np.dtype | type | str = np.float32,
         algorithm: str = "winograd",
+        stride: int = 1,
     ) -> "ConvSignature":
         """Apply the functional API's defaults and validate the envelope.
 
@@ -135,12 +141,16 @@ class ConvSignature:
         if not (0 <= pw < fw and 0 <= ph < fh) and (fh > 1 or fw > 1):
             raise ValueError(f"padding (ph={ph}, pw={pw}) must satisfy 0 <= p < filter extent")
         dt = np.dtype(dtype)
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
         if algorithm == "gemm":
             sig = cls(
                 ih=ih, iw=iw, ic=ic, oc=oc, fh=fh, fw=fw, ph=ph, pw=pw,
-                alpha=0, variant="base", dtype=dt.name, algorithm="gemm",
+                alpha=0, variant="base", dtype=dt.name, algorithm="gemm", stride=stride,
             )
         elif algorithm == "winograd":
+            if stride != 1:
+                raise ValueError(f"Winograd convs are unit-stride; stride {stride} needs GEMM")
             if alpha is None:
                 alpha = default_alpha_for_width(fw)
             if dt == np.float16 and alpha == 16:
@@ -171,6 +181,7 @@ class ConvSignature:
         variant: str = "base",
         dtype: np.dtype | type | str = np.float32,
         algorithm: str = "winograd",
+        stride: int = 1,
     ) -> "ConvSignature":
         """Signature of ``conv(x, w)`` — the operand-shape front door."""
         if x.ndim != 4 or w.ndim != 4:
@@ -184,5 +195,5 @@ class ConvSignature:
         return cls.resolve(
             ih=ih, iw=iw, ic=ic, oc=oc, fh=fh, fw=fw,
             ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype,
-            algorithm=algorithm,
+            algorithm=algorithm, stride=stride,
         )

@@ -10,10 +10,11 @@ request arrives:
   conv, the folded matrix of a GEMM conv) instead of rebuilding them on
   every call;
 * **warms** the model: one forward pass per served input size resolves
-  every unit-stride convolution to its cached
+  every convolution to its cached
   :class:`~repro.runtime.executable.ConvExecutable` (plan + transform
-  matrices + gather descriptors, or the GEMM plan the
-  per-layer rule picks) and builds each frozen conv's filter operands, so
+  matrices + gather descriptors, or the GEMM plan the per-layer rule picks
+  and every strided conv runs) and builds each frozen conv's filter
+  operands, so
   the first real request does no set-up work, and each conv then reports
   the engine the rule ran it on (``winograd_convs`` counts those that ran
   Winograd);
@@ -43,7 +44,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -81,18 +82,6 @@ def padded_rows(k: int) -> int:
     the per-GEMM row-block padding is not counted here).
     """
     return k
-
-
-def _iter_modules(module: Module) -> Iterator[Module]:
-    """Depth-first walk over a module tree (the layers' containment idiom)."""
-    yield module
-    for value in vars(module).values():
-        if isinstance(value, Module):
-            yield from _iter_modules(value)
-        elif isinstance(value, (list, tuple)):
-            for item in value:
-                if isinstance(item, Module):
-                    yield from _iter_modules(item)
 
 
 @dataclass
@@ -236,7 +225,7 @@ class ModelRegistry:
                 **({"image": image} if arch.startswith("vgg") else {}),
             )
         model.freeze()
-        convs = [m for m in _iter_modules(model) if isinstance(m, Conv2D)]
+        convs = [m for m in model.walk() if isinstance(m, Conv2D)]
         entry = RegisteredModel(
             name=name,
             model=model,
@@ -262,8 +251,8 @@ class ModelRegistry:
 
         One forward per registered input shape: the executable cache takes
         the plan and transform misses, each frozen conv builds its filter
-        operands (one ``runtime.filter_cache.misses`` per unit-stride conv
-        and input width), and ``executables_resolved`` counts the
+        operands (one ``runtime.filter_cache.misses`` per conv and input
+        size), and ``executables_resolved`` counts the
         executables the pass added to the cache.  The pass's wallclock
         seeds the one-row batch quote: it is a cold forward, so it
         overstates a warm one until the first one-row batch replaces it.

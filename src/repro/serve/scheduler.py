@@ -12,8 +12,9 @@ The robustness contract, in order of a request's life:
   :class:`~repro.serve.errors.DeadlineExceeded`; ``serve.expired`` counts
   them.  A deadline is a promise to the client, not a hint.
 * **Failure fan-out** — if the batch's forward pass raises, that
-  exception reaches every request of the batch (``failed`` in the stats;
-  HTTP 500 through the service) and the scheduler goes on serving the
+  exception reaches every request of the batch (``failed`` in the stats,
+  ``serve.failed`` counts them; HTTP 500 through the service) and the
+  scheduler goes on serving the
   next batch.  There is no replay on another path: a replay would rerun
   the same non-conv layers and could hide a fault in the compiled one.
 
@@ -488,8 +489,7 @@ class Scheduler:
                 self._stats.failed += 1
             if self._slo is not None:
                 self._slo.record(latency_ms, error=True)
-        if expired:
-            counter_add("serve.expired", model=req.model)
+        counter_add("serve.expired" if expired else "serve.failed", model=req.model)
         if req.trace is not None:
             telemetry.record_span(
                 "serve.request", req.trace, req.enqueued_at, now, root=True,

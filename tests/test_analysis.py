@@ -44,6 +44,8 @@ from repro.core.planner import ConvPlan, plan_convolution
 from repro.gpusim.device import RTX3060TI, RTX4090
 from repro.nhwc.tensor import ConvShape
 from repro.obs.metrics import get_registry
+from repro.runtime.executable import compiled_plan
+from repro.runtime.signature import ConvSignature
 
 
 def make_shape(r=3, ow=64, ic=128, oc=128, stride=1):
@@ -274,6 +276,23 @@ class TestGatherBounds:
         p = clean_plan(ow=64)
         bad = dataclasses.replace(p, segments=(Segment(GEMM, 60, 10),))
         assert "BND003" in rule_ids(gather_bounds_findings(bad))
+
+    def test_strided_gemm_strip(self):
+        """A runtime-compiled stride-2 plan reads ``(width - 1)*2 + FW``
+        columns: clean as compiled, BND003 one column wider (which the
+        unit-stride strip ``width + FW - 1`` would still fit)."""
+        sig = ConvSignature.resolve(
+            ih=9, iw=9, ic=8, oc=16, fh=3, fw=3, algorithm="gemm", stride=2
+        )
+        p = compiled_plan(sig)
+        (seg,) = p.segments
+        assert (p.shape.stride, seg.start, seg.width) == (2, 0, 5)
+        (stream,) = segment_offset_streams(p)
+        assert (stream.row_lo, stream.row_hi, stream.col_lo, stream.col_hi) == (-1, 10, -1, 10)
+        assert gather_bounds_findings(p) == []
+        assert analyze_plan(p).errors == []
+        wide = dataclasses.replace(p, segments=(Segment(GEMM, 0, 6),))
+        assert rule_ids(gather_bounds_findings(wide)) == ["BND003"]
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class TestConvFreeze:
         conv = _wino_conv().freeze()
         for iw in (8, 12, 8, 16):
             conv(Tensor(rng.standard_normal((1, 6, iw, WINO_C)).astype(np.float32)))
-        assert set(conv._bundles) == {8, 12, 16}
+        assert set(conv._compiled) == {(6, 8), (6, 12), (6, 16)}
         assert conv.effective_engine == "winograd"
 
     def test_folded_operands_only_for_a_gemm_tail(self, rng):
@@ -63,9 +63,9 @@ class TestConvFreeze:
                 conv(Tensor(x)).data,
                 conv2d_im2col_winograd(x, conv.weight.data) + conv.bias.data,
             )
-        assert conv._bundles[12].gemm_operand is None
+        assert conv._compiled[(6, 12)][1].gemm_operand is None
         np.testing.assert_array_equal(
-            conv._bundles[13].gemm_operand, rowblocks.fold_filters(conv.weight.data)
+            conv._compiled[(6, 13)][1].gemm_operand, rowblocks.fold_filters(conv.weight.data)
         )
 
     def test_rule_picked_gemm_holds_folded_operands(self, rng):
@@ -78,8 +78,8 @@ class TestConvFreeze:
                 conv(Tensor(x)).data,
                 conv2d_gemm(x, conv.weight.data, ph=1, pw=1) + conv.bias.data,
             )
-        assert set(conv._bundles) == {8, 12}
-        for bundle in conv._bundles.values():
+        assert set(conv._compiled) == {(6, 8), (6, 12)}
+        for _, bundle in conv._compiled.values():
             assert not bundle.u and bundle.gemm_operand.shape == (3 * 3 * 2, 2)
         assert conv.effective_engine == "gemm"
 
@@ -99,9 +99,9 @@ class TestConvFreeze:
         for conv, c in ((_wino_conv(), WINO_C), (Conv2D(2, 2, 3), 2)):
             conv.freeze()
             conv(Tensor(rng.standard_normal((1, 6, 8, c)).astype(np.float32)))
-            assert conv._bundles
+            assert conv._compiled
             conv.train()
-            assert not conv._bundles and not conv._frozen
+            assert not conv._compiled and not conv._frozen
 
     def test_weight_update_after_unfreeze_takes_effect(self, rng):
         conv = Conv2D(2, 2, 3, engine="winograd", rng=np.random.default_rng(0)).freeze()
@@ -151,7 +151,7 @@ class TestConvFreeze:
         conv = Conv2D(2, 2, 3, engine="gemm", rng=np.random.default_rng(0)).freeze()
         x = rng.standard_normal((1, 6, 8, 2)).astype(np.float32)
         conv(Tensor(x))
-        assert not conv._bundles  # gemm path never transforms filters
+        assert not conv._compiled  # gemm path never transforms filters
         assert conv.effective_engine == "gemm"
 
 
@@ -179,32 +179,43 @@ class TestModelFreeze:
     def test_frozen_model_honours_force_legacy(self, rng, width_mult, image):
         """A frozen ResNet-18 (every conv GEMM at width 0.125, Winograd
         blocks at the wider image) under ``force_legacy()``: one degraded
-        call per unit-stride conv, the strided ones stay on the baseline
-        GEMM, and the bits equal the compiled forward's."""
+        call per conv, the strided ones included, and the bits equal the
+        compiled forward's."""
         m = resnet18(classes=4, width_mult=width_mult, seed=1).freeze()
         x = rng.standard_normal((2, image, image, 3)).astype(np.float32)
         want = m(Tensor(x)).data  # resolves every frozen executable
-        unit = sum(layer.stride == 1 for layer, *_ in conv_layer_geometries(m, x.shape))
-        assert 0 < unit < sum(1 for _ in conv_layer_geometries(m, x.shape))
+        strides = [layer.stride for layer, *_ in conv_layer_geometries(m, x.shape)]
+        assert 1 in strides and 2 in strides
         with obs.capture():
             with runtime.force_legacy():
                 got = m(Tensor(x)).data
             degraded = obs.get_registry().counter("runtime.degraded.calls").total()
-        assert degraded == unit
+        assert degraded == len(strides)
         np.testing.assert_array_equal(got, want)
 
     def test_frozen_strided_conv_folds_once(self, rng, monkeypatch):
-        """A frozen strided conv folds its filters on its first call only and
-        returns the baseline GEMM's bits."""
+        """A frozen strided conv resolves a stride-2 GEMM executable and
+        folds its filters on its first call only, then runs on the bundle
+        it holds; every call returns the baseline GEMM's bits."""
         conv = Conv2D(8, 16, 3, stride=2, rng=np.random.default_rng(0)).freeze()
         x = rng.standard_normal((3, 9, 9, 8)).astype(np.float32)
         want = conv2d_gemm(x, conv.weight.data, ph=1, pw=1, stride=2) + conv.bias.data
         np.testing.assert_array_equal(conv(Tensor(x)).data, want)
+        (exe, bundle), = conv._compiled.values()
+        assert (exe.sig.algorithm, exe.sig.stride, exe.ow) == ("gemm", 2, 5)
+        np.testing.assert_array_equal(
+            bundle.gemm_operand, rowblocks.fold_filters(conv.weight.data)
+        )
         folds = []
         fold = rowblocks.fold_filters
         monkeypatch.setattr(rowblocks, "fold_filters", lambda w: folds.append(w) or fold(w))
-        np.testing.assert_array_equal(conv(Tensor(x)).data, want)
+        with obs.capture():
+            np.testing.assert_array_equal(conv(Tensor(x)).data, want)
+            reg = obs.get_registry()
+            assert reg.counter("runtime.filter_cache.hits").total() == 1
+            assert reg.counter("runtime.filter_cache.misses").total() == 0
         assert not folds
+        assert conv._compiled[(9, 9)][1] is bundle
 
     def test_freeze_sets_eval_everywhere(self):
         m = vgg16(classes=4, image=8, width_mult=0.0625, seed=1).freeze()

@@ -17,10 +17,13 @@ from repro.dlframe.layers import (
     LeakyReLU,
     Linear,
     MaxPool2D,
+    Module,
+    Parameter,
     Sequential,
     add,
 )
 from repro.serve import ModelRegistry
+from repro.serve.registry import MODEL_BUILDERS
 
 
 #: Channels at which the engine rule keeps a 3x3 or 5x5 conv on Winograd
@@ -245,6 +248,32 @@ class TestModuleProtocol:
         seq.eval()
         assert not seq.modules[0].training
         assert not seq.modules[1].modules[0].training
+
+    @pytest.mark.parametrize("arch", sorted(MODEL_BUILDERS))
+    def test_walk_keeps_the_parameter_order(self, arch):
+        """``parameters()`` over :meth:`Module.walk` returns the objects the
+        per-attribute recursion returned, in its order, for every shipped
+        model, and the walk reaches each conv once."""
+
+        def recursive(module):
+            out = []
+            for value in vars(module).values():
+                for item in value if isinstance(value, (list, tuple)) else (value,):
+                    if isinstance(item, Parameter):
+                        out.append(item)
+                    elif isinstance(item, Module):
+                        out.extend(recursive(item))
+            return out
+
+        extra = {"image": 8} if arch.startswith("vgg") else {}
+        m = MODEL_BUILDERS[arch](classes=4, width_mult=0.0625, seed=0, **extra)
+        want = recursive(m)
+        got = m.parameters()
+        assert len(got) == len(want) > 0
+        assert all(a is b for a, b in zip(got, want, strict=True))
+        convs = [c for c in m.walk() if isinstance(c, Conv2D)]
+        assert len({id(c) for c in convs}) == len(convs)
+        assert [c.weight for c in convs] == [p for p in want if p.name == "conv.weight"]
 
     def test_weight_bytes(self):
         lin = Linear(10, 5, rng=np.random.default_rng(0))

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs, runtime
 from repro.analysis.engine import analyze_plan
@@ -407,6 +409,8 @@ class TestStaticAnalysisOfCachedPlans:
              {"alpha": 8}),
             (rng.standard_normal((1, 4, 30, 64)).astype(np.float32), w64,
              {"alpha": 16, "variant": "c64"}),
+            (rng.standard_normal((1, 9, 11, 64)).astype(np.float32), w64,
+             {"algorithm": "gemm", "stride": 2}),
         ]
         for x, w, kw in cases:
             runtime.convolve(x, w, **kw)
@@ -482,11 +486,60 @@ class TestGemmAlgorithm:
         bundle = gemm.build_bundle(w)
         assert not bundle.u and bundle.gemm_operand.shape == (36, 4)
 
+    def test_stride_needs_gemm(self, rng):
+        x = rng.standard_normal((1, 9, 9, 2)).astype(np.float32)
+        w = rng.standard_normal((2, 3, 3, 2)).astype(np.float32)
+        with pytest.raises(ValueError, match="unit-stride"):
+            runtime.convolve(x, w, stride=2)
+        with runtime.force_legacy(), pytest.raises(ValueError, match="unit-stride"):
+            runtime.convolve(x, w, stride=2)
+        runtime.convolve(x, w, algorithm="gemm", stride=2)
+        (exe,) = global_cache().executables()
+        assert exe.sig.label == "9x9x2-2.f3x3.s2.gemm"
+        assert (exe.oh, exe.ow, exe.plan.shape.stride) == (5, 5, 2)
+
     def test_unknown_algorithm_rejected(self, rng):
         x = rng.standard_normal((1, 6, 6, 2)).astype(np.float32)
         w = rng.standard_normal((2, 3, 3, 2)).astype(np.float32)
         with pytest.raises(ValueError, match="algorithm"):
             runtime.convolve(x, w, algorithm="fft")
+
+
+@st.composite
+def strided_gemm_cases(draw):
+    """Strided convs over the runtime's envelope: padding below the filter,
+    odd and even input sizes down to one output pixel, and a batch split."""
+    stride = draw(st.integers(2, 3))
+    fh, fw = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    ph, pw = draw(st.integers(0, fh - 1)), draw(st.integers(0, fw - 1))
+    ih = draw(st.integers(max(1, fh - 2 * ph), 13))
+    iw = draw(st.integers(max(1, fw - 2 * pw), 13))
+    n = draw(st.integers(1, 5))
+    split = draw(st.integers(0, n))
+    ic, oc = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**16))
+    return stride, (n, ih, iw, ic), (oc, fh, fw, ic), ph, pw, split, seed
+
+
+class TestStridedGemm:
+    """A strided conv compiles to a GEMM signature and runs ``conv2d_gemm``'s
+    row-blocked matmul on the same operand: the bits match, compiled and
+    under ``force_legacy``, whichever batch the images share."""
+
+    @given(strided_gemm_cases())
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    def test_bit_identical_to_conv2d_gemm(self, case):
+        stride, x_shape, w_shape, ph, pw, split, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(x_shape).astype(np.float32)
+        w = rng.standard_normal(w_shape).astype(np.float32)
+        want = conv2d_gemm(x, w, ph=ph, pw=pw, stride=stride)
+        kw = dict(ph=ph, pw=pw, stride=stride, algorithm="gemm")
+        np.testing.assert_array_equal(runtime.convolve(x, w, **kw), want)
+        parts = [runtime.convolve(p, w, **kw) for p in (x[:split], x[split:]) if len(p)]
+        np.testing.assert_array_equal(np.concatenate(parts), want)
+        with runtime.force_legacy():
+            np.testing.assert_array_equal(runtime.convolve(x, w, **kw), want)
 
 
 class TestSegmentValidation:

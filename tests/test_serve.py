@@ -24,7 +24,6 @@ import pytest
 from repro import obs, runtime
 from repro.dlframe.autograd import Tensor, no_grad
 from repro.dlframe.serialization import save_weights
-from repro.dlframe.trainer import conv_layer_geometries
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.serve import (
@@ -59,12 +58,9 @@ WINO_WIDTH = 0.5
 
 
 def _runtime_convs(entry) -> int:
-    """Unit-stride convs: each runs in the runtime, Winograd or rule-picked
-    GEMM, and holds one frozen filter bundle per input width."""
-    return sum(
-        layer.stride == 1
-        for layer, *_ in conv_layer_geometries(entry.model, (1, 32, 32, 3))
-    )
+    """Every conv: each runs in the runtime, Winograd or GEMM (the rule's
+    pick, or strided), and holds one frozen filter bundle per input size."""
+    return entry.total_convs
 
 
 def _counter_total(name: str) -> float:

@@ -278,9 +278,9 @@ class TestFailurePath:
     def test_failed_batch_fails_each_request(self, monkeypatch):
         """A forward that raises after warm-up fails every request of its
         batch with that exception and leaves no future pending; the stats
-        count the requests as failed, ``POST /v1/infer`` answers 500 with
-        a JSON body, and the next request succeeds once the forward works
-        again."""
+        and the ``serve.failed`` counter count the requests as failed,
+        ``POST /v1/infer`` answers 500 with a JSON body, and the next
+        request succeeds once the forward works again."""
 
         async def scenario():
             service = _service(
@@ -296,9 +296,11 @@ class TestFailurePath:
 
             async with service:
                 monkeypatch.setattr(entry, "infer_rows", boom)
-                results = await asyncio.wait_for(
-                    infer_all(service, "net", xs, concurrency=4), timeout=30.0
-                )
+                with obs.capture():
+                    results = await asyncio.wait_for(
+                        infer_all(service, "net", xs, concurrency=4), timeout=30.0
+                    )
+                    counted = obs.get_registry().counter("serve.failed").value(model="net")
                 failed = service.scheduler.stats()
                 host, port = await service.serve_http("127.0.0.1", 0)
                 reader, writer = await asyncio.open_connection(host, port)
@@ -310,14 +312,15 @@ class TestFailurePath:
                 monkeypatch.undo()
                 y = await service.infer("net", xs[0])
                 left = service.scheduler.queue_depth
-            return results, failed, http, y, want, left
+            return results, failed, counted, http, y, want, left
 
-        results, failed, (status, body), y, want, left = asyncio.run(scenario())
+        results, failed, counted, (status, body), y, want, left = asyncio.run(scenario())
         assert all(
             isinstance(r, RuntimeError) and str(r) == "injected forward failure"
             for r in results
         )
         assert failed.failed == 4 and failed.completed == 0
+        assert counted == 4
         assert status == 500
         assert body == {"error": "injected forward failure", "kind": "RuntimeError"}
         assert left == 0

@@ -230,11 +230,11 @@ STAGES = (
 
 #: Golden Chrome-trace layout of two coalesced traced requests on resnet18
 #: (w=0.5, 32x32): row name -> span-name counts.  Request
-#: rows are named by trace (``T0``/``T1`` after id normalisation).  The 14
-#: unit-stride convs run in the runtime (``conv2d``): the engine rule runs
-#: the 6 of layer3-4 on Winograd (two segments each at 8x8, one at 4x4, each
-#: with its stage spans) and the other 8 as one GEMM segment each; the 6
-#: strided convs open no runtime spans.
+#: rows are named by trace (``T0``/``T1`` after id normalisation).  All 20
+#: convs run in the runtime (``conv2d``): the engine rule runs 6 unit-stride
+#: convs of layer3-4 on Winograd (two segments each at 8x8, one at 4x4, each
+#: with its stage spans) and the other 8 as one GEMM segment each, and the 6
+#: strided convs run one GEMM segment each.
 GOLDEN_ROWS = {
     "MainThread": {},
     "repro-serve_0": {
@@ -242,8 +242,8 @@ GOLDEN_ROWS = {
         "serve.request": 2,
         "serve.model": 1,
         "layer.conv2d": 20,
-        "conv2d": 14,
-        "segment": 17,
+        "conv2d": 20,
+        "segment": 23,
         **dict.fromkeys(STAGES, 9),
     },
     **{
