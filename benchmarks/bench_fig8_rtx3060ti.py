@@ -4,117 +4,23 @@ Regenerates all nine panels: for each kernel's ten ofm shapes, the modeled
 Gflop/s of the Gamma kernel (with and without filter transposition — the
 paper's ``*``), its ruse/c64 variants where the paper plots them, cuDNN
 Implicit_Precomp_GEMM in NCHW and NHWC, and (for the 3x3 panel)
-cuDNN Fused_Winograd.
+cuDNN Fused_Winograd.  The series come from
+:func:`repro.bench.report.figure_series`.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench import FIG8_PANELS, banner, fmt_ofm, panel_shapes, series_line, table
-from repro.gpusim import (
-    RTX3060TI,
-    estimate_conv,
-    estimate_cudnn_fused_winograd,
-    estimate_cudnn_gemm,
-)
-
-DEVICE = RTX3060TI
-
-#: Variants the paper plots per panel (besides base and base*).
-EXTRA_VARIANTS = {
-    "Gamma_8(4,5)": ["ruse"],
-    "Gamma_8(3,6)": ["ruse"],
-    "Gamma_8(2,7)": ["ruse"],
-    "Gamma_16(10,7)": ["c64"],
-    "Gamma_16(9,8)": ["ruse", "c64"],
-    "Gamma_16(8,9)": ["ruse", "c64"],
-}
-
-
-def render_panel(name: str, device=DEVICE, panels=FIG8_PANELS, fig: str = "Figure 8") -> str:
-    alpha, r, _ = panels[name]
-    shapes = panel_shapes(panels[name])
-    headers = ["ofm (NxOHxOWxOC)", f"{name}", f"{name}*"]
-    series: dict[str, list[float]] = {name: [], f"{name}*": []}
-    for variant in EXTRA_VARIANTS.get(name, []):
-        headers.append(f"{name}^{variant}")
-        series[f"{name}^{variant}"] = []
-    if r == 3:
-        headers.append("cuDNN-FusedWinograd")
-        series["cuDNN-FusedWinograd"] = []
-    headers += ["GEMM-NCHW", "GEMM-NHWC"]
-    series["GEMM-NCHW"] = []
-    series["GEMM-NHWC"] = []
-
-    rows = []
-    for shape, a in shapes:
-        row: list[object] = [fmt_ofm(shape)]
-        base = estimate_conv(shape, device, alpha=a, variant="base").gflops
-        star = estimate_conv(
-            shape, device, alpha=a, variant="base", include_filter_transpose=False
-        ).gflops
-        row += [f"{base:,.0f}", f"{star:,.0f}"]
-        series[name].append(base)
-        series[f"{name}*"].append(star)
-        for variant in EXTRA_VARIANTS.get(name, []):
-            v = estimate_conv(shape, device, alpha=a, variant=variant).gflops
-            row.append(f"{v:,.0f}")
-            series[f"{name}^{variant}"].append(v)
-        if r == 3:
-            fw = estimate_cudnn_fused_winograd(shape, device).gflops
-            row.append(f"{fw:,.0f}")
-            series["cuDNN-FusedWinograd"].append(fw)
-        for layout in ("nchw", "nhwc"):
-            g = estimate_cudnn_gemm(shape, device, layout=layout).gflops
-            row.append(f"{g:,.0f}")
-            series[f"GEMM-{layout.upper()}"].append(g)
-        rows.append(row)
-
-    lines = [banner(f"{fig} panel {name} — modeled Gflop/s on {device.name}",
-                    "paper metric: standard-conv FLOPs / modeled time")]
-    lines.append(table(headers, rows))
-    lines.append("")
-    for label, vals in series.items():
-        lines.append(series_line(label, vals, width=24))
-    return "\n".join(lines)
+from repro.bench import FIG8_PANELS
+from repro.bench.report import render_figure_panels, render_panel
 
 
 @pytest.mark.parametrize("panel", sorted(FIG8_PANELS))
 def test_fig8_panel(benchmark, artifact, panel):
-    text = benchmark(render_panel, panel)
+    text = benchmark(render_panel, "fig8", panel)
     artifact(f"fig8_{panel.replace('(', '_').replace(',', '_').replace(')', '')}", text)
 
 
-def test_fig8_baseline_store():
-    """Persist every Figure 8 series point through the perf-baseline store.
-
-    Writes ``benchmarks/out/BENCH_fig8.json`` (diffable across sessions with
-    ``python -m repro.bench.baseline compare``) and checks the snapshot
-    round-trips: a self-compare must report zero regressions.
-    """
-    import pathlib
-
-    from repro.bench.baseline import (
-        compare_metrics,
-        load_baseline,
-        suite_metrics,
-        write_baseline,
-    )
-
-    metrics = suite_metrics("fig8")
-    assert len(metrics) == 2 * sum(len(p[2]) for p in FIG8_PANELS.values())
-    path = write_baseline(
-        pathlib.Path(__file__).parent / "out" / "BENCH_fig8.json",
-        metrics,
-        tag="fig8",
-        suite="fig8",
-    )
-    rows, regressions = compare_metrics(load_baseline(path)["metrics"], metrics)
-    assert regressions == 0 and len(rows) == len(metrics)
-
-
 if __name__ == "__main__":
-    for panel in FIG8_PANELS:
-        print(render_panel(panel))
-        print()
+    print(render_figure_panels("fig8"))

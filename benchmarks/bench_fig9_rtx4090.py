@@ -1,48 +1,21 @@
 """Figure 9: Gamma kernel throughput vs cuDNN on the RTX 4090 model.
 
 Same nine panels as Figure 8, with the paper's larger RTX 4090 shape lists.
-Reuses the Figure 8 renderer against the Ada device spec.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from bench_fig8_rtx3060ti import render_panel
 from repro.bench import FIG9_PANELS
-from repro.gpusim import RTX4090
+from repro.bench.report import render_figure_panels, render_panel
 
 
 @pytest.mark.parametrize("panel", sorted(FIG9_PANELS))
 def test_fig9_panel(benchmark, artifact, panel):
-    text = benchmark(render_panel, panel, RTX4090, FIG9_PANELS, "Figure 9")
+    text = benchmark(render_panel, "fig9", panel)
     artifact(f"fig9_{panel.replace('(', '_').replace(',', '_').replace(')', '')}", text)
 
 
-def test_fig9_baseline_store():
-    """Same round-trip as Figure 8's, for the RTX 4090 suite."""
-    import pathlib
-
-    from repro.bench.baseline import (
-        compare_metrics,
-        load_baseline,
-        suite_metrics,
-        write_baseline,
-    )
-
-    metrics = suite_metrics("fig9")
-    assert len(metrics) == 2 * sum(len(p[2]) for p in FIG9_PANELS.values())
-    path = write_baseline(
-        pathlib.Path(__file__).parent / "out" / "BENCH_fig9.json",
-        metrics,
-        tag="fig9",
-        suite="fig9",
-    )
-    rows, regressions = compare_metrics(load_baseline(path)["metrics"], metrics)
-    assert regressions == 0 and len(rows) == len(metrics)
-
-
 if __name__ == "__main__":
-    for panel in FIG9_PANELS:
-        print(render_panel(panel, RTX4090, FIG9_PANELS, "Figure 9"))
-        print()
+    print(render_figure_panels("fig9"))

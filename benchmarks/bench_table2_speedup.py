@@ -4,86 +4,14 @@ For each of the paper's nine kernels on both devices, the min-max speedup
 band over (a) the fastest cuDNN benchmark algorithm per shape and (b) the
 NHWC Implicit_Precomp_GEMM, computed over the corresponding Figure 8/9
 shape list with the base variant including filter transposition — the
-measurement Table 2 summarises.
+measurement Table 2 summarises.  The speedups come from
+:func:`repro.bench.report.table2_speedups`; the paper's bands from
+:mod:`repro.bench.paper_data`.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.bench import FIG8_PANELS, FIG9_PANELS, banner, panel_shapes, speedup_band, table
-from repro.gpusim import (
-    RTX3060TI,
-    RTX4090,
-    estimate_conv,
-    estimate_cudnn_fused_winograd,
-    estimate_cudnn_gemm,
-)
-
-#: Paper Table 2 bands, for the side-by-side footer.
-PAPER_BANDS = {
-    ("Gamma_8(4,5)", "RTX3060Ti"): ("0.989-1.516x", ""),
-    ("Gamma_8(4,5)", "RTX4090"): ("0.895-1.442x", "0.895-1.442x"),
-    ("Gamma_8(5,4)", "RTX3060Ti"): ("0.929-1.384x", "0.893-1.386x"),
-    ("Gamma_8(5,4)", "RTX4090"): ("0.910-1.386x", "0.910-1.386x"),
-    ("Gamma_8(3,6)", "RTX3060Ti"): ("0.991-1.354x", ""),
-    ("Gamma_8(3,6)", "RTX4090"): ("0.918-1.298x", ""),
-    ("Gamma_8(6,3)", "RTX3060Ti"): ("0.960-1.221x", "0.960-1.358x"),
-    ("Gamma_8(6,3)", "RTX4090"): ("0.938-1.477x", "0.947-2.074x"),
-    ("Gamma_8(2,7)", "RTX3060Ti"): ("0.852-1.076x", "0.887-1.110x"),
-    ("Gamma_8(2,7)", "RTX4090"): ("0.861-0.968x", "0.861-1.087x"),
-    ("Gamma_8(7,2)", "RTX3060Ti"): ("0.841-1.243x", ""),
-    ("Gamma_8(7,2)", "RTX4090"): ("0.788-1.034x", "0.788-1.428x"),
-    ("Gamma_16(10,7)", "RTX3060Ti"): ("1.148-1.821x", "1.148-1.842x"),
-    ("Gamma_16(10,7)", "RTX4090"): ("1.118-1.725x", "1.118-1.895x"),
-    ("Gamma_16(9,8)", "RTX3060Ti"): ("1.445-2.050x", "1.445-2.233x"),
-    ("Gamma_16(9,8)", "RTX4090"): ("1.293-1.671x", "1.293-1.708x"),
-    ("Gamma_16(8,9)", "RTX3060Ti"): ("1.321-1.976x", ""),
-    ("Gamma_16(8,9)", "RTX4090"): ("1.264-1.664x", ""),
-}
-
-
-def kernel_bands(name: str, device, panels) -> tuple[list[float], list[float]]:
-    """Per-shape speedups vs (fastest cuDNN, NHWC GEMM)."""
-    alpha, r, _ = panels[name]
-    vs_fastest, vs_nhwc = [], []
-    for shape, a in panel_shapes(panels[name]):
-        ours = estimate_conv(shape, device, alpha=a, variant="base").gflops
-        cands = {
-            "nhwc": estimate_cudnn_gemm(shape, device, layout="nhwc").gflops,
-            "nchw": estimate_cudnn_gemm(shape, device, layout="nchw").gflops,
-        }
-        if r == 3:
-            cands["fused"] = estimate_cudnn_fused_winograd(shape, device).gflops
-        vs_fastest.append(ours / max(cands.values()))
-        vs_nhwc.append(ours / cands["nhwc"])
-    return vs_fastest, vs_nhwc
-
-
-def render_table2() -> str:
-    rows = []
-    for device, panels in ((RTX3060TI, FIG8_PANELS), (RTX4090, FIG9_PANELS)):
-        for name in panels:
-            fastest, nhwc = kernel_bands(name, device, panels)
-            paper_f, paper_n = PAPER_BANDS.get((name, device.name), ("", ""))
-            rows.append(
-                [
-                    name,
-                    device.name,
-                    speedup_band(fastest),
-                    paper_f,
-                    speedup_band(nhwc),
-                    paper_n,
-                ]
-            )
-    head = banner(
-        "Table 2 — speedup over cuDNN (modeled)",
-        "ours = base Gamma incl. filter transposition; bands over the Fig 8/9 shapes",
-    )
-    body = table(
-        ["Algorithm", "Device", "vs fastest", "(paper)", "vs NHWC GEMM", "(paper)"], rows
-    )
-    return head + "\n" + body
+from repro.bench.report import render_table2, table2_speedups
 
 
 def test_table2_speedup(benchmark, artifact):
@@ -94,12 +22,8 @@ def test_table2_speedup(benchmark, artifact):
 def test_table2_overall_band_matches_paper_envelope():
     """Abstract claim: 0.788x to 2.05x over the fastest benchmark algorithm.
     The model's overall envelope must land in the same regime."""
-    lo, hi = 10.0, 0.0
-    for device, panels in ((RTX3060TI, FIG8_PANELS), (RTX4090, FIG9_PANELS)):
-        for name in panels:
-            fastest, _ = kernel_bands(name, device, panels)
-            lo = min(lo, min(fastest))
-            hi = max(hi, max(fastest))
+    fastest = [s for vs_fastest, _ in table2_speedups().values() for s in vs_fastest]
+    lo, hi = min(fastest), max(fastest)
     assert 0.6 < lo < 1.05, lo
     assert 1.5 < hi < 2.6, hi
 

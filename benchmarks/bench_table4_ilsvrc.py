@@ -6,16 +6,15 @@ Here the same code path runs at reduced geometry (see ``config``); the
 modeled-acceleration column uses the paper geometry on the RTX 4090 model.
 Expected shape: all accelerations > 1, VGG16x5/VGG16x7 gaining the most
 (their Gamma_8(4,5)/Gamma_16(10,7) kernels cut the most multiplications),
-Alpha memory below PyTorch's, indistinguishable convergence.
+Alpha memory below PyTorch's, indistinguishable convergence.  The driver is
+Table 5's :func:`~bench_table5_cifar.render_training_table`.
 """
 
 from __future__ import annotations
 
-import pytest
-
+from bench_table5_cifar import render_training_table
 from conftest import bench_scale
-from repro.bench import banner, modeled_training_acceleration, table
-from repro.dlframe import Adam, SGDM, Trainer, synthetic_ilsvrc
+from repro.dlframe import synthetic_ilsvrc
 from repro.dlframe.models import resnet18, resnet34, vgg16, vgg16x5, vgg16x7, vgg19
 from repro.gpusim import RTX4090
 
@@ -28,8 +27,6 @@ ROWS = [
     ("VGG16x7", vgg16x7, "sgdm"),
 ]
 
-_VGGS = (vgg16, vgg19, vgg16x5, vgg16x7)
-
 
 def config():
     if bench_scale() == "full":
@@ -37,60 +34,19 @@ def config():
     return dict(image=32, classes=20, width=0.125, train=256, test=64, epochs=2, batch=64)
 
 
-def train_one(make_model, optname, engine, cfg):
-    kwargs = dict(classes=cfg["classes"], width_mult=cfg["width"], engine=engine, seed=2)
-    if make_model in _VGGS:
-        kwargs["image"] = cfg["image"]
-    model = make_model(**kwargs)
-    opt = (Adam if optname == "adam" else SGDM)(model.parameters(), lr=1e-3)
-    train, test = synthetic_ilsvrc(
-        train=cfg["train"], test=cfg["test"], image=cfg["image"], classes=cfg["classes"], seed=4
+def render_table4():
+    return render_training_table(
+        "Table 4 — training on synthetic ILSVRC2012",
+        ROWS,
+        config(),
+        lambda cfg: synthetic_ilsvrc(
+            train=cfg["train"], test=cfg["test"], image=cfg["image"],
+            classes=cfg["classes"], seed=4,
+        ),
+        seed=2,
+        paper=dict(image=128, classes=1000, batch=256),
+        device=RTX4090,
     )
-    return Trainer(model, opt).fit(train, test, epochs=cfg["epochs"], batch_size=cfg["batch"])
-
-
-def modeled_accel(make_model) -> float:
-    """Conv-time acceleration at the paper's ILSVRC geometry (128x128,
-    batch 256, RTX 4090)."""
-    kwargs = dict(classes=1000, width_mult=1.0, seed=2)
-    if make_model in _VGGS:
-        kwargs["image"] = 128
-    mw = make_model(engine="winograd", **kwargs)
-    mg = make_model(engine="gemm", **kwargs)
-    return modeled_training_acceleration(mw, mg, image=128, batch=256, device=RTX4090)
-
-
-def render_table4() -> tuple[str, list[dict]]:
-    cfg = config()
-    rows, raw = [], []
-    for name, make_model, optname in ROWS:
-        alpha = train_one(make_model, optname, "winograd", cfg)
-        torch = train_one(make_model, optname, "gemm", cfg)
-        accel = modeled_accel(make_model)
-        raw.append(dict(name=name, accel=accel, alpha=alpha, torch=torch))
-        rows.append(
-            [
-                name,
-                optname.upper(),
-                f"{alpha.seconds_per_epoch:.2f}s | {torch.seconds_per_epoch:.2f}s",
-                f"{accel:.3f}x",
-                f"{alpha.train_accuracy:.1%} | {torch.train_accuracy:.1%}",
-                f"{alpha.memory_bytes / 1e6:.0f}MB | {torch.memory_bytes / 1e6:.0f}MB",
-                f"{alpha.weight_bytes / 1e6:.1f}MB",
-            ]
-        )
-    head = banner(
-        "Table 4 — training on synthetic ILSVRC2012 (Alpha=winograd | PyTorch=gemm)",
-        f"scale={bench_scale()}: image={cfg['image']}, {cfg['classes']} classes, "
-        f"width x{cfg['width']}, {cfg['epochs']} epochs, batch {cfg['batch']}; "
-        "Accel = modeled conv-time ratio at paper geometry on RTX4090",
-    )
-    body = table(
-        ["Network", "Optim", "s/epoch (A | P)", "Accel(model)", "Train acc (A | P)",
-         "Memory (A | P)", "Weights"],
-        rows,
-    )
-    return head + "\n" + body, raw
 
 
 def test_table4_ilsvrc(benchmark, artifact):

@@ -12,17 +12,17 @@ trains 25-40 epochs on a GPU).  ``REPRO_BENCH_SCALE=full`` uses 32x32 and
 width 1.0.  The *shape* expected to reproduce: acceleration > 1 with the
 largest gains on VGG16x5/VGG16x7 (§6.3.2), memory smaller for Alpha,
 accuracies equal within noise.
+
+:func:`render_training_table` is the driver of both training tables;
+``bench_table4_ilsvrc.py`` imports it.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pytest
-
 from conftest import bench_scale
 from repro.bench import banner, modeled_training_acceleration, table
-from repro.dlframe import Adam, SGDM, Trainer, synthetic_cifar10
-from repro.dlframe.models import resnet18, resnet34, vgg16, vgg16x5, vgg19
+from repro.dlframe import SGDM, Adam, Trainer, synthetic_cifar10
+from repro.dlframe.models import resnet18, resnet34, vgg16, vgg16x5, vgg16x7, vgg19
 from repro.gpusim import RTX3060TI
 
 ROWS = [
@@ -35,47 +35,58 @@ ROWS = [
     ("VGG16x5", vgg16x5, "sgdm"),
 ]
 
+#: Models built for one input size; the ResNets pool globally and take none.
+_VGGS = (vgg16, vgg19, vgg16x5, vgg16x7)
+
 
 def config():
     if bench_scale() == "full":
-        return dict(image=32, width=1.0, train=4096, test=1024, epochs=4, batch=512)
-    return dict(image=16, width=0.25, train=384, test=96, epochs=2, batch=64)
+        return dict(image=32, classes=10, width=1.0, train=4096, test=1024, epochs=4, batch=512)
+    return dict(image=16, classes=10, width=0.25, train=384, test=96, epochs=2, batch=64)
 
 
-def train_one(make_model, optname: str, engine: str, cfg) -> "TrainRecord":
-    kwargs = dict(classes=10, width_mult=cfg["width"], engine=engine, seed=5)
-    if make_model in (vgg16, vgg19, vgg16x5):
-        kwargs["image"] = cfg["image"]
-    model = make_model(**kwargs)
-    opt = (Adam if optname == "adam" else SGDM)(model.parameters(), lr=1e-3)
-    train, test = synthetic_cifar10(
-        train=cfg["train"], test=cfg["test"], image=cfg["image"], seed=9
-    )
-    return Trainer(model, opt).fit(train, test, epochs=cfg["epochs"], batch_size=cfg["batch"])
+def _build(make_model, *, image: int, **kwargs):
+    if make_model in _VGGS:
+        kwargs["image"] = image
+    return make_model(**kwargs)
 
 
-def modeled_accel(make_model) -> float:
-    """GPU-modeled conv acceleration at the paper's Cifar10 geometry (32x32,
-    batch 512, full width) — the Table 5 'Acceleration' column analogue."""
-    kwargs = dict(classes=10, width_mult=1.0, seed=5)
-    if make_model in (vgg16, vgg19, vgg16x5):
-        kwargs["image"] = 32
-    mw = make_model(engine="winograd", **kwargs)
-    mg = make_model(engine="gemm", **kwargs)
-    return modeled_training_acceleration(mw, mg, image=32, batch=512, device=RTX3060TI)
+def render_training_table(title, rows, cfg, dataset, *, seed, paper, device):
+    """Train every row on both engines, price the modeled acceleration, render.
 
-
-def render_table5() -> tuple[str, list[dict]]:
-    cfg = config()
-    rows, raw = [], []
-    for name, make_model, optname in ROWS:
-        alpha = train_one(make_model, optname, "winograd", cfg)
-        torch = train_one(make_model, optname, "gemm", cfg)
-        accel = modeled_accel(make_model)
-        raw.append(
-            dict(name=name, opt=optname, accel=accel, alpha=alpha, torch=torch)
+    ``rows`` holds ``(network, model constructor, "adam" | "sgdm")``;
+    ``cfg`` the geometry trained here (``image``, ``classes``, ``width``,
+    ``epochs``, ``batch``, plus whatever ``dataset(cfg) -> (train, test)``
+    reads); ``seed`` the models' initialisation seed.  The Accel column is
+    the modeled conv-time ratio at the paper's geometry ``paper`` (``image``,
+    ``classes``, ``batch``, full width) on the GPU model ``device``.
+    Returns the table text and one dict per row with the two
+    :class:`~repro.dlframe.TrainRecord` s.
+    """
+    text_rows, raw = [], []
+    for name, make_model, optname in rows:
+        records = {}
+        for engine in ("winograd", "gemm"):
+            model = _build(
+                make_model, image=cfg["image"], classes=cfg["classes"],
+                width_mult=cfg["width"], engine=engine, seed=seed,
+            )
+            opt = (Adam if optname == "adam" else SGDM)(model.parameters(), lr=1e-3)
+            train, test = dataset(cfg)
+            records[engine] = Trainer(model, opt).fit(
+                train, test, epochs=cfg["epochs"], batch_size=cfg["batch"]
+            )
+        alpha, torch = records["winograd"], records["gemm"]
+        mw, mg = (
+            _build(make_model, image=paper["image"], classes=paper["classes"],
+                   width_mult=1.0, engine=engine, seed=seed)
+            for engine in ("winograd", "gemm")
         )
-        rows.append(
+        accel = modeled_training_acceleration(
+            mw, mg, image=paper["image"], batch=paper["batch"], device=device
+        )
+        raw.append(dict(name=name, opt=optname, accel=accel, alpha=alpha, torch=torch))
+        text_rows.append(
             [
                 name,
                 optname.upper(),
@@ -88,17 +99,33 @@ def render_table5() -> tuple[str, list[dict]]:
             ]
         )
     head = banner(
-        "Table 5 — training on synthetic Cifar10 (Alpha=winograd | PyTorch=gemm)",
-        f"scale={bench_scale()}: image={cfg['image']}, width x{cfg['width']}, "
-        f"{cfg['epochs']} epochs, batch {cfg['batch']}; Accel column is the "
-        "GPU-model conv-time ratio at paper geometry (NumPy wall-clock shown raw)",
+        f"{title} (Alpha=winograd | PyTorch=gemm)",
+        f"scale={bench_scale()}: image={cfg['image']}, {cfg['classes']} classes, "
+        f"width x{cfg['width']}, {cfg['epochs']} epochs, batch {cfg['batch']}; "
+        f"Accel = modeled conv-time ratio at paper geometry ({paper['image']}x"
+        f"{paper['image']}, batch {paper['batch']}) on {device.name}; "
+        "NumPy wall-clock shown raw",
     )
     body = table(
         ["Network", "Optim", "s/epoch (A | P)", "Accel(model)", "Train\\Test acc (A | P)",
          "Memory (A | P)", "Weights"],
-        rows,
+        text_rows,
     )
     return head + "\n" + body, raw
+
+
+def render_table5():
+    return render_training_table(
+        "Table 5 — training on synthetic Cifar10",
+        ROWS,
+        config(),
+        lambda cfg: synthetic_cifar10(
+            train=cfg["train"], test=cfg["test"], image=cfg["image"], seed=9
+        ),
+        seed=5,
+        paper=dict(image=32, classes=10, batch=512),
+        device=RTX3060TI,
+    )
 
 
 def test_table5_cifar(benchmark, artifact):

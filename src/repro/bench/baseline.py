@@ -224,51 +224,25 @@ def _smoke_metrics() -> dict[str, float]:
 
 
 def _figure_metrics(fig: str) -> dict[str, float]:
-    from ..gpusim import RTX3060TI, RTX4090, estimate_conv
-    from .shapes import FIG8_PANELS, FIG9_PANELS, panel_shapes
+    from .harness import fmt_ofm
+    from .report import FIGURES, figure_series
 
-    device, panels = (
-        (RTX3060TI, FIG8_PANELS) if fig == "fig8" else (RTX4090, FIG9_PANELS)
-    )
     out: dict[str, float] = {}
-    for name, panel in panels.items():
-        for shape, a in panel_shapes(panel):
-            ofm = f"{shape.batch}x{shape.oh}x{shape.ow}x{shape.oc}"
-            base = estimate_conv(shape, device, alpha=a, variant="base")
-            star = estimate_conv(
-                shape, device, alpha=a, variant="base", include_filter_transpose=False
-            )
-            out[f"{fig}/{name}/{ofm}/gflops"] = base.gflops
-            out[f"{fig}/{name}/{ofm}/star.gflops"] = star.gflops
+    for name in FIGURES[fig].panels:
+        shapes, series = figure_series(fig, name)
+        for shape, base, star in zip(shapes, series[name], series[f"{name}*"]):
+            out[f"{fig}/{name}/{fmt_ofm(shape)}/gflops"] = base
+            out[f"{fig}/{name}/{fmt_ofm(shape)}/star.gflops"] = star
     return out
 
 
 def _table2_metrics() -> dict[str, float]:
-    from ..gpusim import (
-        RTX3060TI,
-        RTX4090,
-        estimate_conv,
-        estimate_cudnn_fused_winograd,
-        estimate_cudnn_gemm,
-    )
-    from .shapes import FIG8_PANELS, FIG9_PANELS, panel_shapes
+    from .report import table2_speedups
 
     out: dict[str, float] = {}
-    for device, panels in ((RTX3060TI, FIG8_PANELS), (RTX4090, FIG9_PANELS)):
-        for name, panel in panels.items():
-            _, r, _ = panel
-            ratios = []
-            for shape, a in panel_shapes(panel):
-                ours = estimate_conv(shape, device, alpha=a, variant="base").gflops
-                cands = [
-                    estimate_cudnn_gemm(shape, device, layout="nhwc").gflops,
-                    estimate_cudnn_gemm(shape, device, layout="nchw").gflops,
-                ]
-                if r == 3:
-                    cands.append(estimate_cudnn_fused_winograd(shape, device).gflops)
-                ratios.append(ours / max(cands))
-            out[f"table2/{name}/{device.name}/speedup_min"] = min(ratios)
-            out[f"table2/{name}/{device.name}/speedup_max"] = max(ratios)
+    for (name, device), (fastest, _) in table2_speedups().items():
+        out[f"table2/{name}/{device}/speedup_min"] = min(fastest)
+        out[f"table2/{name}/{device}/speedup_max"] = max(fastest)
     return out
 
 

@@ -38,12 +38,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..nhwc.tensor import conv_output_size
 from ..nhwc.tiles import extract_width_tiles
 from ..obs import counter_add, span
 from . import rowblocks
 from .boundary import Segment, plan_width_segments
-from .kernels import KernelId, default_alpha_for_width, get_kernel
+from .kernels import KernelId, get_kernel
 from .transforms import TransformMatrices, filter_columns, filter_transform, winograd_matrices
 
 __all__ = ["conv2d_im2col_winograd", "winograd_segment", "gemm_segment"]
@@ -101,38 +100,18 @@ def conv2d_im2col_winograd(
         from ..runtime import convolve  # lazy: runtime imports core at load
 
         return convolve(x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype)
-    if x.ndim != 4 or w.ndim != 4:
-        raise ValueError(f"expected 4D x and w, got ndim {x.ndim} and {w.ndim}")
-    if x.shape[3] != w.shape[3]:
-        raise ValueError(f"channel mismatch: input IC={x.shape[3]}, filter IC={w.shape[3]}")
-    oc, fh, fw, ic = w.shape
-    if ph is None:
-        ph = fh // 2
-    if pw is None:
-        pw = fw // 2
-    if not (0 <= pw < fw and 0 <= ph < fh) and (fh > 1 or fw > 1):
-        # pw >= fw would create all-zero leading tiles; supported by GEMM only.
-        raise ValueError(f"padding (ph={ph}, pw={pw}) must satisfy 0 <= p < filter extent")
-    if alpha is None:
-        alpha = default_alpha_for_width(fw)
-    if np.dtype(dtype) == np.float16 and alpha == 16:
-        # §6.2.2 taken to its limit: F(n, r) transform entries reach 1.6e4
-        # at alpha=16, past half precision's usable range — results would be
-        # numerically meaningless (alpha in {4, 8} stays within ~1e-2..1e-3
-        # relative error and is supported).
-        raise ValueError(
-            "alpha=16 is not representable in float16 (transform-matrix "
-            "magnitude disparity, see §6.2.2); use alpha<=8 or float32"
-        )
-    primary = get_kernel(alpha, fw, variant)
+    from ..runtime.signature import ConvSignature  # the one validation of both paths
 
+    sig = ConvSignature.for_operands(
+        x, w, ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dtype
+    )
+    ph, pw, alpha = sig.ph, sig.pw, sig.alpha
+    oc, fh, fw, ic = w.shape
+    n_, ih, iw, _ = x.shape
+    oh, ow = sig.oh, sig.ow
+    primary = get_kernel(alpha, fw, variant)
     x = np.asarray(x, dtype=dtype)
     w = np.asarray(w, dtype=dtype)
-    n_, ih, iw, _ = x.shape
-    oh = conv_output_size(ih, fh, ph)
-    ow = conv_output_size(iw, fw, pw)
-    if oh < 1 or ow < 1:
-        raise ValueError(f"empty output {oh}x{ow}")
 
     y = np.empty((n_, oh, ow, oc), dtype=dtype)
     segments = plan_width_segments(ow, fw, primary=primary)

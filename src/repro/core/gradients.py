@@ -65,8 +65,10 @@ def conv2d_input_grad(
     alpha:
         Winograd state count forwarded to the fused kernel.
     engine:
-        ``"winograd"`` (the paper's backward deconvolution) or ``"gemm"``
-        (col2im scatter) — both exact up to FP rounding.
+        ``"winograd"`` (the paper's backward deconvolution through the
+        runtime) or ``"gemm"`` (:func:`~repro.baselines.gemm.conv2d_gemm`
+        over the same rotated, transposed filters ``(IC, FH, FW, OC)``) —
+        both exact up to FP rounding.
     """
     from ..baselines.gemm import conv2d_gemm  # local import: avoid cycle at module load
 

@@ -254,7 +254,11 @@ def col2im_nhwc(
     pw: int,
     stride: int = 1,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col_nhwc` (scatter-add), used by gradients.
+    """Adjoint of :func:`im2col_nhwc` (scatter-add).
+
+    No gradient calls it: both engines' data gradients are forward
+    convolutions over rotated filters (:mod:`repro.core.gradients`).  It
+    stays as the tested adjoint of the im2col index map.
 
     ``cols`` has shape ``(N*OH*OW, FH*FW*IC)``; overlapping window
     contributions are summed back into an ``input_shape`` NHWC tensor.

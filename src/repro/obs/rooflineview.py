@@ -14,9 +14,9 @@ first-class observable:
 * :func:`render_roofline` — a log-log ASCII roofline chart with labelled
   kernel points, so ``python -m repro.obs.kernelprof`` reports read like an
   Nsight-Compute "GPU Speed Of Light" section;
-* a CLI, ``python -m repro.obs.rooflineview --device rtx4090``, that places
-  every registered ``Gamma`` kernel's §5.6 intensity on the chosen device's
-  roofline.
+* a CLI, ``python -m repro.obs.rooflineview --device rtx4090``, that prints
+  one device's chart of :func:`repro.bench.report.roofline_points`, the
+  placement ``python -m repro.bench.report roofline`` prints for both.
 
 Everything here is closed-form over :class:`repro.gpusim.device.DeviceSpec`
 datasheet numbers; nothing is fitted.
@@ -208,26 +208,9 @@ def main(argv: list[str] | None = None) -> int:
         device = resolve_device(args.device)
     except ValueError as exc:
         parser.error(str(exc))
-    from ..core.kernels import registered_kernels
-    from ..gpusim import calibration as cal
+    from ..bench.report import roofline_points  # lazy: bench.report imports us
 
-    eff = args.eff if args.eff is not None else cal.ARCH_EFF_GAMMA
-    points = []
-    seen: set[str] = set()
-    for kid in registered_kernels():
-        spec = kid.spec
-        if kid.name in seen:
-            continue
-        seen.add(kid.name)
-        points.append(
-            roofline_point(
-                device,
-                spec.intensity,
-                eff * attainable_gflops(device, spec.intensity),
-                label=kid.name,
-            )
-        )
-    points.sort(key=lambda p: p.intensity)
+    points = roofline_points(device, eff=args.eff)
     print(render_roofline(device, points))
     return 0
 

@@ -9,9 +9,10 @@ gathered volume, so the same executable serves every batch of a shape
 (exactly how cuDNN keys its heuristic/plan caches on the conv descriptor,
 not the batch pointer).
 
-Validation lives here so the functional API
-(:func:`repro.core.fused.conv2d_im2col_winograd`) and the runtime entry
-point (:func:`repro.runtime.convolve`) raise identical errors.
+Validation lives here, and only here: the functional API's legacy path
+(:func:`repro.core.fused.conv2d_im2col_winograd` with ``legacy=True``) and
+the runtime entry point (:func:`repro.runtime.convolve`) both resolve a
+signature, so they raise identical errors.
 """
 
 from __future__ import annotations
@@ -130,9 +131,8 @@ class ConvSignature:
     ) -> "ConvSignature":
         """Apply the functional API's defaults and validate the envelope.
 
-        Raises the same :class:`ValueError` messages the legacy
-        ``conv2d_im2col_winograd`` front door raises, so swapping the engine
-        cannot change the error surface.
+        The legacy ``conv2d_im2col_winograd`` path validates through here
+        too, so swapping the engine cannot change the error surface.
         """
         if ph is None:
             ph = fh // 2
@@ -159,6 +159,12 @@ class ConvSignature:
                     "magnitude disparity, see §6.2.2); use alpha<=8 or float32"
                 )
             get_kernel(alpha, fw, variant)  # raises for unregistered combinations
+            if variant == "c64" and (ic % 64 or oc % 64):
+                # §5.6: c64 blocks 64 channels per cache block.
+                raise ValueError(
+                    f"variant 'c64' needs IC and OC that are multiples of 64, "
+                    f"got IC={ic}, OC={oc}"
+                )
             sig = cls(
                 ih=ih, iw=iw, ic=ic, oc=oc, fh=fh, fw=fw,
                 ph=ph, pw=pw, alpha=alpha, variant=variant, dtype=dt.name,

@@ -5,6 +5,7 @@ import pathlib
 
 import pytest
 
+from repro.bench import FIG8_PANELS, FIG9_PANELS
 from repro.bench.baseline import (
     SCHEMA_VERSION,
     SMOKE_POINTS,
@@ -121,6 +122,15 @@ class TestSuites:
                            "smem.main_loop.degree", "roofline.pct_of_ceiling"):
                 assert f"{prefix}/{suffix}" in m1
         assert all(isinstance(v, float) for v in m1.values())
+
+    @pytest.mark.parametrize("suite,panels", [("fig8", FIG8_PANELS), ("fig9", FIG9_PANELS)])
+    def test_figure_suite_pins_base_and_star_per_point(self, suite, panels):
+        metrics = suite_metrics(suite)
+        assert len(metrics) == 2 * sum(len(p[2]) for p in panels.values())
+
+    def test_table2_suite_pins_both_band_endpoints(self):
+        """Nine kernels on two devices, a min and a max each."""
+        assert len(suite_metrics("table2")) == 2 * 18
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError, match="unknown suite"):

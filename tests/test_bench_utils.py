@@ -1,7 +1,12 @@
 """Tests for the bench substrate (shapes, flops, harness, report CLI)."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.bench import (
     FIG8_PANELS,
     FIG9_PANELS,
@@ -17,7 +22,7 @@ from repro.bench import (
     table,
     theoretical_acceleration,
 )
-from repro.bench.report import ARTIFACTS, main, render_table2
+from repro.bench.report import ARTIFACTS, main, render_rooflines, render_table2
 from repro.nhwc import ConvShape
 
 
@@ -135,6 +140,21 @@ class TestReportCLI:
     def test_main_renders_requested(self, capsys):
         assert main(["ablations"]) == 0
         assert "Ablations" in capsys.readouterr().out
+
+    def test_rooflineview_cli_prints_the_report_chart(self):
+        """``python -m repro.obs.rooflineview --device rtx4090`` prints the
+        RTX 4090 chart of ``python -m repro.bench.report roofline``."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        out = subprocess.run(
+            [sys.executable, "-m", "repro.obs.rooflineview", "--device", "rtx4090"],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": src},
+        ).stdout
+        chart = out.rstrip("\n")
+        assert chart.startswith("Roofline — RTX4090")
+        assert chart in render_rooflines()
 
 
 class TestTrainingModel:

@@ -34,11 +34,20 @@ class TestAgainstFP64Direct:
     @pytest.mark.parametrize("variant", ["base", "ruse", "c64"])
     def test_variants_numerically_identical(self, rng, variant):
         """ruse/c64 change blocking on the GPU, never arithmetic."""
-        x = rng.standard_normal((1, 9, 16, 4)).astype(np.float32)
-        w = rng.standard_normal((3, 9, 9, 4)).astype(np.float32)
+        c = 64 if variant == "c64" else 4  # c64 blocks 64 channels (§5.6)
+        x = rng.standard_normal((1, 9, 16, c)).astype(np.float32)
+        w = rng.standard_normal((c, 9, 9, c)).astype(np.float32)
         base = conv2d_im2col_winograd(x, w, alpha=16, variant="base")
         other = conv2d_im2col_winograd(x, w, alpha=16, variant=variant)
         np.testing.assert_array_equal(base, other)
+
+    @pytest.mark.parametrize("legacy", [False, True])
+    def test_c64_needs_channel_multiples_of_64(self, rng, legacy):
+        """Both paths reject c64 off its §5.6 channel contract, identically."""
+        x = rng.standard_normal((1, 9, 16, 4)).astype(np.float32)
+        w = rng.standard_normal((64, 9, 9, 4)).astype(np.float32)
+        with pytest.raises(ValueError, match="c64.*IC=4, OC=64"):
+            conv2d_im2col_winograd(x, w, alpha=16, variant="c64", legacy=legacy)
 
     def test_rectangular_filters(self, rng):
         """FH and FW are decoupled — only FW is Winograd-constrained (§4.2)."""

@@ -13,40 +13,23 @@ import numpy as np
 import pytest
 
 from repro.baselines import conv2d_direct
-from repro.bench import FIG8_PANELS, FIG9_PANELS, panel_shapes
 from repro.bench.paper_data import (
     PAPER_ABSTRACT_ENVELOPE,
     PAPER_TABLE2_FASTEST,
     PAPER_TABLE3_GAMMA,
     PAPER_TABLE4_ACCEL,
 )
+from repro.bench.report import table2_speedups
 from repro.bench.shapes import TABLE3_SHAPES
 from repro.core import conv2d_im2col_winograd
-from repro.gpusim import (
-    DEVICES,
-    RTX3060TI,
-    RTX4090,
-    estimate_conv,
-    estimate_cudnn_fused_winograd,
-    estimate_cudnn_gemm,
-)
+from repro.gpusim import RTX4090
 from repro.nhwc import ConvShape
 
 
-def measured_band(kernel: str, device) -> tuple[float, float]:
-    panels = FIG8_PANELS if device is RTX3060TI else FIG9_PANELS
-    alpha, r, _ = panels[kernel]
-    ratios = []
-    for shape, a in panel_shapes(panels[kernel]):
-        ours = estimate_conv(shape, device, alpha=a, variant="base").gflops
-        cands = [
-            estimate_cudnn_gemm(shape, device, layout="nhwc").gflops,
-            estimate_cudnn_gemm(shape, device, layout="nchw").gflops,
-        ]
-        if r == 3:
-            cands.append(estimate_cudnn_fused_winograd(shape, device).gflops)
-        ratios.append(ours / max(cands))
-    return min(ratios), max(ratios)
+@pytest.fixture(scope="module")
+def bands() -> dict[tuple[str, str], tuple[float, float]]:
+    """``(kernel, device) -> (lo, hi)`` of the printed Table 2's fastest column."""
+    return {key: (min(f), max(f)) for key, (f, _) in table2_speedups().items()}
 
 
 class TestTable2Tracking:
@@ -57,28 +40,25 @@ class TestTable2Tracking:
     TOL_HI = 0.55
 
     @pytest.mark.parametrize("kernel,device_name", sorted(PAPER_TABLE2_FASTEST))
-    def test_band_endpoints_near_paper(self, kernel, device_name):
-        lo, hi = measured_band(kernel, DEVICES[device_name])
+    def test_band_endpoints_near_paper(self, bands, kernel, device_name):
+        lo, hi = bands[(kernel, device_name)]
         plo, phi = PAPER_TABLE2_FASTEST[(kernel, device_name)]
         assert abs(lo - plo) < self.TOL_LO, f"{kernel} {device_name} lo {lo:.2f} vs {plo}"
         assert abs(hi - phi) < self.TOL_HI, f"{kernel} {device_name} hi {hi:.2f} vs {phi}"
 
-    def test_wins_and_losses_agree(self):
+    def test_wins_and_losses_agree(self, bands):
         """Where the paper's band tops out above 1.3x we must clearly win;
         where it stays under 1.1x we must not claim a big win."""
         for (kernel, device_name), (plo, phi) in PAPER_TABLE2_FASTEST.items():
-            lo, hi = measured_band(kernel, DEVICES[device_name])
+            lo, hi = bands[(kernel, device_name)]
             if phi > 1.3:
                 assert hi > 1.1, (kernel, device_name)
             if phi < 1.1:
                 assert hi < 1.35, (kernel, device_name)
 
-    def test_abstract_envelope(self):
-        los, his = [], []
-        for (kernel, device_name) in PAPER_TABLE2_FASTEST:
-            lo, hi = measured_band(kernel, DEVICES[device_name])
-            los.append(lo)
-            his.append(hi)
+    def test_abstract_envelope(self, bands):
+        los = [bands[key][0] for key in PAPER_TABLE2_FASTEST]
+        his = [bands[key][1] for key in PAPER_TABLE2_FASTEST]
         plo, phi = PAPER_ABSTRACT_ENVELOPE
         assert abs(min(los) - plo) < 0.25
         assert abs(max(his) - phi) < 0.35

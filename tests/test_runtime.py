@@ -22,13 +22,13 @@ from repro.baselines.gemm import conv2d_gemm
 from repro.core import rowblocks
 from repro.core.boundary import Segment
 from repro.core.fused import conv2d_im2col_winograd, winograd_segment
-from repro.core.kernels import get_kernel
+from repro.core.kernels import get_kernel, registered_kernels
 from repro.core.transforms import winograd_matrices
 from repro.nhwc.tensor import im2col_nhwc
 from repro.runtime import cache_stats, clear_cache, configure, executable
 from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
-from repro.runtime.executable import FILTER_CACHE_SLOTS
+from repro.runtime.executable import FILTER_CACHE_SLOTS, compiled_plan
 from repro.runtime.signature import ConvSignature
 
 
@@ -420,6 +420,39 @@ class TestStaticAnalysisOfCachedPlans:
             report = analyze_plan(exe.plan)
             assert report.errors == [], f"{exe.plan.reason}: {report.errors}"
             assert report.warnings == [], f"{exe.plan.reason}: {report.warnings}"
+
+    #: Channel pairs cycled over the widths: multiples of 64 and not.
+    PAIRS = ((64, 64), (3, 4), (96, 64), (64, 40), (128, 192))
+
+    def test_every_compiled_plan_is_strict_clean(self):
+        """The plan sanitizer over the runtime's envelope: every registered
+        (alpha, r, variant) at input widths r..64 with paddings 0..r-1 cycled
+        over them, and GEMM signatures at strides 1-3.  A c64 signature off
+        the §5.6 channel contract must not compile at all."""
+        sigs = []
+        for k in registered_kernels(include_extended=True):
+            for iw in range(k.r, 65):
+                ic, oc = self.PAIRS[iw % len(self.PAIRS)]
+                kw = dict(ih=k.r, iw=iw, ic=ic, oc=oc, fh=k.r, fw=k.r, ph=0, pw=iw % k.r,
+                          alpha=k.alpha, variant=k.variant)
+                if k.variant == "c64" and (ic % 64 or oc % 64):
+                    with pytest.raises(ValueError, match="multiples of 64"):
+                        ConvSignature.resolve(**kw)
+                    continue
+                sigs.append(ConvSignature.resolve(**kw))
+        for fw in (1, 3, 5, 7):
+            for stride in (1, 2, 3):
+                for iw in range(fw, 65, 3):
+                    sigs.append(ConvSignature.resolve(
+                        ih=fw, iw=iw, ic=3, oc=8, fh=fw, fw=fw, ph=0, pw=iw % fw,
+                        algorithm="gemm", stride=stride,
+                    ))
+        dirty = {}
+        for sig in sigs:
+            report = analyze_plan(compiled_plan(sig))
+            if not report.ok(strict=True):
+                dirty[sig.label] = report.rule_ids()
+        assert not dirty, dirty
 
 
 class TestGemmTailOperand:
