@@ -23,7 +23,9 @@ Deliberately unguarded state (reviewed, not forgotten):
   confined; only ``stop``/``submit`` touch them from the loop thread.
 * ``RegisteredModel.model`` and the warmup-written fields — published once
   by ``register``; ``infer_rows`` reads them lock-free by design (the
-  model is frozen in eval mode).
+  model is in eval mode, and a weight reload replaces each parameter's
+  array instead of writing into it).
+* ``ExecutableCache._capacity`` — set once at construction.
 * ``Tracer.origin_s`` — a scalar written under the lock, read by exporters
   that already snapshot the forest.
 * ``SLOTracker`` — has no lock of its own; every touch runs under
@@ -86,9 +88,10 @@ GUARDS: tuple[GuardSpec, ...] = (
         "repro.runtime.cache",
         "ExecutableCache",
         "_lock",
-        ("_entries", "_hits", "_misses", "_evictions", "_capacity"),
+        ("_entries", "_hits", "_misses", "_evictions"),
         assume_held=("_evict_over_capacity",),
-        note="bounded LRU of compiled executables; resize races inserts",
+        note="bounded LRU of compiled executables; inserts from racing compiles "
+        "evict under the lock (the capacity is fixed at construction)",
     ),
     GuardSpec(
         "repro.runtime.executable",
@@ -111,7 +114,8 @@ GUARDS: tuple[GuardSpec, ...] = (
         "_lock",
         ("weight_version", "_batch_ns"),
         note="weight reloads vs describe(); batch times recorded by execute "
-        "workers, quoted on the loop; model itself is frozen/eval",
+        "workers, quoted on the loop; the model is eval-mode, weights change only "
+        "by replacement",
     ),
     GuardSpec(
         "repro.serve.scheduler",

@@ -19,10 +19,15 @@ the paper's Winograd kernels cover forward + data-grad only).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from ..nhwc.layouts import rotate_filter_180
 from ..nhwc.tensor import im2col_nhwc
+
+if TYPE_CHECKING:  # the runtime imports core at load
+    from ..runtime import ConvExecutable, FilterBundle
 
 __all__ = ["backward_filter_for_input_grad", "conv2d_input_grad", "conv2d_filter_grad"]
 
@@ -32,11 +37,13 @@ def backward_filter_for_input_grad(w: np.ndarray) -> np.ndarray:
 
     Input ``(OC, FH, FW, IC)``; output ``(IC, FH, FW, OC)`` with both spatial
     axes reversed, ready to be fed to the forward kernels with ``dY`` as the
-    ifms.  This is the rotation the paper folds into filter-transformation.
+    ifms.  The result is a view: the rotation is folded into the copy the
+    filter transform (or the GEMM fold) makes anyway, as the paper folds it
+    into filter-transformation (§5.1), so no rotated copy is materialised.
     """
     if w.ndim != 4:
         raise ValueError(f"expected 4D filter, got ndim={w.ndim}")
-    return np.ascontiguousarray(rotate_filter_180(w).transpose(3, 1, 2, 0))
+    return rotate_filter_180(w).transpose(3, 1, 2, 0)
 
 
 def conv2d_input_grad(
@@ -48,6 +55,8 @@ def conv2d_input_grad(
     pw: int,
     alpha: int | None = None,
     engine: str = "winograd",
+    executable: ConvExecutable | None = None,
+    bundle: FilterBundle | None = None,
 ) -> np.ndarray:
     """Gradient w.r.t. the ifms of a unit-stride forward convolution.
 
@@ -69,6 +78,9 @@ def conv2d_input_grad(
         runtime) or ``"gemm"`` (:func:`~repro.baselines.gemm.conv2d_gemm`
         over the same rotated, transposed filters ``(IC, FH, FW, OC)``) —
         both exact up to FP rounding.
+    executable, bundle:
+        Winograd only: a caller's held executable and operands of the
+        rotated ``w``, passed on to :func:`repro.runtime.convolve`.
     """
     from ..baselines.gemm import conv2d_gemm  # local import: avoid cycle at module load
 
@@ -79,17 +91,17 @@ def conv2d_input_grad(
             f"dy shape {dy.shape} inconsistent with input {input_shape}, "
             f"filter {(oc, fh, fw, ic)}, padding ({ph}, {pw})"
         )
-    wb = backward_filter_for_input_grad(w)  # (IC, FH, FW, OC)
+    wb = backward_filter_for_input_grad(w)  # (IC, FH, FW, OC) view
     bp_h, bp_w = fh - 1 - ph, fw - 1 - pw
     if engine == "winograd":
         # Compiled-plan runtime: the backward-deconvolution signature (dy as
-        # ifms, flipped filters) gets its own cached executable, and the
-        # filter-transform cache, which matches weights by an exact bit
-        # compare, absorbs the per-call ``wb`` rebuild while the forward
-        # weights are unchanged.
+        # ifms, flipped filters) gets its own cached executable.
         from ..runtime import convolve  # lazy: runtime imports core at load
 
-        return convolve(dy, wb, ph=bp_h, pw=bp_w, alpha=alpha, dtype=dy.dtype)
+        return convolve(
+            dy, wb, ph=bp_h, pw=bp_w, alpha=alpha, dtype=dy.dtype,
+            executable=executable, bundle=bundle,
+        )
     if engine == "gemm":
         return conv2d_gemm(dy, wb, ph=bp_h, pw=bp_w)
     raise ValueError(f"unknown engine {engine!r}")

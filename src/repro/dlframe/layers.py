@@ -21,13 +21,14 @@ All activations are NHWC.
 
 from __future__ import annotations
 
-from typing import Iterator
+import weakref
+from typing import Callable, Iterator
 
 import numpy as np
 
 from ..baselines.gemm import conv2d_gemm
 from ..core import rowblocks
-from ..core.gradients import conv2d_filter_grad, conv2d_input_grad
+from ..core.gradients import backward_filter_for_input_grad, conv2d_filter_grad, conv2d_input_grad
 from ..nhwc.tensor import conv_output_size
 from ..obs import span
 from ..runtime import ConvExecutable, ConvSignature, FilterBundle, conv_engine, get_executable
@@ -50,11 +51,28 @@ __all__ = [
 ]
 
 
+_TENSOR_DATA = Tensor.__dict__["data"]
+
+
 class Parameter(Tensor):
-    """A trainable tensor (always requires grad)."""
+    """A trainable tensor (always requires grad).
+
+    Its array is a read-only view, so a weight changes only when a new array
+    is assigned to ``data`` (optimizer steps, ``load_state_dict``).
+    """
 
     def __init__(self, data, name: str = "") -> None:
         super().__init__(np.asarray(data), requires_grad=True, name=name)
+
+    @property  # type: ignore[override]
+    def data(self) -> np.ndarray:
+        return _TENSOR_DATA.__get__(self)
+
+    @data.setter
+    def data(self, value) -> None:
+        arr = np.asarray(value).view()
+        arr.flags.writeable = False
+        _TENSOR_DATA.__set__(self, arr)
 
 
 class Module:
@@ -95,15 +113,6 @@ class Module:
 
     def eval(self) -> "Module":
         return self.train(False)
-
-    def freeze(self) -> "Module":
-        """Put the whole tree in frozen-inference mode: eval + per-layer
-        pre-computation where a layer supports it (Conv2D pre-transforms its
-        filters, §6.1.2).  Any subsequent ``train(True)`` unfreezes."""
-        self.eval()
-        for child in self.children():
-            child.freeze()
-        return self
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -180,10 +189,10 @@ class Conv2D(Module):
             name="conv.weight",
         )
         self.bias = Parameter(np.zeros(oc, dtype=np.float32), name="conv.bias") if bias else None
-        self._frozen = False
-        # Frozen: the executable and filter operands of each input size
-        # (IH, IW) a forward has run.
-        self._compiled: dict[tuple[int, int], tuple[ConvExecutable, FilterBundle]] = {}
+        # Held operands per input size: the forward's, and the Winograd
+        # data grad's (keyed by the gradient's dtype too); see _held.
+        self._forward_ops: dict[tuple, _Operands] = {}
+        self._grad_ops: dict[tuple, _Operands] = {}
         # Engine run at each input width served so far.
         self._served: dict[int, str] = {}
 
@@ -217,67 +226,31 @@ class Conv2D(Module):
             return "mixed"
         return self.engine if self.stride == 1 else "gemm"
 
-    def _compiled_at(
-        self, xd: np.ndarray, wd: np.ndarray, algorithm: str
-    ) -> tuple[ConvExecutable, FilterBundle]:
-        """The frozen layer's executable and filter operands for ``xd``'s size."""
-        # Captured once: a concurrent re-freeze swaps in a new dict, so
-        # operands built here from the old weights never land in it.
-        compiled = self._compiled
-        ih, iw = xd.shape[1:3]
-        entry = compiled.get((ih, iw))
-        if entry is None:
-            sig = ConvSignature.for_operands(
-                xd, wd, ph=self.padding, pw=self.padding, algorithm=algorithm,
-                stride=self.stride,
-            )
-            exe = get_executable(sig)
-            entry = compiled[(ih, iw)] = (exe, exe.build_bundle(wd))
-        return entry
-
-    def freeze(self) -> "Conv2D":
-        """Enter frozen-inference mode (§6.1.2's pre-transposition, here:
-        pre-transformed filters).  The executable and its filter operands
-        (Winograd ``U``, or the folded GEMM matrix where the rule picks GEMM
-        or the layer is strided) are resolved once per input size at first
-        use, from the weights at that time; freezing again or any
-        ``train()`` discards them (weights are assumed fixed while frozen).
-        An ``engine="gemm"`` layer stays the unfrozen baseline."""
-        self.eval()
-        self._frozen = True
-        self._compiled = {}
-        return self
-
-    def train(self, mode: bool = True) -> "Conv2D":
-        if mode:
-            self._frozen = False
-            self._compiled = {}
-        return super().train(mode)
-
     def forward(self, x: Tensor) -> Tensor:
         w = self.weight
         ph = pw = self.padding
         stride = self.stride
+        # Weights read once: operands and backward pair with this array.
         xd, wd = x.data, w.data
         engine = self.engine_at(xd.shape[2])
         self._served[xd.shape[2]] = engine
-        frozen = getattr(self, "_frozen", False)
         with span(
             "layer.conv2d", engine=engine, ic=self.ic, oc=self.oc,
-            kernel=self.kernel, stride=stride, frozen=frozen,
+            kernel=self.kernel, stride=stride,
         ):
             if self.engine == "gemm":
                 y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
             else:
-                # Compiled-plan runtime, Winograd or GEMM.  Frozen, the
-                # layer hands over the executable and filter operands it
-                # holds for this input size, so a call does no filter work
-                # and no signature resolution.  Otherwise the signature hits
-                # the executable cache after the first step, and the filter
-                # cache, matching weights by an exact bit compare against
-                # its copy, rebuilds the operands once per optimizer update
-                # (weights mutate in place).
-                exe, bundle = self._compiled_at(xd, wd, engine) if frozen else (None, None)
+                # Compiled-plan runtime, Winograd or GEMM, on the operands
+                # this layer holds for the input size and weights.
+                def build() -> tuple[ConvExecutable, FilterBundle]:
+                    sig = ConvSignature.for_operands(
+                        xd, wd, ph=ph, pw=pw, algorithm=engine, stride=stride
+                    )
+                    exe = get_executable(sig)
+                    return exe, exe.build_bundle(wd)
+
+                exe, bundle = _held(self._forward_ops, xd.shape[1:3], wd, build)
                 y = runtime_convolve(
                     xd, wd, ph=ph, pw=pw, stride=stride, algorithm=engine,
                     bundle=bundle, executable=exe,
@@ -298,11 +271,7 @@ class Conv2D(Module):
 
         def backward_fn(g):
             if stride == 1:
-                dx = (
-                    conv2d_input_grad(g, wd, in_shape, ph=ph, pw=pw, engine=grad_engine)
-                    if input_grad
-                    else None
-                )
+                dx = self._input_grad(g, wd, in_shape, grad_engine) if input_grad else None
                 dw = conv2d_filter_grad(xd, g, fh=fh, fw=fw, ph=ph, pw=pw)
             else:
                 dx, dw = _strided_conv_grads(xd, wd, g, ph, pw, stride)
@@ -311,6 +280,47 @@ class Conv2D(Module):
 
         parents = (x, w) + ((self.bias,) if self.bias is not None else ())
         return make_op(y, parents, backward_fn)
+
+    def _input_grad(self, g, wd, in_shape, engine: str) -> np.ndarray:
+        """The unit-stride data grad, on held operands for Winograd."""
+        ph = pw = self.padding
+        exe = bundle = None
+        if engine == "winograd":
+            fk = self.kernel - 1
+
+            def build() -> tuple[ConvExecutable, FilterBundle]:
+                wb = backward_filter_for_input_grad(wd)
+                sig = ConvSignature.for_operands(g, wb, ph=fk - ph, pw=fk - pw, dtype=g.dtype)
+                exe = get_executable(sig)
+                return exe, exe.build_bundle(wb)
+
+            exe, bundle = _held(self._grad_ops, (*in_shape[1:3], g.dtype), wd, build)
+        return conv2d_input_grad(
+            g, wd, in_shape, ph=ph, pw=pw, engine=engine, executable=exe, bundle=bundle
+        )
+
+
+#: A layer-held entry: a weak reference to the weight array the operands
+#: were built from, then the executable and its filter operands.
+_Operands = tuple[weakref.ref, ConvExecutable, FilterBundle]
+
+
+def _held(
+    table: dict[tuple, _Operands],
+    key: tuple,
+    wd: np.ndarray,
+    build: Callable[[], tuple[ConvExecutable, FilterBundle]],
+) -> tuple[ConvExecutable, FilterBundle]:
+    """``table[key]``'s executable and bundle if built from ``wd``, else new ones.
+
+    Weights change only by replacement (:class:`Parameter`), so an entry is
+    current exactly while ``wd`` is its (weakly held) source array.
+    """
+    entry = table.get(key)
+    if entry is None or entry[0]() is not wd:
+        exe, bundle = build()
+        entry = table[key] = (weakref.ref(wd), exe, bundle)
+    return entry[1], entry[2]
 
 
 def _strided_conv_grads(xd, wd, g, ph, pw, stride):

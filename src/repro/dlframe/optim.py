@@ -1,7 +1,8 @@
 """Optimizers: SGDM and Adam, the two the paper trains with (§6.3.1).
 
-Both operate in-place on :class:`~repro.dlframe.layers.Parameter` data and
-keep their state keyed by parameter identity.  Learning rate defaults to the
+Both assign each :class:`~repro.dlframe.layers.Parameter` a new array
+(``p.data = p.data - ...``, the floats an in-place update computes), so
+layers see the change; their state is keyed by parameter order.  Learning rate defaults to the
 paper's 0.001.
 """
 
@@ -34,7 +35,7 @@ class Optimizer:
 
 
 class SGDM(Optimizer):
-    """SGD with momentum: ``v = mu*v + g;  p -= lr * v``."""
+    """SGD with momentum: ``v = mu*v + g;  p = p - lr * v``."""
 
     def __init__(self, parameters: list[Parameter], lr: float = 1e-3, momentum: float = 0.9) -> None:
         super().__init__(parameters, lr)
@@ -49,7 +50,7 @@ class SGDM(Optimizer):
                 continue
             v *= self.momentum
             v += p.grad
-            p.data -= self.lr * v
+            p.data = p.data - self.lr * v
 
 
 class Adam(Optimizer):
@@ -85,4 +86,4 @@ class Adam(Optimizer):
             m += (1 - b1) * g
             v *= b2
             v += (1 - b2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            p.data = p.data - self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)

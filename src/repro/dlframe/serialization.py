@@ -24,13 +24,14 @@ __all__ = ["state_dict", "load_state_dict", "save_weights", "load_weights", "wei
 
 
 def _walk(module: Module, prefix: str = ""):
-    """Yield (path, leaf) for every Parameter and BN running buffer."""
+    """Yield ``(path, owner, name, leaf)`` for every Parameter and BN running
+    buffer; a buffer is ``owner``'s attribute ``name``."""
     for name, value in vars(module).items():
         path = f"{prefix}{name}"
         if isinstance(value, Parameter):
-            yield path, value
+            yield path, module, name, value
         elif isinstance(value, np.ndarray) and name.startswith("running_"):
-            yield path, value
+            yield path, module, name, value
         elif isinstance(value, Module):
             yield from _walk(value, f"{path}.")
         elif isinstance(value, (list, tuple)):
@@ -38,13 +39,13 @@ def _walk(module: Module, prefix: str = ""):
                 if isinstance(item, Module):
                     yield from _walk(item, f"{path}.{i}.")
                 elif isinstance(item, Parameter):
-                    yield f"{path}.{i}", item
+                    yield f"{path}.{i}", module, name, item
 
 
 def state_dict(model: Module) -> dict[str, np.ndarray]:
     """Flat mapping from parameter path to array (copies, detached)."""
     out: dict[str, np.ndarray] = {}
-    for path, leaf in _walk(model):
+    for path, _, _, leaf in _walk(model):
         arr = leaf.data if isinstance(leaf, Parameter) else leaf
         if path in out:
             raise ValueError(f"duplicate parameter path {path!r}")
@@ -53,7 +54,11 @@ def state_dict(model: Module) -> dict[str, np.ndarray]:
 
 
 def load_state_dict(model: Module, state: dict[str, np.ndarray]) -> None:
-    """Restore parameters (and BN buffers) in place.
+    """Restore parameters (and BN buffers) by assigning new arrays.
+
+    Every key and shape is checked before anything is replaced, so a bad
+    state raises and leaves the model as it was.  Each leaf then gets a
+    fresh copy of its array, cast to the leaf's dtype.
 
     Raises
     ------
@@ -63,18 +68,24 @@ def load_state_dict(model: Module, state: dict[str, np.ndarray]) -> None:
         On shape mismatches or unconsumed extra keys.
     """
     remaining = dict(state)
-    for path, leaf in _walk(model):
+    updates = []
+    for path, owner, name, leaf in _walk(model):
         if path not in remaining:
             raise KeyError(f"state dict missing {path!r}")
-        arr = remaining.pop(path)
+        arr = np.asarray(remaining.pop(path))
         target = leaf.data if isinstance(leaf, Parameter) else leaf
         if arr.shape != target.shape:
             raise ValueError(
                 f"shape mismatch for {path!r}: state {arr.shape} vs model {target.shape}"
             )
-        target[...] = arr
+        updates.append((owner, name, leaf, np.array(arr, dtype=target.dtype)))
     if remaining:
         raise ValueError(f"state dict has unknown keys: {sorted(remaining)[:5]}")
+    for owner, name, leaf, arr in updates:
+        if isinstance(leaf, Parameter):
+            leaf.data = arr
+        else:
+            setattr(owner, name, arr)
 
 
 def save_weights(model: Module, path: str | pathlib.Path) -> int:

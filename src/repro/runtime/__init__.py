@@ -16,7 +16,7 @@ Entry points
 :func:`configure`
     Process-wide chunk workspace budget.
 :func:`global_cache`
-    The process-wide executable LRU (``resize`` sets its capacity).
+    The process-wide executable LRU (capacity ``cache.DEFAULT_CAPACITY``).
 :func:`cache_stats` / :func:`clear_cache`
     Plan-cache observability (also exported as ``runtime.cache.*`` obs
     counters).

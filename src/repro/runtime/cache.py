@@ -30,9 +30,9 @@ __all__ = [
 ]
 
 #: Default number of compiled signatures kept resident.  A whole-network
-#: training run touches a few dozen distinct conv shapes (forward + the
-#: flipped-filter backward signatures); 128 holds several networks at once
-#: while bounding plan memory.
+#: training run compiles one per distinct conv signature, forward and
+#: flipped-filter backward (VGG16 at 32x32: 13); 128 holds several networks
+#: at once while bounding plan memory.
 DEFAULT_CAPACITY = 128
 
 
@@ -67,11 +67,7 @@ class ExecutableCache:
 
     @property
     def capacity(self) -> int:
-        # Under the lock: a plain attribute read would be atomic in CPython
-        # today, but admission logic comparing capacity against len() must
-        # not interleave with a concurrent resize's evict loop.
-        with self._lock:
-            return self._capacity
+        return self._capacity
 
     def _evict_over_capacity(self) -> None:
         """Evict LRU entries past the bound.  Caller must hold the lock."""
@@ -79,20 +75,6 @@ class ExecutableCache:
             self._entries.popitem(last=False)
             self._evictions += 1
             counter_add("runtime.cache.evictions")
-
-    def resize(self, capacity: int) -> None:
-        """Change the bound, evicting LRU entries if shrinking.
-
-        Safe to call while server workers are mid-:meth:`get`: the insert
-        path re-checks the bound under the same lock after its out-of-lock
-        compile, so a shrink can never be outrun by a racing insert, and
-        every eviction is counted exactly once.
-        """
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        with self._lock:
-            self._capacity = capacity
-            self._evict_over_capacity()
 
     def get(self, sig: ConvSignature) -> ConvExecutable:
         """Return the executable for ``sig``, compiling it on first use."""

@@ -4,8 +4,9 @@
 :func:`repro.core.fused.conv2d_im2col_winograd`: same operands, same
 defaults, same error surface, bit-identical results — but the signature is
 resolved through the process-wide executable cache, so planning, transform
-matrices, gather descriptors and (per weight version) the filter transforms
-are all reused across calls.
+matrices, gather descriptors and (per weight content) the filter transforms
+are all reused across calls.  A caller that holds its executable and filter
+operands (a ``Conv2D`` layer) passes them in and skips both caches.
 
 Each call runs its segments' chunks one after another on the calling
 thread; the parallelism is BLAS's, inside every transform and contraction
@@ -107,7 +108,6 @@ def convolve(
     alpha: int | None = None,
     variant: str = "base",
     dtype: np.dtype | type | str = np.float32,
-    version: object = None,
     bundle: FilterBundle | None = None,
     workspace_bytes: int | None = None,
     algorithm: str = "winograd",
@@ -120,10 +120,8 @@ def convolve(
     :func:`repro.core.fused.conv2d_im2col_winograd` (bit-identical
     outputs, identical validation errors): both accumulate the full
     ``(fh, ic)`` depth in one GEMM per ``alpha`` state.
-    ``version`` optionally names the weight version to key the
-    filter-transform cache by instead of comparing the weights, and
     ``bundle`` supplies pre-resolved filter operands and ``executable``
-    the executable of this call's signature (frozen inference: no
+    the executable of this call's signature (a layer's held operands: no
     signature resolution, no cache lookup).  ``workspace_bytes`` is this
     call's chunk budget (default: the :func:`configure` value).
     ``algorithm="gemm"`` runs the conv as one row-blocked im2col GEMM
@@ -163,4 +161,4 @@ def convolve(
             algorithm=algorithm, stride=stride,
         )
         exe = get_executable(sig)
-    return exe(x, w, version=version, bundle=bundle, workspace_bytes=workspace_bytes)
+    return exe(x, w, bundle=bundle, workspace_bytes=workspace_bytes)

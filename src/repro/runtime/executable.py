@@ -17,10 +17,11 @@ re-derives on each call:
 * a small LRU of the §6.1.2 filter transforms ``U = G w`` (layout
   ``(alpha, FH, IC, OC)``, which reshapes to the ``(alpha, FH*IC, OC)``
   contraction operand without a copy) and, for a plan with a GEMM segment
-  only, of the folded GEMM operand, matched by caller-named weight version
-  or else by an exact bit compare against a private copy of the source
-  weights.  Frozen callers skip the cache and pass their own
-  :class:`FilterBundle`.
+  only, of the folded GEMM operand, matched by an exact bit compare against
+  a private copy of the source weights.  It serves the functional callers
+  (``convolve(x, w)`` and its twins); a ``Conv2D`` layer holds its own
+  :class:`FilterBundle` per weight array and passes it in, so it never
+  touches this cache.
 
 Execution gathers all ``FH`` filter rows as one strided view, runs the
 input transform as one GEMM per chunk and writes ``V`` once, in the
@@ -82,11 +83,9 @@ __all__ = ["ConvExecutable", "FilterBundle", "build_filter_bundle", "compiled_pl
 
 SchemeKey = tuple[int, int]  # (n, r)
 
-#: Filter-transform cache entries kept per executable.  Frozen inference
-#: holds its bundles in the layers and never touches this cache; training
-#: alternates between at most a couple of weight versions per step (forward
-#: + recomputed backward filters), so a handful of slots bounds memory
-#: without thrashing.
+#: Filter-transform cache entries kept per executable.  Layers hold their
+#: own bundles and never touch this cache; its functional callers repeat a
+#: few weight arrays per signature, which a handful of slots covers.
 FILTER_CACHE_SLOTS = 4
 
 #: Evenly spaced elements an unversioned lookup compares before the full
@@ -148,7 +147,7 @@ def build_filter_bundle(
 
     ``gemm`` says whether the plan has a GEMM segment, and so whether the
     bundle holds the folded operand.  Shared by :class:`ConvExecutable` and
-    the frozen-inference callers; the transform itself is
+    the callers that hold their bundles; the transform itself is
     :func:`~repro.core.transforms.filter_transform`, the legacy path's too.
     Every build counts one ``runtime.filter_cache.misses``; every call that
     runs on a cached or caller-held bundle counts a hit.
@@ -177,15 +176,10 @@ def _flat_bits(w: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class _FilterSlot:
-    """One filter-cache entry: a bundle and what it was built from.
+    """One filter-cache entry: a bundle and ``bits``, the private copy of
+    the source weights' bit patterns that a lookup must equal."""
 
-    A versioned slot matches its caller-named ``version``; an unversioned
-    slot (``version is None``) matches weights whose bits equal ``bits``,
-    its private copy of the source weights.
-    """
-
-    version: object
-    bits: np.ndarray | None
+    bits: np.ndarray
     bundle: FilterBundle
 
 
@@ -319,37 +313,28 @@ class ConvExecutable:
     def build_bundle(self, w: np.ndarray) -> FilterBundle:
         """Transform ``w`` for this plan's schemes, bypassing the cache.
 
-        For callers that hold the bundle themselves (frozen layers): the
+        For callers that hold the bundle themselves (``Conv2D`` layers): the
         result is passed back as ``bundle=`` on every call.
         """
         return build_filter_bundle(
             self._check_filters(w), self._schemes, self.dtype, gemm=self._gemm
         )
 
-    def filter_bundle(self, w: np.ndarray, *, version: object = None) -> FilterBundle:
+    def filter_bundle(self, w: np.ndarray) -> FilterBundle:
         """Pre-transformed operands for ``w``, from a small LRU cache.
 
-        ``version`` names the weights for callers that track their identity
-        themselves.  Without it the weights are matched by content: each
-        slot keeps a copy of its source weights and ``w`` hits only a slot
-        it equals bit for bit, so in-place optimizer updates miss once per
-        step and repeated calls on unchanged weights hit.  A cheap sampled
-        compare rejects non-matching slots first; the full compare runs on
-        a snapshot outside the lock.
+        The weights are matched by content: each slot keeps a copy of its
+        source weights and ``w`` hits only a slot it equals bit for bit, so
+        an in-place write to ``w`` misses and repeated calls on unchanged
+        weights hit.  A cheap sampled compare rejects non-matching slots
+        first; the full compare runs on a snapshot outside the lock.
         """
         w = self._check_filters(w)
         with self._flock:
             slots = tuple(self._filters)
+        bits = _flat_bits(w)
         # Most recently used first.
-        if version is not None:
-            bits = None
-            found = next((s for s in reversed(slots) if s.version == version), None)
-        else:
-            bits = _flat_bits(w)
-            found = next(
-                (s for s in reversed(slots) if s.bits is not None and self._same(s.bits, bits)),
-                None,
-            )
+        found = next((s for s in reversed(slots) if self._same(s.bits, bits)), None)
         if found is not None:
             with self._flock:
                 if found in self._filters:
@@ -358,9 +343,7 @@ class ConvExecutable:
             counter_add("runtime.filter_cache.hits")
             return found.bundle
         bundle = build_filter_bundle(w, self._schemes, self.dtype, gemm=self._gemm)
-        slot = _FilterSlot(
-            version=version, bits=None if bits is None else bits.copy(), bundle=bundle
-        )
+        slot = _FilterSlot(bits=bits.copy(), bundle=bundle)
         with self._flock:
             self._filters.append(slot)
             while len(self._filters) > FILTER_CACHE_SLOTS:
@@ -384,7 +367,6 @@ class ConvExecutable:
         x: np.ndarray,
         w: np.ndarray | None = None,
         *,
-        version: object = None,
         bundle: FilterBundle | None = None,
         workspace_bytes: int | None = None,
     ) -> np.ndarray:
@@ -421,7 +403,7 @@ class ConvExecutable:
         def get_bundle() -> FilterBundle:
             if not resolved:
                 assert w is not None
-                resolved.append(self.filter_bundle(w, version=version))
+                resolved.append(self.filter_bundle(w))
             return resolved[0]
 
         tasks = self._tasks(batch, budget)

@@ -1,19 +1,19 @@
-"""Model registry: named, frozen, pre-resolved models ready to serve.
+"""Model registry: named, eval-mode, pre-resolved models ready to serve.
 
 Registration does everything expensive exactly once, before the first
 request arrives:
 
-* builds (or adopts) a :mod:`repro.dlframe` model and **freezes** it —
-  serving must be a pure function of the weights, so BatchNorm uses
-  running statistics and nothing mutates per request, and each ``Conv2D``
-  holds its filter operands itself (the §6.1.2 transforms of a Winograd
-  conv, the folded matrix of a GEMM conv) instead of rebuilding them on
-  every call;
+* builds (or adopts) a :mod:`repro.dlframe` model and puts it in **eval**
+  mode — serving must be a pure function of the weights, so BatchNorm
+  uses running statistics and nothing mutates per request.  Each
+  ``Conv2D`` holds its filter operands itself (the §6.1.2 transforms of a
+  Winograd conv, the folded matrix of a GEMM conv), built once per weight
+  array instead of on every call;
 * **warms** the model: one forward pass per served input size resolves
   every convolution to its cached
   :class:`~repro.runtime.executable.ConvExecutable` (plan + transform
   matrices + gather descriptors, or the GEMM plan the per-layer rule picks
-  and every strided conv runs) and builds each frozen conv's filter
+  and every strided conv runs) and builds each conv's filter
   operands, so
   the first real request does no set-up work, and each conv then reports
   the engine the rule ran it on (``winograd_convs`` counts those that ran
@@ -22,9 +22,9 @@ request arrives:
   batch the scheduler executes then records its own measured time, and
   :meth:`RegisteredModel.predicted_batch_ns` quotes from those records;
 * tracks a **weight version** per model, bumped by
-  :meth:`ModelRegistry.load_weights`, which re-freezes the model: each
-  conv transforms the new weights exactly once (on the reload's warmup or
-  the first request after it), then reuses them.
+  :meth:`ModelRegistry.load_weights`, which replaces every parameter's
+  array: each conv transforms the new weights exactly once (on the
+  reload's warmup or the first request after it), then reuses them.
 
 Batch composition
 -----------------
@@ -129,7 +129,7 @@ class RegisteredModel:
     # -- execution ----------------------------------------------------------
 
     def infer_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Forward ``rows`` through the frozen model, batch-composition-stably.
+        """Forward ``rows`` through the eval-mode model, batch-composition-stably.
 
         Every row's arithmetic is independent of how many real requests
         shared its batch (see the module docstring), so any dynamic batch
@@ -224,7 +224,7 @@ class ModelRegistry:
                 seed=seed,
                 **({"image": image} if arch.startswith("vgg") else {}),
             )
-        model.freeze()
+        model.eval()
         convs = [m for m in model.walk() if isinstance(m, Conv2D)]
         entry = RegisteredModel(
             name=name,
@@ -250,7 +250,7 @@ class ModelRegistry:
         """Pre-resolve every conv through the runtime executable cache.
 
         One forward per registered input shape: the executable cache takes
-        the plan and transform misses, each frozen conv builds its filter
+        the plan and transform misses, each conv builds its filter
         operands (one ``runtime.filter_cache.misses`` per conv and input
         size), and ``executables_resolved`` counts the
         executables the pass added to the cache.  The pass's wallclock
@@ -273,18 +273,17 @@ class ModelRegistry:
     def load_weights(
         self, name: str, path: object, *, warmup: bool = True
     ) -> RegisteredModel:
-        """Swap ``name``'s weights in place from a ``save_weights`` file.
+        """Swap ``name``'s weights from a ``save_weights`` file.
 
-        Bumps the model's weight version and re-freezes the model, which
-        drops every conv's frozen filter transforms: each conv then builds
-        them from the new weights exactly once (one filter-cache miss) and
-        reuses them thereafter.  ``warmup=True`` pays those misses here
-        rather than on the first post-reload request.
+        A bad file raises and changes nothing (every key and shape is
+        checked first).  Otherwise bumps the weight version; each conv then
+        builds its operands from the new arrays exactly once (one
+        filter-cache miss).  ``warmup=True`` pays those misses here rather
+        than on the first post-reload request.
         """
         entry = self.get(name)
         with entry._lock:
             _load_weights(entry.model, path)  # type: ignore[arg-type]
-            entry.model.freeze()
             entry.weight_version += 1
         counter_add("serve.weights.reloaded", model=name)
         if warmup:

@@ -130,7 +130,7 @@ def test_rule_picked_gemm_within_fp32_dot_product_bound(ic, oc, k, side):
     order, ``gamma_GK * sum |x||w|`` — the CuGEMM chain of Table 3, whose
     error grows with ``GK`` — against the fp64 direct convolution."""
     rng = np.random.default_rng(ic * 1000 + oc + side)
-    conv = Conv2D(ic, oc, k, rng=rng, bias=False).freeze()
+    conv = Conv2D(ic, oc, k, rng=rng, bias=False).eval()
     x = rng.standard_normal((2, side, side, ic)).astype(np.float32)
     got = conv(Tensor(x)).data
     assert conv.effective_engine == G

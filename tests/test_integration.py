@@ -199,11 +199,17 @@ class TestGradientFlowEndToEnd:
         idx = (0, 1, 1, 0)
         analytic = float(p.grad[idx])
         eps = 1e-2
-        orig = p.data[idx]
-        p.data[idx] = orig + eps
+        orig = p.data
+
+        def nudged(delta):
+            w = orig.copy()
+            w[idx] += delta
+            return w
+
+        p.data = nudged(eps)
         fp = loss_value()
-        p.data[idx] = orig - eps
+        p.data = nudged(-eps)
         fm = loss_value()
-        p.data[idx] = orig
+        p.data = orig
         numeric = (fp - fm) / (2 * eps)
         assert analytic == pytest.approx(numeric, rel=0.15, abs=5e-3)

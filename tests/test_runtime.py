@@ -26,7 +26,7 @@ from repro.core.kernels import get_kernel, registered_kernels
 from repro.core.transforms import winograd_matrices
 from repro.nhwc.tensor import im2col_nhwc
 from repro.runtime import cache_stats, clear_cache, configure, executable
-from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
+from repro.runtime.cache import ExecutableCache, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.runtime.executable import FILTER_CACHE_SLOTS, compiled_plan
 from repro.runtime.signature import ConvSignature
@@ -37,11 +37,9 @@ def _fresh_runtime():
     """Each test sees an empty plan cache and the default workspace budget."""
     clear_cache()
     configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
-    global_cache().resize(DEFAULT_CAPACITY)
     yield
     clear_cache()
     configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
-    global_cache().resize(DEFAULT_CAPACITY)
 
 
 def legacy_exact(x: np.ndarray, w: np.ndarray, **kw) -> np.ndarray:
@@ -156,17 +154,20 @@ class TestPlanCache:
         assert (s.misses, s.hits) == (3, 0)
 
     def test_bounded_eviction(self, rng):
-        global_cache().resize(2)
+        cache = ExecutableCache(capacity=2)
         w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
         for iw in (12, 13, 14):
             x = rng.standard_normal((1, 5, iw, 3)).astype(np.float32)
-            runtime.convolve(x, w)
-        s = cache_stats()
+            cache.get(ConvSignature.for_operands(x, w))(x, w)
+        s = cache.stats()
         assert s.evictions >= 1
-        assert len(global_cache()) <= 2
+        assert len(cache) <= 2
         # The evicted signature recompiles (a fresh miss), correctly.
         x = rng.standard_normal((1, 5, 12, 3)).astype(np.float32)
-        np.testing.assert_array_equal(runtime.convolve(x, w), legacy_exact(x, w))
+        np.testing.assert_array_equal(
+            cache.get(ConvSignature.for_operands(x, w))(x, w), legacy_exact(x, w)
+        )
+        assert cache.stats().misses == 4
 
     def test_cache_hits_observable_via_obs(self, rng):
         obs.disable()
@@ -211,22 +212,13 @@ class TestFilterCache:
         assert exe.cached_filter_versions == 2
         np.testing.assert_array_equal(got, legacy_exact(x, w))
 
-    def test_version_token_skips_hashing(self, rng):
-        x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
-        w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-        exe = self._exe(x, w)
-        y1 = exe(x, w, version=7)
-        y2 = exe(x, w, version=7)
-        assert exe.cached_filter_versions == 1
-        np.testing.assert_array_equal(y1, y2)
-
     def test_filter_cache_is_bounded(self, rng):
         x = rng.standard_normal((1, 5, 13, 3)).astype(np.float32)
         exe = self._exe(x, np.zeros((2, 3, 3, 3), np.float32))
-        for step in range(FILTER_CACHE_SLOTS + 2):
+        for _ in range(FILTER_CACHE_SLOTS + 2):
             w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-            exe(x, w, version=step)
-        assert exe.cached_filter_versions <= FILTER_CACHE_SLOTS
+            exe(x, w)
+        assert exe.cached_filter_versions == FILTER_CACHE_SLOTS
 
     def test_one_ulp_flip_anywhere_is_a_miss(self, rng):
         """Lookups compare every bit, not just the sampled elements."""
@@ -590,12 +582,11 @@ class TestSegmentValidation:
 
 
 class TestCacheResizeRace:
-    """ExecutableCache.get() racing resize(): bounded, counted, exception-free."""
+    """Concurrent ExecutableCache.get() calls racing the evictions of a small
+    cache: bounded, counted, exception-free."""
 
     def test_threaded_get_resize_stress(self, rng):
         import threading as _threading
-
-        from repro.runtime.cache import ExecutableCache
 
         sigs = [
             ConvSignature.for_operands(
@@ -605,11 +596,11 @@ class TestCacheResizeRace:
             for i in range(6)
             for c in (2, 3)
         ]
-        cache = ExecutableCache(capacity=8)
+        cache = ExecutableCache(capacity=3)
         gets_per_worker = 120
         workers = 4
         errors: list[BaseException] = []
-        start = _threading.Barrier(workers + 1)
+        start = _threading.Barrier(workers)
 
         def worker(seed: int) -> None:
             local = np.random.default_rng(seed)
@@ -622,14 +613,7 @@ class TestCacheResizeRace:
             except BaseException as exc:  # noqa: B902 - collected for the assert
                 errors.append(exc)
 
-        def resizer() -> None:
-            local = np.random.default_rng(999)
-            start.wait()
-            for _ in range(200):
-                cache.resize(int(local.integers(1, 9)))
-
         threads = [_threading.Thread(target=worker, args=(i,)) for i in range(workers)]
-        threads.append(_threading.Thread(target=resizer))
         for t in threads:
             t.start()
         for t in threads:
@@ -642,16 +626,22 @@ class TestCacheResizeRace:
         # Racing duplicate compiles replace in place (a counted miss with no
         # size growth), so equality need not hold — only the bound does.
         assert stats.size <= stats.misses - stats.evictions
+        assert stats.evictions > 0  # 12 signatures through 3 slots
 
     def test_resize_shrink_evicts_lru(self, rng):
-        for i in range(4):
-            x = rng.standard_normal((1, 6, 12 + 2 * i, 3)).astype(np.float32)
-            w = rng.standard_normal((2, 3, 3, 3)).astype(np.float32)
-            runtime.convolve(x, w)
-        assert runtime.cache_stats().size == 4
-        global_cache().resize(2)
-        stats = runtime.cache_stats()
-        assert stats.size == 2
-        assert stats.evictions >= 2
+        """A cache smaller than its working set keeps the most recently used
+        signatures and evicts the rest, each eviction counted once."""
+        cache = ExecutableCache(capacity=2)
+        w = np.zeros((2, 3, 3, 3), np.float32)
+        sigs = [
+            ConvSignature.for_operands(np.zeros((1, 6, 12 + 2 * i, 3), np.float32), w)
+            for i in range(4)
+        ]
+        for sig in sigs:
+            cache.get(sig)
+        cache.get(sigs[2])  # most recent now: sigs[3], then sigs[2]
+        stats = cache.stats()
+        assert (stats.size, stats.evictions, stats.hits) == (2, 2, 1)
+        assert [e.sig for e in cache.executables()] == [sigs[3], sigs[2]]
         with pytest.raises(ValueError):
-            global_cache().resize(0)
+            ExecutableCache(capacity=0)

@@ -69,6 +69,33 @@ class TestStateDict:
             load_state_dict(tiny(), sd)
 
 
+    @pytest.mark.parametrize(
+        "fault, error",
+        [("missing", KeyError), ("extra", ValueError), ("shape", ValueError)],
+    )
+    def test_failed_load_changes_nothing(self, fault, error):
+        """Every key and shape is checked before any parameter or buffer is
+        replaced: a rejected state leaves the model bit-identical, even when
+        the fault sits after keys that would load."""
+        m = tiny(seed=1)
+        before = state_dict(m)
+        sd = state_dict(tiny(seed=2))
+        last = list(sd)[-1]
+        if fault == "missing":
+            del sd[last]
+        elif fault == "extra":
+            sd["bogus.weight"] = np.zeros(3)
+        else:
+            sd["modules.9.weight"] = np.zeros((1, 1))
+        with pytest.raises(error):
+            load_state_dict(m, sd)
+        after = state_dict(m)
+        assert list(after) == list(before)
+        for key, arr in before.items():
+            bits = f"u{arr.itemsize}"
+            np.testing.assert_array_equal(after[key].view(bits), arr.view(bits))
+
+
 class TestWeightFiles:
     def test_save_load_roundtrip(self, rng, tmp_path):
         src = tiny(seed=3)

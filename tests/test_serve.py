@@ -23,8 +23,7 @@ import pytest
 
 from repro import obs, runtime
 from repro.dlframe.autograd import Tensor, no_grad
-from repro.dlframe.serialization import save_weights
-from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
+from repro.dlframe.serialization import save_weights, state_dict
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.serve import (
     BadRequest,
@@ -45,11 +44,9 @@ def _fresh_runtime():
     """Each test sees an empty plan cache and default dispatch config."""
     runtime.clear_cache()
     runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
-    global_cache().resize(DEFAULT_CAPACITY)
     yield
     runtime.clear_cache()
     runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
-    global_cache().resize(DEFAULT_CAPACITY)
 
 
 #: A ResNet width at which the engine rule keeps layer3-4 (128 and 256
@@ -174,6 +171,25 @@ class TestWeightReload:
             assert _counter_total("runtime.filter_cache.misses") == misses2
 
         assert not np.array_equal(before_y, after_y)
+
+    def test_bad_file_leaves_served_weights(self, rng, tmp_path):
+        """A weight file that does not fit the model raises and changes
+        nothing: the served outputs and the weight version stay."""
+        path = str(tmp_path / "bad.npz")
+        reg = ModelRegistry()
+        entry = reg.register("r18", arch="resnet18", width_mult=0.125, seed=0)
+        x = rng.standard_normal((2, 32, 32, 3)).astype(np.float32)
+        before = entry.infer_rows(x)
+        donor = ModelRegistry().register(
+            "donor", arch="resnet18", width_mult=0.125, seed=1, warmup=False
+        )
+        state = state_dict(donor.model)
+        state["bogus.weight"] = np.zeros(3, np.float32)
+        np.savez(path, **state)
+        with pytest.raises(ValueError, match="unknown"):
+            reg.load_weights("r18", path)
+        assert entry.weight_version == 0
+        np.testing.assert_array_equal(entry.infer_rows(x), before)
 
     def test_reload_with_warmup_prepays_misses(self, tmp_path):
         path = str(tmp_path / "w.npz")

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro import obs, runtime
-from repro.runtime.cache import DEFAULT_CAPACITY, global_cache
 from repro.runtime.engine import DEFAULT_WORKSPACE_BYTES
 from repro.serve import (
     BadRequest,
@@ -42,11 +41,9 @@ IMAGE = 32
 def _fresh_runtime():
     runtime.clear_cache()
     runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
-    global_cache().resize(DEFAULT_CAPACITY)
     yield
     runtime.clear_cache()
     runtime.configure(workspace_bytes=DEFAULT_WORKSPACE_BYTES)
-    global_cache().resize(DEFAULT_CAPACITY)
 
 
 def _counter_total(name: str) -> float:
@@ -58,6 +55,17 @@ def _service(**config_kw) -> InferenceService:
     service = InferenceService(config=SchedulerConfig(**config_kw))
     service.registry.register("net", arch=ARCH, width_mult=WIDTH, image=IMAGE)
     return service
+
+
+def _quote_half_the_deadline(service: InferenceService) -> None:
+    """Quote a one-row batch at 250 ms, half the 500 ms deadlines below.
+
+    The pressure flush then fires 250 ms before the deadline, so a flush
+    loop that wakes late by anything short of that (minus a ~10 ms forward)
+    still makes it.  The registration warm-up alone quotes a few ms, so
+    timer lateness beyond that expired the request.
+    """
+    service.registry.get("net").record_batch_ns(1, 250e6)
 
 
 def _x(seed: int = 0) -> np.ndarray:
@@ -217,13 +225,13 @@ class TestDeadlines:
         async def scenario():
             # A bucket that will never fill and would only delay-flush after
             # a minute.  The deadline-pressure flush dispatches at
-            # deadline − quote, and the quote is the registration warm-up (a
-            # cold forward, so no faster than a warm one), so the deadline
-            # is *met* rather than enforced post-mortem.
+            # deadline − quote, so the deadline is *met* rather than
+            # enforced post-mortem.
             service = _service(
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=60_000.0),
                 default_timeout_ms=None,
             )
+            _quote_half_the_deadline(service)
             async with service:
                 t0 = asyncio.get_running_loop().time()
                 y = await service.infer("net", _x(), timeout_ms=500.0)
@@ -263,6 +271,7 @@ class TestDeadlines:
                 policy=BatchPolicy(max_batch_size=8, max_queue_delay_ms=60_000.0),
                 default_timeout_ms=500.0,
             )
+            _quote_half_the_deadline(service)
             async with service:
                 await service.infer("net", _x())  # timeout_ms="default"
             return service.scheduler.stats()
