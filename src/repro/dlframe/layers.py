@@ -1,20 +1,20 @@
 """Neural-network layers over the autograd substrate.
 
-The convolution layer is the experiment: ``engine="winograd"`` routes
-every forward through the compiled-plan runtime
-(:func:`repro.runtime.convolve` — cached executables + full-depth
-contractions, bit-identical to :func:`repro.core.fused.conv2d_im2col_winograd`),
-and unit-stride data grads through the backward deconvolution of
-:mod:`repro.core.gradients`, exactly as Dragon-Alpha dispatches (§5.7).  The
-forward's algorithm is picked per layer by one fixed rule of its signature
-(:func:`repro.runtime.conv_engine`): ``Gamma_alpha``, or, with few channels
-or few output columns where the transforms are not amortised, a runtime
-executable of the row-blocked im2col GEMM.  Non-unit-stride convolutions
-always run that GEMM executable, matching the paper ("other algorithms
-handle the non-unit-stride cases") — which is also why the paper sees
-smaller training speedups on ResNet (§6.3.2).  ``engine="gemm"`` calls
-:func:`repro.baselines.gemm.conv2d_gemm` everywhere and stands in for the
-PyTorch baseline.
+The convolution layer is the experiment.  Every convolution a
+:class:`Conv2D` runs, its forward and its unit-stride data grad (the
+paper's backward deconvolution, §5.1), is one :func:`repro.runtime.convolve`
+call on executables and filter operands the layer holds, with the
+algorithm chosen by one rule: ``engine="gemm"`` runs the runtime's
+row-blocked im2col GEMM everywhere (bit-identical to
+:func:`repro.baselines.gemm.conv2d_gemm`) and stands in for the PyTorch
+baseline; ``engine="winograd"`` asks :func:`repro.runtime.conv_engine` of
+each conv's own signature, which picks ``Gamma_alpha`` or, with few
+channels or few output columns where the transforms are not amortised,
+the GEMM.  Non-unit-stride convolutions run the GEMM forward and its
+adjoint, the col2im data grad, under either engine, matching the paper
+("other algorithms handle the non-unit-stride cases", §5.7) — which is
+also why the paper sees smaller training speedups on ResNet (§6.3.2).
+The filter gradient is an im2col GEMM everywhere.
 
 All activations are NHWC.
 """
@@ -22,11 +22,10 @@ All activations are NHWC.
 from __future__ import annotations
 
 import weakref
-from typing import Callable, Iterator
+from typing import Iterator
 
 import numpy as np
 
-from ..baselines.gemm import conv2d_gemm
 from ..core import rowblocks
 from ..core.gradients import backward_filter_for_input_grad, conv2d_filter_grad, conv2d_input_grad
 from ..nhwc.tensor import conv_output_size
@@ -155,11 +154,11 @@ class Conv2D(Module):
     padding:
         Spatial padding; defaults to ``kernel // 2`` ("same" for odd kernels).
     engine:
-        ``"winograd"`` (Im2col-Winograd forward where
-        :func:`~repro.runtime.conv_engine` picks it for the input width, the
-        runtime's GEMM otherwise, see :meth:`engine_at`; backward
-        deconvolution) or ``"gemm"`` (the baseline, everywhere).  The filter
-        gradient is GEMM in both, as in the paper.
+        ``"winograd"`` (Im2col-Winograd for the forward and the unit-stride
+        data grad wherever :func:`~repro.runtime.conv_engine` picks it on
+        that conv's signature, the runtime's GEMM otherwise, see
+        :meth:`engine_at`) or ``"gemm"`` (the baseline, everywhere).  The
+        filter gradient is GEMM in both, as in the paper.
     rng:
         Generator for kaiming-uniform init.
     """
@@ -189,29 +188,35 @@ class Conv2D(Module):
             name="conv.weight",
         )
         self.bias = Parameter(np.zeros(oc, dtype=np.float32), name="conv.bias") if bias else None
-        # Held operands per input size: the forward's, and the Winograd
+        # Held operands per input size: the forward's, and the unit-stride
         # data grad's (keyed by the gradient's dtype too); see _held.
         self._forward_ops: dict[tuple, _Operands] = {}
         self._grad_ops: dict[tuple, _Operands] = {}
         # Engine run at each input width served so far.
         self._served: dict[int, str] = {}
 
-    def engine_at(self, iw: int) -> str:
-        """The engine a forward on an input ``iw`` columns wide runs.
+    def engine_at(self, iw: int, *, data_grad: bool = False) -> str:
+        """The engine a forward on an input ``iw`` columns wide runs, or,
+        with ``data_grad``, the engine of that forward's data grad.
 
         ``"gemm"`` for the GEMM engine and for strided layers (§5.7);
-        otherwise the per-signature rule :func:`~repro.runtime.conv_engine`,
-        which never looks at the batch (nor at the height: Winograd tiles
+        otherwise the per-signature rule :func:`~repro.runtime.conv_engine`
+        on the conv's own signature: the forward's (IC to OC channels,
+        ``OW`` output columns) or the data grad's, which convolves ``dY``
+        with the rotated filters (OC to IC channels, ``iw`` output columns).
+        The rule never looks at the batch (nor at the height: Winograd tiles
         the width only).
         """
         if self.engine == "gemm" or self.stride != 1:
             return "gemm"
         k = self.kernel
+        if data_grad:
+            return conv_engine(self.oc, self.ic, k, k, iw)
         return conv_engine(self.ic, self.oc, k, k, conv_output_size(iw, k, self.padding))
 
     @property
     def effective_engine(self) -> str:
-        """The engine the layer runs at the input widths it has served.
+        """The engine the layer's forward ran at the input widths it has served.
 
         ``"winograd"`` or ``"gemm"``, or ``"mixed"`` when those widths ran
         both.  Before its first forward a layer reports ``"gemm"`` when no
@@ -238,65 +243,48 @@ class Conv2D(Module):
             "layer.conv2d", engine=engine, ic=self.ic, oc=self.oc,
             kernel=self.kernel, stride=stride,
         ):
-            if self.engine == "gemm":
-                y = conv2d_gemm(xd, wd, ph=ph, pw=pw, stride=stride)
-            else:
-                # Compiled-plan runtime, Winograd or GEMM, on the operands
-                # this layer holds for the input size and weights.
-                def build() -> tuple[ConvExecutable, FilterBundle]:
-                    sig = ConvSignature.for_operands(
-                        xd, wd, ph=ph, pw=pw, algorithm=engine, stride=stride
-                    )
-                    exe = get_executable(sig)
-                    return exe, exe.build_bundle(wd)
-
-                exe, bundle = _held(self._forward_ops, xd.shape[1:3], wd, build)
-                y = runtime_convolve(
-                    xd, wd, ph=ph, pw=pw, stride=stride, algorithm=engine,
-                    bundle=bundle, executable=exe,
-                )
+            exe, bundle = _held(
+                self._forward_ops, xd.shape[1:3], wd, xd, wd,
+                ph=ph, pw=pw, algorithm=engine, stride=stride,
+            )
+            y = runtime_convolve(
+                xd, wd, ph=ph, pw=pw, stride=stride, algorithm=engine,
+                bundle=bundle, executable=exe,
+            )
         if self.bias is not None:
             y += self.bias.data  # y is this call's fresh conv output
 
         in_shape = xd.shape
         fh = fw = self.kernel
-        # The rule was fitted on forwards; the data grad keeps the
-        # configured engine (Winograd deconvolution for unit stride).
-        grad_engine = self.engine
         # A network's first conv reads the data batch, which needs no
         # gradient: skip its data grad (autograd skips a None parent grad).
-        # No shipped model has a strided first conv, so only the unit-stride
-        # path skips.
         input_grad = x.requires_grad
 
         def backward_fn(g):
-            if stride == 1:
-                dx = self._input_grad(g, wd, in_shape, grad_engine) if input_grad else None
-                dw = conv2d_filter_grad(xd, g, fh=fh, fw=fw, ph=ph, pw=pw)
-            else:
-                dx, dw = _strided_conv_grads(xd, wd, g, ph, pw, stride)
+            dx = self._input_grad(g, wd, in_shape) if input_grad else None
+            dw = conv2d_filter_grad(xd, g, fh=fh, fw=fw, ph=ph, pw=pw, stride=stride)
             db = g.sum(axis=(0, 1, 2)) if self.bias is not None else None
             return dx, dw, db
 
         parents = (x, w) + ((self.bias,) if self.bias is not None else ())
         return make_op(y, parents, backward_fn)
 
-    def _input_grad(self, g, wd, in_shape, engine: str) -> np.ndarray:
-        """The unit-stride data grad, on held operands for Winograd."""
+    def _input_grad(self, g, wd, in_shape) -> np.ndarray:
+        """The data grad: at unit stride on held operands, with the engine
+        :meth:`engine_at` picks for it; strided, the col2im GEMM."""
         ph = pw = self.padding
         exe = bundle = None
-        if engine == "winograd":
+        engine = self.engine_at(in_shape[2], data_grad=True)
+        if self.stride == 1:
             fk = self.kernel - 1
-
-            def build() -> tuple[ConvExecutable, FilterBundle]:
-                wb = backward_filter_for_input_grad(wd)
-                sig = ConvSignature.for_operands(g, wb, ph=fk - ph, pw=fk - pw, dtype=g.dtype)
-                exe = get_executable(sig)
-                return exe, exe.build_bundle(wb)
-
-            exe, bundle = _held(self._grad_ops, (*in_shape[1:3], g.dtype), wd, build)
+            exe, bundle = _held(
+                self._grad_ops, (*in_shape[1:3], g.dtype), wd, g,
+                backward_filter_for_input_grad(wd),
+                ph=fk - ph, pw=fk - pw, algorithm=engine, dtype=g.dtype,
+            )
         return conv2d_input_grad(
-            g, wd, in_shape, ph=ph, pw=pw, engine=engine, executable=exe, bundle=bundle
+            g, wd, in_shape, ph=ph, pw=pw, stride=self.stride, engine=engine,
+            executable=exe, bundle=bundle,
         )
 
 
@@ -309,52 +297,23 @@ def _held(
     table: dict[tuple, _Operands],
     key: tuple,
     wd: np.ndarray,
-    build: Callable[[], tuple[ConvExecutable, FilterBundle]],
+    x: np.ndarray,
+    w: np.ndarray,
+    **sig,
 ) -> tuple[ConvExecutable, FilterBundle]:
     """``table[key]``'s executable and bundle if built from ``wd``, else new ones.
 
+    New ones are the executable of ``conv(x, w)``'s signature (``sig`` as
+    :meth:`ConvSignature.for_operands` takes it) and its operands of ``w``,
+    the filters as that conv reads them (``wd`` itself, or a view of it).
     Weights change only by replacement (:class:`Parameter`), so an entry is
     current exactly while ``wd`` is its (weakly held) source array.
     """
     entry = table.get(key)
     if entry is None or entry[0]() is not wd:
-        exe, bundle = build()
-        entry = table[key] = (weakref.ref(wd), exe, bundle)
+        exe = get_executable(ConvSignature.for_operands(x, w, **sig))
+        entry = table[key] = (weakref.ref(wd), exe, exe.build_bundle(w))
     return entry[1], entry[2]
-
-
-def _strided_conv_grads(xd, wd, g, ph, pw, stride):
-    """Gradients of a strided convolution via gradient dilation.
-
-    Inserting ``stride - 1`` zeros between gradient pixels turns the strided
-    backward pass into a unit-stride one: ``dX`` is the full correlation of
-    the dilated gradient with the 180-degree-rotated filter (reusing
-    :func:`conv2d_input_grad` against a virtual input of exactly the size
-    the dilated map reaches, then embedding into the true input extent), and
-    ``dW`` correlates the padded input with the dilated map directly.
-    """
-    n, oh, ow, oc = g.shape
-    _, ih, iw, ic = xd.shape
-    fh, fw = wd.shape[1], wd.shape[2]
-    gh, gw = (oh - 1) * stride + 1, (ow - 1) * stride + 1
-    gd = np.zeros((n, gh, gw, oc), dtype=g.dtype)
-    gd[:, ::stride, ::stride, :] = g
-
-    # dX: virtual unpadded input of size (gh + fh - 1); rows/cols of the real
-    # (padded) input beyond that receive zero gradient.
-    full = conv2d_input_grad(gd, wd, (n, gh + fh - 1, gw + fw - 1, ic), ph=0, pw=0, engine="gemm")
-    dxp = np.zeros((n, ih + 2 * ph, iw + 2 * pw, ic), dtype=xd.dtype)
-    dxp[:, : full.shape[1], : full.shape[2], :] = full
-    dx = dxp[:, ph : ph + ih, pw : pw + iw, :]
-
-    # dW: correlate the padded input with the dilated gradient.
-    xp = np.pad(xd, ((0, 0), (ph, ph), (pw, pw), (0, 0)))
-    dw = np.empty((oc, fh, fw, ic), dtype=xd.dtype)
-    for i in range(fh):
-        for j in range(fw):
-            patch = xp[:, i : i + gh, j : j + gw, :]
-            dw[:, i, j, :] = np.einsum("nhwc,nhwo->oc", patch, gd, optimize=True)
-    return dx, dw
 
 
 class Linear(Module):

@@ -218,22 +218,28 @@ def conv_layer_geometries(
 
 
 def _conv_workspace_bytes(model: Module, input_shape: tuple[int, ...]) -> int:
-    """Largest im2col workspace among the convolutions that run GEMM.
+    """Largest im2col workspace among the runtime GEMMs a train step runs.
 
-    That is every conv of the GEMM engine, strided convs and the convs the
-    engine rule sends to GEMM (:meth:`Conv2D.engine_at`); fused Winograd
-    convolutions contribute zero (§4.1).  The workspace is the row-blocked
+    Each conv's forward and unit-stride data grad count on their own
+    signatures (:meth:`Conv2D.engine_at`): every one of the GEMM engine, a
+    strided conv's forward, and those the engine rule sends to GEMM; fused
+    Winograd convolutions contribute zero (§4.1).  The first conv reads the
+    data batch and runs no data grad.  The workspace is the row-blocked
     GEMM operand of :func:`~repro.core.rowblocks.conv_matmul`, pad rows
-    included: ``ceil(N / k)`` blocks of ``Mb`` rows by ``FH*FW*IC``.
+    included: ``ceil(N / k)`` blocks of ``Mb`` rows by ``FH*FW*C``, where
+    ``C`` is the conv's input channels (IC forward, OC for the data grad).
     """
     n = input_shape[0]
     worst = 0
-    for layer, ih, iw, oh, ow in conv_layer_geometries(model, input_shape):
+    for i, (layer, ih, iw, oh, ow) in enumerate(conv_layer_geometries(model, input_shape)):
+        gemms: list[tuple[int, int]] = []
         if layer.engine_at(iw) == "gemm":
-            r = oh * ow
+            gemms.append((oh * ow, layer.ic))
+        if i and layer.stride == 1 and layer.engine_at(iw, data_grad=True) == "gemm":
+            gemms.append((ih * iw, layer.oc))
+        for r, channels in gemms:
             rows = -(-n // rowblocks.block_images(r)) * rowblocks.block_rows(r)
-            gk = layer.ic * layer.kernel * layer.kernel
-            worst = max(worst, 4 * rows * gk)
+            worst = max(worst, 4 * rows * layer.kernel * layer.kernel * channels)
     return worst
 
 

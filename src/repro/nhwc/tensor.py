@@ -256,9 +256,9 @@ def col2im_nhwc(
 ) -> np.ndarray:
     """Adjoint of :func:`im2col_nhwc` (scatter-add).
 
-    No gradient calls it: both engines' data gradients are forward
-    convolutions over rotated filters (:mod:`repro.core.gradients`).  It
-    stays as the tested adjoint of the im2col index map.
+    A strided convolution's data gradient scatters its column gradient back
+    with it (:func:`repro.core.gradients.conv2d_input_grad`); unit-stride
+    data gradients are forward convolutions over rotated filters instead.
 
     ``cols`` has shape ``(N*OH*OW, FH*FW*IC)``; overlapping window
     contributions are summed back into an ``input_shape`` NHWC tensor.

@@ -4,7 +4,8 @@ Runs a fast battery (a few seconds) proving the install works end to end:
 
 1. symbolic Toom-Cook identity for the headline schemes,
 2. fused convolution vs FP64 direct on a random problem (with boundary),
-3. backward pass vs the GEMM engine,
+3. backward pass: Winograd vs GEMM, and the strided and 1x1 data grads
+   against the FP64 adjoint identity,
 4. ND (1D/3D) and deconvolution paths,
 5. a 3-step training run on the dlframe substrate,
 6. a performance-model sanity sweep.
@@ -52,13 +53,29 @@ def run_validation(verbose: bool = True) -> None:
         assert rel < 1e-4, f"fused conv off by {rel:.2e}"
 
     def backward():
+        from repro.baselines import conv2d_direct
         from repro.core import conv2d_input_grad
+        from repro.dlframe import Conv2D, Tensor
 
         w = rng.standard_normal((4, 3, 3, 5)).astype(np.float32)
         dy = rng.standard_normal((2, 9, 9, 4)).astype(np.float32)
         a = conv2d_input_grad(dy, w, (2, 9, 9, 5), ph=1, pw=1, engine="winograd")
         b = conv2d_input_grad(dy, w, (2, 9, 9, 5), ph=1, pw=1, engine="gemm")
         assert np.abs(a - b).max() < 1e-3, "backward engines disagree"
+        # The strided (col2im) and rule-picked GEMM data grads, against the
+        # FP64 adjoint identity <conv(x, w), g> = <x, dx>.
+        for kernel, stride in ((3, 2), (1, 1)):
+            conv = Conv2D(5, 4, kernel, stride=stride, rng=rng)
+            x = Tensor(rng.standard_normal((2, 9, 9, 5)).astype(np.float32), requires_grad=True)
+            y = conv(x)
+            g = rng.standard_normal(y.shape).astype(np.float32)
+            y.backward(g)
+            p = conv.padding
+            yd = conv2d_direct(x.data, conv.weight.data, ph=p, pw=p, stride=stride,
+                               dtype=np.float64)
+            xdx = x.data.astype(np.float64) * x.grad
+            rel = abs((yd * g).sum() - xdx.sum()) / np.abs(xdx).sum()
+            assert rel < 1e-5, f"{kernel}x{kernel} stride-{stride} data grad off by {rel:.2e}"
 
     def ndim_and_deconv():
         from repro.core import (
@@ -107,7 +124,7 @@ def run_validation(verbose: bool = True) -> None:
     checks = [
         ("Toom-Cook identity (symbolic)", transforms),
         ("fused conv vs FP64 direct", fused_forward),
-        ("backward deconvolution", backward),
+        ("backward data grads: deconvolution, strided, 1x1", backward),
         ("1D / 3D / transposed conv", ndim_and_deconv),
         ("dlframe training step", training),
         ("GPU performance model", perfmodel),

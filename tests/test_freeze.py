@@ -1,9 +1,9 @@
 """Tests for the filter operands each ``Conv2D`` holds.
 
 A layer builds its executable and filter operands (Winograd ``U``, or the
-folded GEMM matrix where the rule picks GEMM or the layer is strided) once
-per input size and weight array, for the forward and for the unit-stride
-Winograd data grad, in train and eval mode alike.  Weights change only by
+folded GEMM matrix for the GEMM engine, where the rule picks GEMM or the
+layer is strided) once per input size and weight array, for the forward
+and for the unit-stride data grad, in train and eval mode alike.  Weights change only by
 replacement (:class:`~repro.dlframe.layers.Parameter` arrays are read-only),
 so an entry is current exactly while the parameter still holds the array it
 was built from.  "Frozen" in the test names below means a model whose
@@ -20,6 +20,7 @@ from repro import obs, runtime
 from repro.baselines.gemm import conv2d_gemm
 from repro.core import rowblocks
 from repro.core import conv2d_im2col_winograd
+from repro.core.gradients import backward_filter_for_input_grad
 from repro.dlframe import (
     SGDM,
     Adam,
@@ -206,11 +207,26 @@ class TestConvFreeze:
         want = conv2d_im2col_winograd(x, state["weight"], legacy=True) + conv.bias.data
         np.testing.assert_array_equal(conv(Tensor(x)).data, want)
 
-    def test_gemm_engine_holds_no_operands(self, rng):
-        conv = Conv2D(2, 2, 3, engine="gemm", rng=np.random.default_rng(0))
-        x = Tensor(rng.standard_normal((1, 6, 8, 2)).astype(np.float32), requires_grad=True)
-        conv(x).sum().backward()
-        assert not conv._forward_ops and not conv._grad_ops  # GEMM never transforms
+    def test_gemm_engine_holds_one_entry_per_input_size(self, rng):
+        """The GEMM engine runs its forward and data grad on held GEMM
+        operands too: one forward and one data-grad entry per input size,
+        each the folded filters its conv reads."""
+        conv = Conv2D(2, 3, 3, engine="gemm", rng=np.random.default_rng(0))
+        for iw in (8, 12, 8):
+            x = Tensor(rng.standard_normal((1, 6, iw, 2)).astype(np.float32), requires_grad=True)
+            conv(x).sum().backward()
+        assert set(conv._forward_ops) == {(6, 8), (6, 12)}
+        f32 = np.dtype(np.float32)
+        assert set(conv._grad_ops) == {(6, 8, f32), (6, 12, f32)}
+        w = conv.weight.data
+        for bundle in _bundles(conv._forward_ops):
+            assert not bundle.u
+            np.testing.assert_array_equal(bundle.gemm_operand, rowblocks.fold_filters(w))
+        for bundle in _bundles(conv._grad_ops):
+            assert not bundle.u
+            np.testing.assert_array_equal(
+                bundle.gemm_operand, rowblocks.fold_filters(backward_filter_for_input_grad(w))
+            )
         assert conv.effective_engine == "gemm"
 
 

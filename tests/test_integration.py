@@ -110,7 +110,7 @@ class TestEndToEndTrainingPath:
     def test_first_conv_skips_its_data_grad(self, arch, monkeypatch):
         """A train step computes no data grad for the conv that reads the
         batch: one ``conv2d_input_grad`` call fewer than there are convs (a
-        strided conv's dilated data grad calls it once too), and the updated
+        strided conv's col2im data grad is one call too), and the updated
         weights equal, bit for bit, those of the same step on an input that
         asks for its gradient."""
         from repro.dlframe import SGDM, layers, softmax_cross_entropy

@@ -22,6 +22,7 @@ from repro.dlframe.layers import (
     Sequential,
     add,
 )
+from repro.dlframe.optim import SGDM
 from repro.serve import ModelRegistry
 from repro.serve.registry import MODEL_BUILDERS
 
@@ -78,10 +79,10 @@ class TestConv2D:
         check_input_grad(conv, x0, seed)
 
     def test_rule_picked_gemm_input_grad(self, rng):
-        """Few channels: the rule runs the forward on GEMM; the data grad
-        stays the Winograd deconvolution."""
+        """Few channels: the rule runs the forward and, on its own
+        signature, the data grad on GEMM."""
         conv = Conv2D(2, 3, 3, engine="winograd", rng=np.random.default_rng(1))
-        assert conv.engine_at(5) == "gemm"
+        assert conv.engine_at(5) == conv.engine_at(5, data_grad=True) == "gemm"
         x0 = rng.standard_normal((1, 5, 5, 2)).astype(np.float32)
         seed = rng.standard_normal((1, 5, 5, 3)).astype(np.float32)
         check_input_grad(conv, x0, seed)
@@ -113,6 +114,55 @@ class TestConv2D:
         x0 = rng.standard_normal((1, 7, 7, 2)).astype(np.float32)
         seed = rng.standard_normal((1, 4, 4, 2)).astype(np.float32)
         check_input_grad(conv, x0, seed)
+
+    @pytest.mark.parametrize("stride", [2, 3])
+    @pytest.mark.parametrize("k,p", [(1, 0), (3, 0), (3, 1), (3, 2)])
+    @pytest.mark.parametrize("size", [7, 8])
+    def test_strided_grads_match_fp64(self, rng, stride, k, p, size):
+        """A strided conv's dx and dW against float64 references: dW the
+        stride-sampled correlation of the padded input with g, dx the
+        explicit scatter of g through the filters."""
+        conv = Conv2D(3, 4, k, stride=stride, padding=p, rng=np.random.default_rng(1))
+        x = Tensor(rng.standard_normal((2, size, size, 3)).astype(np.float32), requires_grad=True)
+        y = conv(x)
+        g = rng.standard_normal(y.shape).astype(np.float32)
+        y.backward(g)
+        n, oh, ow, _ = g.shape
+        g64, w64 = g.astype(np.float64), conv.weight.data.astype(np.float64)
+        xp = np.pad(x.data.astype(np.float64), ((0, 0), (p, p), (p, p), (0, 0)))
+        dxp = np.zeros_like(xp)
+        dw = np.zeros_like(w64)
+        for i in range(k):
+            for j in range(k):
+                rows = (
+                    slice(None),
+                    slice(i, i + oh * stride, stride),
+                    slice(j, j + ow * stride, stride),
+                )
+                dw[:, i, j, :] = np.einsum("nhwo,nhwc->oc", g64, xp[rows])
+                dxp[rows] += np.einsum("nhwo,oc->nhwc", g64, w64[:, i, j, :])
+        dx = dxp[:, p : p + size, p : p + size, :]
+        np.testing.assert_allclose(x.grad, dx, rtol=1e-5, atol=1e-5 * np.abs(dx).max())
+        np.testing.assert_allclose(conv.weight.grad, dw, rtol=1e-5, atol=1e-5 * np.abs(dw).max())
+
+    @pytest.mark.parametrize("k,p", [(1, 0), (16, 7)])
+    def test_uncovered_width_trains_as_gemm(self, rng, k, p):
+        """A unit-stride Winograd-engine conv whose filter width no
+        Gamma_alpha kernel covers runs its forward and data grad on GEMM,
+        and trains a step bit for bit as the GEMM engine does."""
+        x0 = rng.standard_normal((2, 18, 18, 8)).astype(np.float32)
+        seed = rng.standard_normal((2, 19 - k + 2 * p, 19 - k + 2 * p, 16)).astype(np.float32)
+        runs = []
+        for engine in ("winograd", "gemm"):
+            conv = Conv2D(8, 16, k, padding=p, engine=engine, rng=np.random.default_rng(1))
+            x = Tensor(x0, requires_grad=True)
+            y = conv(x)
+            y.backward(seed)
+            SGDM(conv.parameters(), lr=0.1).step()
+            runs.append((y.data, x.grad, conv.weight.grad, conv.weight.data))
+            assert conv.engine_at(18) == conv.engine_at(18, data_grad=True) == "gemm"
+        for got, want in zip(*runs, strict=True):
+            _assert_bits_equal(got, want)
 
     def test_kernel5_uses_gamma8(self, rng):
         conv = Conv2D(WINO_C, 2 * WINO_C, 5, engine="winograd", rng=np.random.default_rng(1))

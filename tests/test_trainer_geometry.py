@@ -3,7 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.dlframe import Tensor, conv_layer_geometries, measure_training_memory
+from repro import runtime
+from repro.core import rowblocks
+from repro.dlframe import (
+    SGDM,
+    Tensor,
+    Trainer,
+    conv_layer_geometries,
+    measure_training_memory,
+    synthetic_cifar10,
+)
 from repro.dlframe.layers import Conv2D, LeakyReLU, MaxPool2D, Sequential
 from repro.dlframe.models import resnet18, vgg16, vgg16x7
 
@@ -101,3 +110,32 @@ class TestMemoryModelDetails:
         from repro.dlframe.trainer import _conv_workspace_bytes
 
         assert _conv_workspace_bytes(m, (8, 16, 16, 3)) > 0
+
+    @pytest.mark.parametrize("engine", ["winograd", "gemm"])
+    @pytest.mark.parametrize("arch", ["vgg16", "resnet18"])
+    def test_workspace_is_the_largest_gemm_a_step_runs(self, arch, engine):
+        """After one train step the accounted workspace equals the largest
+        blocked operand among the GEMM executables the step ran, forwards
+        and data grads alike."""
+        from repro.dlframe.trainer import _conv_workspace_bytes
+
+        m = {
+            "vgg16": lambda: vgg16(classes=4, image=40, width_mult=0.125, engine=engine, seed=1),
+            "resnet18": lambda: resnet18(classes=4, width_mult=0.0625, engine=engine, seed=1),
+        }[arch]()
+        train, _ = synthetic_cifar10(train=4, test=4, image=40, classes=4, noise=0.1)
+        runtime.clear_cache()
+        try:
+            Trainer(m, SGDM(m.parameters(), lr=0.1)).train_step(train.x, train.y)
+            exes = runtime.global_cache().executables()
+        finally:
+            runtime.clear_cache()
+        operands = [
+            4 * int(np.prod(rowblocks.blocked_shape(
+                (), len(train.x), e.sig.fh * e.sig.fw * e.sig.ic, e.oh * e.ow
+            )))
+            for e in exes
+            if e.sig.algorithm == "gemm"
+        ]
+        assert operands
+        assert _conv_workspace_bytes(m, train.x.shape) == max(operands)
